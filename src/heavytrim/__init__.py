@@ -26,6 +26,6 @@ from .bounds import (BernsteinInput, BoundsError, ProbabilityBound,
 from .montecarlo import (ConvergenceTrace, ExperimentConfig, MonteCarloError,
                          aggregate, dichotomy_summary, exceedance_counts,
                          run_replication, sample_mean_instability, simulate,
-                         trimmed_sum, truncated_sum, untrimmed_extrema_trace)
+                         trimmed_sum, truncated_sum)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

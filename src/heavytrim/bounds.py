@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Sequence
 
 from .trimming import TrimmingPlan
@@ -27,7 +26,6 @@ __all__ = [
     "BudgetTable",
     "borel_cantelli_budget",
     "max_deviation_tail_exact",
-    "max_deviation_tail_enumerate",
     "BoundsError",
 ]
 
@@ -226,27 +224,3 @@ def max_deviation_tail_exact(support: Sequence, probs: Sequence, n: int,
         alive = nxt
     return absorbed
 
-
-def max_deviation_tail_enumerate(support: Sequence, probs: Sequence, n: int,
-                                 deviation) -> Fraction:
-    """Same probability by brute-force path enumeration; n must stay small."""
-    if len(support) ** n > 4_000_000:
-        raise BoundsError("enumeration limited to |support|**n <= 4e6 paths")
-    sup, pr = _as_fractions(support, probs)
-    dev = Fraction(deviation)
-    mean = sum(v * p for v, p in zip(sup, pr))
-    total = Fraction(0)
-    for path in product(range(len(sup)), repeat=n):
-        z = Fraction(0)
-        hit = False
-        for k, i in enumerate(path, start=1):
-            z += sup[i]
-            if abs(z - k * mean) >= dev:
-                hit = True
-                break
-        if hit:
-            weight = Fraction(1)
-            for i in path:
-                weight *= pr[i]
-            total += weight
-    return total

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expi
 
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
@@ -54,6 +53,32 @@ class QuantileRangeError(DistributionError):
 
 class UnboundedQuantileError(QuantileRangeError):
     """quantile(1) on a law with unbounded support: the value is infinite."""
+
+
+_EULER_GAMMA = 0.5772156649015329
+
+
+def _ei(z: float) -> float:
+    """Exponential integral Ei(z) for z >= 1, to a few ulps.
+
+    Below 50 the power series gamma + log z + sum z**k / (k k!) has only
+    positive terms.  Above it the asymptotic series e**z/z * sum k!/z**k
+    is used; its terms fall below 1e-17 long before the smallest one
+    (near k = z), so cutting there loses less than an ulp.
+    """
+    if z < 50.0:
+        total, term, k = _EULER_GAMMA + math.log(z), 1.0, 0
+        while term > 1e-17 * k * total:
+            k += 1
+            term *= z / k
+            total += term / k
+        return total
+    total, term, k = 1.0, 1.0, 0
+    while term > 1e-17:
+        k += 1
+        term *= k / z
+        total += term
+    return math.exp(z) / z * total
 
 
 def _logsumexp(terms: Sequence[float]) -> float:
@@ -351,10 +376,6 @@ class AtomicStep(Distribution):
                 f"quantile({y}) sits at exp({a.log_x:.1f}), beyond the float range")
         return a.x
 
-    def quantile_log(self, y: float) -> float:
-        """log of the quantile; defined even for atoms beyond the float range."""
-        return self.atoms[self._quantile_index(y)].log_x
-
     def is_quantile_fixed_point(self, log_t: float) -> bool:
         # every atom location is first to attain its level, so fixed points
         # are exactly the atom locations
@@ -576,7 +597,7 @@ class LogTail(Distribution):
     def _tail_integral(self, x: float) -> float:
         # antiderivative of 1/log(x)**2: li(x) - x/log(x), with li(x) = Ei(log x)
         lx = math.log(x)
-        return float(expi(lx)) - x / lx
+        return _ei(lx) - x / lx
 
     def is_quantile_fixed_point(self, log_t: float) -> bool:
         return log_t >= math.log(self.threshold)
@@ -711,12 +732,6 @@ class Tabulated(Distribution):
                 slope = (self.fs[i] - f0) / (x - x0)
                 terms.append(slope * (hi * hi - x0 * x0) / 2.0)
         return math.fsum(terms)
-
-    def sample_array(self, u: np.ndarray) -> np.ndarray:
-        out = np.empty(len(u), dtype=np.float64)
-        for i, ui in enumerate(u):
-            out[i] = self.sample(float(ui))
-        return out
 
 
 def point_mass(location: float = 1.0) -> Tabulated:

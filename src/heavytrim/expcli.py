@@ -28,9 +28,8 @@ from . import __version__
 from .bounds import borel_cantelli_budget
 from .distributions import (AtomicStep, Distribution, LogTail, ParetoTail,
                             Tabulated, square_step)
-from .montecarlo import (ExperimentConfig, aggregate, dichotomy_summary,
-                         simulate, trace_csv_rows)
-from .trimming import (AllowanceTrimRule, PowerThreshold,
+from .montecarlo import ExperimentConfig, aggregate, simulate, trace_csv_rows
+from .trimming import (AllowanceTrimRule, ConditionReport, PowerThreshold,
                        ProjectedPowerThreshold, ProofVariantTrimRule,
                        SquareStepThreshold, StandardTrimRule, SummableFunction,
                        TrimmingPlan, check_condition, conditions_for_plan,
@@ -227,7 +226,6 @@ def parse_config(path: str | Path, *,
 
     try:
         config = ExperimentConfig(
-            distribution=dist,
             plan=plan,
             checkpoints=tuple(checkpoints),
             replications=replications,
@@ -430,6 +428,12 @@ def _write_csv(path: Path, rows) -> None:
             fh.write("\n")
 
 
+def _condition_reports(spec: RunSpec) -> list[ConditionReport]:
+    plan = spec.config.plan
+    return [check_condition(plan, cid, spec.condition_grid, spec.condition_tolerance)
+            for cid in conditions_for_plan(plan)]
+
+
 def run(spec: RunSpec) -> RunManifest:
     """Execute all stages and write artifacts plus the manifest.
 
@@ -445,34 +449,32 @@ def run(spec: RunSpec) -> RunManifest:
         version=__version__,
         plan_warnings=spec.config.plan.warnings,
     )
-    plan = spec.config.plan
 
     t0 = time.perf_counter()
-    reports = [check_condition(plan, cid, spec.condition_grid, spec.condition_tolerance)
-               for cid in conditions_for_plan(plan)]
+    reports = _condition_reports(spec)
     (out / "conditions.txt").write_text(format_condition_report(reports))
     for r in reports:
         manifest.verdicts[r.condition] = r.verdict
-    manifest.stage_seconds["conditions"] = round(time.perf_counter() - t0, 3)
+    manifest.stage_seconds["conditions"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    budget = borel_cantelli_budget(plan, spec.budget_eps, spec.condition_grid)
+    budget = borel_cantelli_budget(spec.config.plan, spec.budget_eps, spec.condition_grid)
     _write_csv(out / "budget.csv", budget.csv_rows())
-    manifest.stage_seconds["budget"] = round(time.perf_counter() - t0, 3)
+    manifest.stage_seconds["budget"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     traces = simulate(spec.config)
     _write_csv(out / "traces.csv", trace_csv_rows(traces))
-    manifest.stage_seconds["traces"] = round(time.perf_counter() - t0, 3)
+    manifest.stage_seconds["traces"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     summary = aggregate(traces)
     _write_csv(out / "aggregate.csv", summary.csv_rows())
-    manifest.stage_seconds["aggregate"] = round(time.perf_counter() - t0, 3)
+    manifest.stage_seconds["aggregate"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     svgs = plot(out / "aggregate.csv", out)
-    manifest.stage_seconds["plots"] = round(time.perf_counter() - t0, 3)
+    manifest.stage_seconds["plots"] = time.perf_counter() - t0
 
     for name in ["conditions.txt", "budget.csv", "traces.csv", "aggregate.csv"]:
         manifest.files[name] = _sha256(out / name)
@@ -500,9 +502,7 @@ def _cmd_run(args) -> int:
 def _cmd_check(args) -> int:
     spec = parse_config(args.config, seed=args.seed, replications=args.replications,
                         n_max=args.nmax, out_dir=args.out_dir)
-    plan = spec.config.plan
-    reports = [check_condition(plan, cid, spec.condition_grid, spec.condition_tolerance)
-               for cid in conditions_for_plan(plan)]
+    reports = _condition_reports(spec)
     print(format_condition_report(reports), end="")
     return 1 if any(r.verdict == "violated" for r in reports) else 0
 

@@ -6,6 +6,11 @@ every checkpoint, preserving the almost-sure coupling the limit
 statements are about; fresh samples per checkpoint would only ever probe
 the weak law.  Sums use compensated (exactly rounded) accumulation.
 
+Plan values (``t(n)``, ``d(n)``, ``b(n)``, the expected exceedances and
+their allowance) depend on n alone, so they live once per experiment in
+``ExperimentConfig.points``; a trace row holds only what its path
+produced, and every consumer pairs it with that table.
+
 Samples whose true value exceeds the float range surface as ``inf``;
 any positive trim or truncation drops them again, so only the raw sum
 column is affected on such paths.
@@ -16,7 +21,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterable, Sequence
 
@@ -37,7 +42,6 @@ __all__ = [
     "aggregate",
     "AggregateSummary",
     "dichotomy_summary",
-    "untrimmed_extrema_trace",
     "DichotomySummary",
     "sample_mean_instability",
     "InstabilityTable",
@@ -103,17 +107,18 @@ def _workers() -> int:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Declarative experiment: law, plan, checkpoint grid, replications, seed.
+    """Declarative experiment: plan, checkpoint grid, replications, seed.
 
     A fixed seed makes every output a pure function of this object.
+    ``points`` is the plan table at the checkpoints, computed once here.
     """
 
-    distribution: Distribution
     plan: TrimmingPlan
     checkpoints: tuple[int, ...]
     replications: int
     seed: int
     max_samples: int = 10_000_000
+    points: tuple[PlanPoint, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "checkpoints", tuple(int(n) for n in self.checkpoints))
@@ -131,14 +136,17 @@ class ExperimentConfig:
             raise MonteCarloError("need at least one replication")
         if not 0 <= self.seed < 2 ** 64:
             raise MonteCarloError("seed must be an unsigned 64-bit integer")
-        if self.plan.distribution != self.distribution:
-            raise MonteCarloError("plan was built for a different distribution")
         need = 16 * self.checkpoints[-1] * _workers()
         budget = _memory_budget_bytes()
         if need > budget:
             raise MonteCarloError(
                 f"replication buffers need ~{need/1e6:.0f} MB, over the "
                 f"{budget/1e6:.0f} MB budget (HEAVYTRIM_MEMORY_MB)")
+        object.__setattr__(self, "points", self.plan.table(self.checkpoints))
+
+    @property
+    def distribution(self) -> Distribution:
+        return self.plan.distribution
 
     @property
     def n_max(self) -> int:
@@ -147,30 +155,27 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TraceRow:
+    """Statistics of one path at one checkpoint; plan values are in ``config.points``."""
+
     n: int
     untrimmed: float          # S_n
     trimmed: float            # sum without the trim largest entries
     truncated: float          # sum of entries at most the threshold
     count_gt: int
     count_ge: int
-    trim: int
-    threshold: float
-    scale: float
     ratio_trimmed: float
     ratio_truncated: float
-    expect_gt: float
-    allowance_gt: float
 
 
 @dataclass(frozen=True)
 class ConvergenceTrace:
     replication: int
-    seed: int
-    rows: tuple[TraceRow, ...]
+    config: ExperimentConfig
+    rows: tuple[TraceRow, ...]   # one per entry of config.points
 
     @property
-    def checkpoints(self) -> tuple[int, ...]:
-        return tuple(r.n for r in self.rows)
+    def seed(self) -> int:
+        return self.config.seed
 
 
 def run_replication(config: ExperimentConfig, replication: int) -> ConvergenceTrace:
@@ -183,9 +188,8 @@ def run_replication(config: ExperimentConfig, replication: int) -> ConvergenceTr
     rng = np.random.Generator(np.random.Philox(key=[config.seed, replication]))
     u = rng.random(config.n_max)
     x = config.distribution.sample_array(u)
-    points = config.plan.table(config.checkpoints)
     rows = []
-    for p in points:
+    for p in config.points:
         prefix = x[: p.n]
         over_mask = prefix > p.threshold
         untrimmed = _fsum(prefix)
@@ -207,15 +211,10 @@ def run_replication(config: ExperimentConfig, replication: int) -> ConvergenceTr
             truncated=truncated,
             count_gt=count_gt,
             count_ge=count_ge,
-            trim=p.trim,
-            threshold=p.threshold,
-            scale=p.scale,
             ratio_trimmed=trimmed / p.scale,
             ratio_truncated=truncated / p.scale,
-            expect_gt=p.expect_gt,
-            allowance_gt=p.allowance_gt,
         ))
-    return ConvergenceTrace(replication=replication, seed=config.seed, rows=tuple(rows))
+    return ConvergenceTrace(replication=replication, config=config, rows=tuple(rows))
 
 
 def simulate(config: ExperimentConfig) -> tuple[ConvergenceTrace, ...]:
@@ -267,39 +266,43 @@ class AggregateSummary:
             yield tuple(row)
 
 
-def _ratio_matrix(traces: Sequence[ConvergenceTrace], attr: str) -> np.ndarray:
+def _experiment(traces: Sequence[ConvergenceTrace]) -> ExperimentConfig:
+    """The one config all traces were simulated from."""
+    if not traces:
+        raise MonteCarloError("no traces given")
+    config = traces[0].config
+    if any(t.config != config for t in traces):
+        raise MonteCarloError("traces come from different experiments")
+    return config
+
+
+def _matrix(traces: Sequence[ConvergenceTrace], attr: str) -> np.ndarray:
+    """(replications, checkpoints) array of one row statistic."""
     return np.array([[getattr(r, attr) for r in t.rows] for t in traces])
 
 
 def aggregate(traces: Sequence[ConvergenceTrace], min_n: int | None = None) -> AggregateSummary:
-    """Summarize traces sharing one checkpoint grid.
+    """Summarize traces of one experiment.
 
     Also counts, per checkpoint, how many replications saw the strict
     exceedance count stray from its expectation by at least the
     fluctuation allowance; the concentration statements predict a
     summably rare event.
     """
-    if not traces:
-        raise MonteCarloError("no traces to aggregate")
-    grid = traces[0].checkpoints
-    for t in traces:
-        if t.checkpoints != grid:
-            raise MonteCarloError("traces disagree on the checkpoint grid")
+    config = _experiment(traces)
+    grid = config.checkpoints
     min_n = grid[0] if min_n is None else int(min_n)
     cols = [j for j, n in enumerate(grid) if n >= min_n]
     if not cols:
         raise MonteCarloError(f"no checkpoints at or above min_n = {min_n}")
-    trimmed = _ratio_matrix(traces, "ratio_trimmed")
-    truncated = _ratio_matrix(traces, "ratio_truncated")
-    untrimmed = np.array([[r.untrimmed / r.scale for r in t.rows] for t in traces])
-    runmax = np.maximum.accumulate(untrimmed, axis=1)
+    trimmed = _matrix(traces, "ratio_trimmed")
+    truncated = _matrix(traces, "ratio_truncated")
+    runmax = dichotomy_summary(traces).running_max
+    expect_gt = np.array([p.expect_gt for p in config.points])
+    allowance_gt = np.array([p.allowance_gt for p in config.points])
+    violations = np.count_nonzero(
+        np.abs(expect_gt - _matrix(traces, "count_gt")) >= allowance_gt, axis=0)
     levels = np.asarray(RATIO_QUANTILES)
-    violations = []
-    for j in range(len(grid)):
-        bad = sum(
-            1 for t in traces
-            if abs(t.rows[j].expect_gt - t.rows[j].count_gt) >= t.rows[j].allowance_gt)
-        violations.append(bad)
     return AggregateSummary(
         checkpoints=grid,
         replications=len(traces),
@@ -309,9 +312,8 @@ def aggregate(traces: Sequence[ConvergenceTrace], min_n: int | None = None) -> A
         untrimmed_runmax_quantiles=np.quantile(runmax, levels, axis=0),
         sup_trimmed_deviation=np.max(np.abs(trimmed[:, cols] - 1.0), axis=1),
         min_n=min_n,
-        exceedance_violations=tuple(violations),
-        median_trimmed_error=tuple(float(np.median(np.abs(trimmed[:, j] - 1.0)))
-                                   for j in range(len(grid))),
+        exceedance_violations=tuple(violations.tolist()),
+        median_trimmed_error=tuple(np.median(np.abs(trimmed - 1.0), axis=0).tolist()),
     )
 
 
@@ -336,29 +338,19 @@ class DichotomySummary:
 
 def dichotomy_summary(traces: Sequence[ConvergenceTrace],
                       growth_threshold: float = 10.0) -> DichotomySummary:
-    grid = traces[0].checkpoints
-    ratios = np.array([[r.untrimmed / r.scale for r in t.rows] for t in traces])
+    config = _experiment(traces)
+    ratios = _matrix(traces, "untrimmed") / np.array([p.scale for p in config.points])
     runmax = np.maximum.accumulate(ratios, axis=1)
     runmin = np.minimum.accumulate(ratios, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         growth = runmax[:, -1] / ratios[:, 0]
     return DichotomySummary(
-        checkpoints=grid,
+        checkpoints=config.checkpoints,
         running_max=runmax,
         running_min=runmin,
         growth_factors=growth,
         growth_threshold=growth_threshold,
     )
-
-
-def untrimmed_extrema_trace(config: ExperimentConfig,
-                            growth_threshold: float = 10.0) -> DichotomySummary:
-    """Run the experiment and report running extrema of the raw-sum ratio.
-
-    Diagnostic only: on heavy-tailed laws the running max keeps growing
-    across decades while the trimmed ratio on the same paths stays put.
-    """
-    return dichotomy_summary(simulate(config), growth_threshold)
 
 
 @dataclass(frozen=True)
@@ -421,8 +413,8 @@ def trace_csv_rows(traces: Sequence[ConvergenceTrace]) -> Iterable[tuple]:
     """Rows for the traces CSV; floats as shortest round-trip strings."""
     yield TRACE_COLUMNS
     for t in traces:
-        for r in t.rows:
+        for r, p in zip(t.rows, t.config.points):
             yield (t.replication, r.n, repr(r.untrimmed), repr(r.trimmed),
-                   repr(r.truncated), r.count_gt, r.count_ge, r.trim,
-                   repr(r.threshold), repr(r.scale),
+                   repr(r.truncated), r.count_gt, r.count_ge, p.trim,
+                   repr(p.threshold), repr(p.scale),
                    repr(r.ratio_trimmed), repr(r.ratio_truncated))

@@ -40,7 +40,7 @@ def report(num: int, ok: bool, detail: str) -> None:
 def demo_run():
     pareto = ParetoTail(0.5, 1.0)
     plan = plan_standard(pareto, PowerThreshold(0.8), 0.05)
-    config = ExperimentConfig(pareto, plan, CHECKPOINTS, 100, SEED)
+    config = ExperimentConfig(plan, CHECKPOINTS, 100, SEED)
     t0 = time.perf_counter()
     traces = simulate(config)
     elapsed = time.perf_counter() - t0

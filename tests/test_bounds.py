@@ -1,16 +1,43 @@
 import math
 from fractions import Fraction
+from itertools import product
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from heavytrim.bounds import (BernsteinInput, BoundsError, ProbabilityBound,
-                              bernstein_max_tail, bernstein_relative,
-                              borel_cantelli_budget, max_deviation_tail_enumerate,
+                              _as_fractions, bernstein_max_tail,
+                              bernstein_relative, borel_cantelli_budget,
                               max_deviation_tail_exact)
 from heavytrim.distributions import ParetoTail
 from heavytrim.trimming import (PowerThreshold, SummableFunction,
                                 geometric_grid, plan_standard)
+
+
+def max_deviation_tail_enumerate(support: Sequence, probs: Sequence, n: int,
+                                 deviation) -> Fraction:
+    """Same probability by brute-force path enumeration; n must stay small."""
+    if len(support) ** n > 4_000_000:
+        raise BoundsError("enumeration limited to |support|**n <= 4e6 paths")
+    sup, pr = _as_fractions(support, probs)
+    dev = Fraction(deviation)
+    mean = sum(v * p for v, p in zip(sup, pr))
+    total = Fraction(0)
+    for path in product(range(len(sup)), repeat=n):
+        z = Fraction(0)
+        hit = False
+        for k, i in enumerate(path, start=1):
+            z += sup[i]
+            if abs(z - k * mean) >= dev:
+                hit = True
+                break
+        if hit:
+            weight = Fraction(1)
+            for i in path:
+                weight *= pr[i]
+            total += weight
+    return total
 
 
 class TestMaxTailBound:

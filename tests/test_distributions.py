@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from heavytrim.distributions import (Atom, AtomicStep, DistributionError,
+from heavytrim.distributions import (Atom, AtomicStep, DistributionError, _ei,
                                      LogTail, ParetoTail, QuantileRangeError,
                                      Tabulated, UnboundedQuantileError,
                                      point_mass, square_step)
@@ -133,6 +133,15 @@ class TestTruncatedMoments:
         assert d.truncated_moment(10.0) == pytest.approx(base, rel=1e-12)
         tail, _ = integrate.quad(lambda x: 1.0 / math.log(x) ** 2, 10.0, 50.0)
         assert d.truncated_moment(50.0) == pytest.approx(base + tail, rel=1e-9)
+
+    def test_ei_matches_mpmath(self):
+        # both branches of the series and the switch at 50, up to the
+        # largest log(x) a float x can have
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            for z in np.linspace(1.0, 709.0, 2000).tolist() + [50.0, 709.78]:
+                exact = mp.ei(z)
+                assert abs((_ei(z) - exact) / exact) < 1e-14, z
 
 
 class TestTabulated:

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import heavytrim
 from heavytrim.distributions import AtomicStep, ParetoTail, Tabulated
 from heavytrim.expcli import (CONFIG_GRAMMAR, ConfigError, main, parse_config,
                               plot, run)
@@ -225,3 +229,12 @@ class TestMain:
         traces = (tmp_path / "ovr" / "traces.csv").read_text().splitlines()
         # header + 2 replications x 1 checkpoint
         assert len(traces) == 3
+
+    def test_import_loads_no_scipy(self):
+        src = str(Path(heavytrim.__file__).resolve().parents[1])
+        probe = ("import sys, heavytrim.expcli; "
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", probe],
+                             env={**os.environ, "PYTHONPATH": src}, check=True,
+                             capture_output=True, text=True, timeout=60).stdout
+        assert out.strip() == "[]"

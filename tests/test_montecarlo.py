@@ -5,21 +5,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from heavytrim.distributions import LogTail, ParetoTail, point_mass
 from heavytrim.montecarlo import (ExperimentConfig, MonteCarloError,
                                   aggregate, dichotomy_summary,
                                   exceedance_counts, run_replication,
                                   sample_mean_instability, simulate,
-                                  trace_csv_rows, trimmed_sum, truncated_sum,
-                                  untrimmed_extrema_trace)
-from heavytrim.trimming import (PowerThreshold, fluctuation_allowance,
-                                plan_default, plan_standard)
+                                  trace_csv_rows, trimmed_sum, truncated_sum)
+from heavytrim.trimming import (PowerThreshold, TrimmingPlan,
+                                fluctuation_allowance, plan_default,
+                                plan_standard)
 
 
 @pytest.fixture(scope="module")
 def pareto_cfg(pareto):
     plan = plan_standard(pareto, PowerThreshold(0.8), 0.05)
-    return ExperimentConfig(pareto, plan, (1000, 3162, 10000, 31623, 100000),
+    return ExperimentConfig(plan, (1000, 3162, 10000, 31623, 100000),
                             20, 424242)
 
 
@@ -31,7 +30,7 @@ def pareto_traces(pareto_cfg):
 @pytest.fixture(scope="module")
 def pm_cfg(pm):
     plan = plan_default(pm, 0.05, grid=())
-    return ExperimentConfig(pm, plan, (100, 1000, 10000), 3, 7)
+    return ExperimentConfig(plan, (100, 1000, 10000), 3, 7)
 
 
 class TestTrimmedSum:
@@ -118,13 +117,13 @@ class TestRunReplication:
 
     def test_point_mass_path(self, pm_cfg):
         t = run_replication(pm_cfg, 0)
-        for row in t.rows:
+        for row, p in zip(t.rows, pm_cfg.points):
             assert row.untrimmed == float(row.n)
-            assert row.trimmed == float(row.n - row.trim)
+            assert row.trimmed == float(row.n - p.trim)
             assert row.truncated == float(row.n)
             assert row.count_gt == 0
             assert row.count_ge == row.n
-            assert row.ratio_trimmed == (row.n - row.trim) / row.scale
+            assert row.ratio_trimmed == (row.n - p.trim) / p.scale
 
     def test_raw_sum_monotone_along_path(self, pareto_traces):
         for t in pareto_traces:
@@ -171,50 +170,58 @@ class TestRunReplication:
         for t in pareto_traces[:5]:
             rng = np.random.Generator(np.random.Philox(key=[t.seed, t.replication]))
             x = pareto_cfg.distribution.sample_array(rng.random(pareto_cfg.n_max))
-            for r in t.rows:
-                level = r.expect_gt + fluctuation_allowance(
-                    r.expect_gt, r.n, plan.epsilon, plan.summable)
+            for r, p in zip(t.rows, pareto_cfg.points):
+                level = p.expect_gt + fluctuation_allowance(
+                    p.expect_gt, r.n, plan.epsilon, plan.summable)
                 k = math.ceil(level)
                 if r.count_gt <= k <= r.n:
-                    assert trimmed_sum(x[: r.n], k) <= truncated_sum(x[: r.n], r.threshold)
+                    assert trimmed_sum(x[: r.n], k) <= truncated_sum(x[: r.n], p.threshold)
 
     def test_memory_budget_guard(self, pareto, monkeypatch):
         monkeypatch.setenv("HEAVYTRIM_MEMORY_MB", "1")
         plan = plan_standard(pareto, PowerThreshold(0.8), 0.05)
         with pytest.raises(MonteCarloError, match="budget"):
-            ExperimentConfig(pareto, plan, (1000, 100000), 2, 1)
+            ExperimentConfig(plan, (1000, 100000), 2, 1)
 
     def test_config_validation(self, pareto):
         plan = plan_standard(pareto, PowerThreshold(0.8), 0.05)
         with pytest.raises(MonteCarloError):
-            ExperimentConfig(pareto, plan, (), 2, 1)
+            ExperimentConfig(plan, (), 2, 1)
         with pytest.raises(MonteCarloError):
-            ExperimentConfig(pareto, plan, (100, 100), 2, 1)
+            ExperimentConfig(plan, (100, 100), 2, 1)
         with pytest.raises(MonteCarloError):
-            ExperimentConfig(pareto, plan, (100, 1000), 0, 1)
+            ExperimentConfig(plan, (100, 1000), 0, 1)
         with pytest.raises(MonteCarloError):
-            ExperimentConfig(pareto, plan, (100, 1000), 2, -5)
+            ExperimentConfig(plan, (100, 1000), 2, -5)
         with pytest.raises(MonteCarloError):
-            ExperimentConfig(pareto, plan, (100, 1000), 2, 1, max_samples=500)
-        other = point_mass(1.0)
-        with pytest.raises(MonteCarloError):
-            ExperimentConfig(other, plan, (100, 1000), 2, 1)
+            ExperimentConfig(plan, (100, 1000), 2, 1, max_samples=500)
+
+    def test_points_are_the_plan_table(self, pareto_cfg):
+        assert pareto_cfg.points == pareto_cfg.plan.table(pareto_cfg.checkpoints)
+        assert pareto_cfg.distribution is pareto_cfg.plan.distribution
+
+    def test_simulate_reuses_the_plan_table(self, pm_cfg, monkeypatch):
+        monkeypatch.setenv("HEAVYTRIM_WORKERS", "1")
+        calls = []
+        checkpoint = TrimmingPlan.checkpoint
+        monkeypatch.setattr(TrimmingPlan, "checkpoint",
+                            lambda plan, n: calls.append(n) or checkpoint(plan, n))
+        simulate(pm_cfg)
+        assert calls == []
 
 
 class TestSimulateAndAggregate:
     def test_parallel_merge_matches_sequential(self, pareto_cfg, pareto_traces,
                                                monkeypatch):
         monkeypatch.setenv("HEAVYTRIM_WORKERS", "2")
-        small = ExperimentConfig(pareto_cfg.distribution, pareto_cfg.plan,
-                                 (1000, 10000), 4, pareto_cfg.seed)
+        small = ExperimentConfig(pareto_cfg.plan, (1000, 10000), 4, pareto_cfg.seed)
         parallel = simulate(small)
         monkeypatch.setenv("HEAVYTRIM_WORKERS", "1")
         sequential = simulate(small)
         assert parallel == sequential
 
     def test_single_trace_quantiles_collapse(self, pareto_cfg):
-        t = simulate(ExperimentConfig(pareto_cfg.distribution, pareto_cfg.plan,
-                                      (1000, 10000), 1, 5))
+        t = simulate(ExperimentConfig(pareto_cfg.plan, (1000, 10000), 1, 5))
         agg = aggregate(t)
         for j in range(2):
             col = agg.trimmed_quantiles[:, j]
@@ -244,8 +251,7 @@ class TestSimulateAndAggregate:
             max(abs(v - 1.0) for v in cols), rel=1e-15)
 
     def test_grid_mismatch_rejected(self, pareto_cfg, pareto_traces):
-        other = simulate(ExperimentConfig(pareto_cfg.distribution, pareto_cfg.plan,
-                                          (1000, 10000), 1, 5))
+        other = simulate(ExperimentConfig(pareto_cfg.plan, (1000, 10000), 1, 5))
         with pytest.raises(MonteCarloError):
             aggregate(list(pareto_traces) + list(other))
 
@@ -259,7 +265,7 @@ class TestSimulateAndAggregate:
 
 class TestDiagnostics:
     def test_point_mass_ratio_is_flat(self, pm_cfg):
-        d = untrimmed_extrema_trace(pm_cfg)
+        d = dichotomy_summary(simulate(pm_cfg))
         assert np.allclose(d.running_max, 1.0)
         assert np.allclose(d.running_min, 1.0)
         assert d.fraction_growing == 0.0
@@ -289,7 +295,7 @@ class TestDiagnostics:
         # with the ceiling-formula trim counts the infinite-expectation
         # drift is invisible at desk scale; the diagnostic must say so
         plan = plan_default(logtail, 0.05, grid=())
-        cfg = ExperimentConfig(logtail, plan, (2000,), 5, 99)
+        cfg = ExperimentConfig(plan, (2000,), 5, 99)
         table = sample_mean_instability(cfg, r_levels=(20, 100, 400),
                                         sample_size=2000)
         assert [lvl for lvl, _ in table.level_means] == [20, 100, 400]
@@ -299,7 +305,7 @@ class TestDiagnostics:
 
     def test_instability_trim_matches_plan(self, logtail):
         plan = plan_default(logtail, 0.05, grid=())
-        cfg = ExperimentConfig(logtail, plan, (2000,), 5, 99)
+        cfg = ExperimentConfig(plan, (2000,), 5, 99)
         table = sample_mean_instability(cfg, r_levels=(5, 10), sample_size=2000)
         assert table.trim == plan.checkpoint(2000).trim
         assert table.sample_size == 2000
