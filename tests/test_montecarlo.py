@@ -1,10 +1,13 @@
 import math
 import os
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from heavytrim import montecarlo
 from heavytrim.montecarlo import (ExperimentConfig, MonteCarloError,
                                   aggregate, dichotomy_summary,
                                   exceedance_counts, run_replication,
@@ -52,8 +55,8 @@ class TestTrimmedSum:
             trimmed_sum(np.array([1.0]), -1)
 
     def test_selection_equals_sort_reference(self):
-        # the compensated sum is exactly rounded, so any summation order of
-        # the same kept multiset must give the same float
+        # the exact sum is rounded once, so any summation order of the same
+        # kept multiset must give the same float
         rng = np.random.default_rng(1234)
         for _ in range(100):
             n = int(rng.integers(1, 2000))
@@ -89,6 +92,81 @@ class TestTruncatedSum:
     def test_negative_cutoff_rejected(self):
         with pytest.raises(MonteCarloError):
             truncated_sum(np.array([1.0]), -1.0)
+
+
+# entries for the exact-sum properties: subnormals and tiny values, values
+# near the top of the range (60 of them cannot overflow), mixed signs
+_ENTRIES = st.one_of(
+    st.floats(0.0, 1e-300),
+    st.floats(1e299, 1e301),
+    st.floats(-1e300, 1e300),
+    st.sampled_from([0.0, 1.0, 0.1, 5e-324, 2.2250738585072014e-308]),
+)
+_ARRAYS = st.one_of(
+    st.lists(_ENTRIES, max_size=60),
+    st.builds(lambda v, k: [v] * k, _ENTRIES, st.integers(0, 40)),
+)
+
+
+class TestExactSum:
+    """Both public sums against ``math.fsum``, compared bit for bit."""
+
+    @given(values=_ARRAYS)
+    @settings(max_examples=300, deadline=None)
+    def test_untrimmed_matches_fsum(self, values):
+        assert trimmed_sum(np.array(values, dtype=np.float64), 0).hex() == \
+            math.fsum(values).hex()
+
+    @given(values=_ARRAYS, cutoff=st.one_of(st.floats(0.0, 1e301), st.just(math.inf)))
+    @settings(max_examples=300, deadline=None)
+    def test_truncated_matches_fsum(self, values, cutoff):
+        x = np.array(values, dtype=np.float64)
+        assert truncated_sum(x, cutoff).hex() == math.fsum(x[x <= cutoff].tolist()).hex()
+
+    @given(values=_ARRAYS, where=st.integers(0, 60))
+    @settings(max_examples=100, deadline=None)
+    def test_inf_entry_gives_inf(self, values, where):
+        values = values[:where] + [math.inf] + values[where:]
+        x = np.array(values, dtype=np.float64)
+        assert math.fsum(values) == math.inf
+        assert trimmed_sum(x, 0) == math.inf
+        assert truncated_sum(x, math.inf) == math.inf
+
+    def test_edge_cases(self):
+        for values in ([], [0.0], [7.25], [0.0] * 9, [0.1] * 10, [5e-324] * 3,
+                       [1e-300, 1e300, -1e300], [1e308, 7e307]):
+            x = np.array(values, dtype=np.float64)
+            assert trimmed_sum(x, 0).hex() == math.fsum(values).hex()
+            assert truncated_sum(x, 1e308).hex() == \
+                math.fsum(v for v in values if v <= 1e308).hex()
+        assert math.isnan(trimmed_sum(np.array([1.0, math.nan]), 0))
+
+    def test_longer_than_one_chunk(self):
+        rng = np.random.default_rng(77)
+        n = 3 * montecarlo._CHUNK + 17
+        x = np.ldexp(rng.random(n), rng.integers(-1074, 1000, n))
+        assert trimmed_sum(x, 0) == math.fsum(x.tolist())
+        assert truncated_sum(x, 1.0) == math.fsum(x[x <= 1.0].tolist())
+
+    def test_overflow_raises_like_fsum(self):
+        values = [1.7976931348623157e308] * 2
+        with pytest.raises(OverflowError):
+            math.fsum(values)
+        with pytest.raises(OverflowError):
+            trimmed_sum(np.array(values), 0)
+        with pytest.raises(OverflowError):
+            truncated_sum(np.array(values), math.inf)
+
+    def test_inf_decides_before_finite_overflow(self):
+        # the finite part alone overflows; an inf still gives inf, as fsum
+        # does in this order, also when the trim keeps some of the infs
+        big = 1.7976931348623157e308
+        values = [big, math.inf, big, math.inf]
+        assert math.fsum(values) == math.inf
+        x = np.array(values)
+        assert trimmed_sum(x, 0) == math.inf
+        assert trimmed_sum(x, 1) == math.inf
+        assert truncated_sum(x, math.inf) == math.inf
 
 
 class TestExceedanceCounts:
@@ -139,7 +217,7 @@ class TestRunReplication:
 
     def test_coupling_identity_exact_in_rationals(self, pareto_cfg):
         # floats are dyadic rationals: the split at the threshold must be
-        # exact in Q, and each compensated float sum equals the correctly
+        # exact in Q, and each float sum equals the correctly
         # rounded exact sum
         rng = np.random.Generator(np.random.Philox(key=[pareto_cfg.seed, 2]))
         x = pareto_cfg.distribution.sample_array(rng.random(4096))
@@ -176,6 +254,67 @@ class TestRunReplication:
                 k = math.ceil(level)
                 if r.count_gt <= k <= r.n:
                     assert trimmed_sum(x[: r.n], k) <= truncated_sum(x[: r.n], p.threshold)
+
+    def test_decomposition_check_fires(self, pareto_cfg, monkeypatch):
+        cfg = ExperimentConfig(pareto_cfg.plan, (1000,), 1, pareto_cfg.seed)
+        t = cfg.points[0].threshold
+        # with an exceedance on the path, the "<= t" selection is the only
+        # argument of the primitive that holds no entry above t
+        assert run_replication(cfg, 0).rows[0].count_gt > 0
+        buckets = montecarlo._buckets
+
+        def lossy(values):
+            if len(values) > 1 and values.max() <= t:
+                values = values[1:]
+            return buckets(values)
+
+        monkeypatch.setattr(montecarlo, "_buckets", lossy)
+        with pytest.raises(MonteCarloError, match="sum decomposition"):
+            run_replication(cfg, 0)
+
+    def test_inf_draws_match_scalar_recomputation(self, logtail):
+        # a 1/log tail draws inf about once per 710 samples: the raw sum is
+        # inf, the trim drops every inf, the counts include them
+        cfg = ExperimentConfig(plan_default(logtail, 0.05, grid=()),
+                               (1000, 3162, 10000), 1, 99)
+        trace = run_replication(cfg, 0)
+        rng = np.random.Generator(np.random.Philox(key=[cfg.seed, 0]))
+        x = cfg.distribution.sample_array(rng.random(cfg.n_max))
+        for r, p in zip(trace.rows, cfg.points):
+            draws = sorted(x[: r.n].tolist())
+            kept = draws[: r.n - p.trim]
+            assert draws[-1] == math.inf
+            assert all(math.isfinite(v) for v in kept)
+            assert r.untrimmed == math.inf
+            assert r.trimmed == math.fsum(kept)
+            assert r.truncated == math.fsum(v for v in draws if v <= p.threshold)
+            assert r.count_gt == sum(v > p.threshold for v in draws)
+            assert r.count_ge == sum(v >= p.threshold for v in draws)
+
+    def test_inf_draws_beside_finite_overflow(self, logtail):
+        # by n = 1e6 the finite draws of this path sum past the float range;
+        # the inf draws still make S_n inf, and the trim drops all of them
+        cfg = ExperimentConfig(plan_default(logtail, 0.05, grid=()), (1_000_000,), 1, 0)
+        rng = np.random.Generator(np.random.Philox(key=[cfg.seed, 0]))
+        x = cfg.distribution.sample_array(rng.random(cfg.n_max))
+        with pytest.raises(OverflowError):
+            math.fsum(x[np.isfinite(x)].tolist())
+        (r,), (p,) = run_replication(cfg, 0).rows, cfg.points
+        assert r.untrimmed == math.inf
+        assert p.trim >= r.n - np.count_nonzero(np.isfinite(x))
+        assert r.trimmed == math.fsum(np.sort(x)[: r.n - p.trim].tolist())
+
+    def test_memory_guard_bounds_replication_peak(self, pareto_cfg):
+        n = 200_000
+        cfg = ExperimentConfig(pareto_cfg.plan, (1000, 3162, 10000, 31623, 100000, n),
+                               1, pareto_cfg.seed)
+        tracemalloc.start()
+        try:
+            run_replication(cfg, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= montecarlo._BYTES_PER_SAMPLE * n
 
     def test_memory_budget_guard(self, pareto, monkeypatch):
         monkeypatch.setenv("HEAVYTRIM_MEMORY_MB", "1")
