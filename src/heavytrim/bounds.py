@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .trimming import TrimmingPlan
+from .trimming import PlanPoint, TrimmingPlan
 
 __all__ = [
     "BernsteinInput",
@@ -149,31 +149,30 @@ class BudgetTable:
 
 
 def borel_cantelli_budget(plan: TrimmingPlan, eps: float,
-                          grid: Sequence[int]) -> BudgetTable:
+                          table: Sequence[PlanPoint]) -> BudgetTable:
     """Deviation budget making truncated-sum deviations summable.
 
-    For each grid n tabulates the exponent argument
-    ``(3 eps^2/(6+2 eps)) * d(n)/t(n)``, the log10 of the resulting
-    summand ``exp(-arg)``, the running partial sum, and whether the
-    summand is pointwise below ``1/summable(n)``, i.e. whether the
-    exponent argument has caught up with ``log summable(n)``.
+    For each point of ``table`` (``plan.table(grid)``) tabulates the
+    exponent argument ``(3 eps^2/(6+2 eps)) * d(n)/t(n)``, the log10 of
+    the resulting summand ``exp(-arg)``, the running partial sum, and
+    whether the summand is pointwise below ``1/summable(n)``, i.e. whether
+    the exponent argument has caught up with ``log summable(n)``.
     """
     if not eps > 0.0:
         raise BoundsError(f"eps must be positive, got {eps}")
     coef = 3.0 * eps * eps / (6.0 + 2.0 * eps)
     rows = []
     running = 0.0
-    for n in grid:
-        p = plan.checkpoint(int(n))
+    for p in table:
         arg = coef * math.exp(min(p.log_scale - p.log_threshold, 700.0))
         summand = math.exp(-arg) if arg < 745.0 else 0.0
         running += summand
         rows.append(BudgetRow(
-            n=int(n),
+            n=p.n,
             exponent_arg=arg,
             log10_summand=-arg / _LN10,
             partial_sum=running,
-            within_budget=arg >= plan.summable.log_value(int(n)),
+            within_budget=arg >= plan.summable.log_value(p.n),
         ))
     return BudgetTable(epsilon=eps, rows=tuple(rows))
 

@@ -7,9 +7,12 @@ are a pure function of (config, seed): rerunning reproduces every
 checksum.
 
 Config files are JSON (see ``CONFIG_GRAMMAR`` or the README for the full
-key reference).  The exit code is nonzero exactly when a pointwise plan
-hypothesis is violated; an inconclusive limit hypothesis only warns,
-since no finite grid can settle an asymptotic statement.
+key reference).  ``heavytrim run`` and ``heavytrim check`` exit 1 when a
+pointwise plan hypothesis is violated; an inconclusive limit hypothesis
+only warns, since no finite grid can settle an asymptotic statement.
+Config errors (missing keys, malformed or out-of-range values, invalid
+plans) are raised while parsing, before any artifact is written; they and
+I/O errors exit 2.
 """
 
 from __future__ import annotations
@@ -29,10 +32,11 @@ from .bounds import borel_cantelli_budget
 from .distributions import (AtomicStep, Distribution, LogTail, ParetoTail,
                             Tabulated, square_step)
 from .montecarlo import ExperimentConfig, aggregate, simulate, trace_csv_rows
-from .trimming import (AllowanceTrimRule, ConditionReport, PowerThreshold,
+from .trimming import (AllowanceTrimRule, ConditionReport, PlanPoint, PowerThreshold,
                        ProjectedPowerThreshold, ProofVariantTrimRule,
                        SquareStepThreshold, StandardTrimRule, SummableFunction,
-                       TrimmingPlan, check_condition, conditions_for_plan,
+                       TrimmingError, TrimmingPlan, check_condition,
+                       check_condition_grid, conditions_for_plan,
                        format_condition_report, geometric_grid, plan_default,
                        plan_general, plan_standard)
 
@@ -65,10 +69,11 @@ experiment:
   seed: unsigned 64-bit integer (required; no implicit randomness)
   max-samples: optional ceiling, default 10000000
 conditions (optional):
-  grid: integers (default: geometric, 8+ points, 3+ decades up to n_max)
+  grid: strictly increasing integers, 8+ points spanning 3+ decades
+        (default: geometric up to n_max)
   tolerance: number (default 0.01)
 budget (optional):
-  eps: relative deviation for the budget table (default 0.1)
+  eps: relative deviation > 0 for the budget table (default 0.1)
 output (optional):
   directory: path for artifacts (default "heavytrim-out")
 """
@@ -82,6 +87,27 @@ def _need(section: dict, key: str, where: str):
     if key not in section:
         raise ConfigError(f"{where}.{key}: missing")
     return section[key]
+
+
+def _integer(value, key: str) -> int:
+    """An integer config value; an integral float such as 1e6 passes."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{key}: expected an integer, got {value!r}")
+
+
+def _integers(values, key: str) -> tuple[int, ...]:
+    if not isinstance(values, list):
+        raise ConfigError(f"{key}: expected a list of integers, got {values!r}")
+    return tuple(_integer(v, key) for v in values)
+
+
+def _number(value, key: str) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigError(f"{key}: expected a number, got {value!r}")
 
 
 def _build_distribution(section: dict) -> Distribution:
@@ -199,38 +225,47 @@ def parse_config(path: str | Path, *,
         raise ConfigError(f"{path}: top level must be an object")
 
     exp = _need(raw, "experiment", "")
-    checkpoints = [int(n) for n in _need(exp, "checkpoints", "experiment")]
+    checkpoints = _integers(_need(exp, "checkpoints", "experiment"), "experiment.checkpoints")
     if n_max is not None:
-        checkpoints = [n for n in checkpoints if n <= n_max]
+        checkpoints = tuple(n for n in checkpoints if n <= n_max)
         if not checkpoints:
             raise ConfigError("experiment.checkpoints: all above the --nmax override")
     if replications is None:
-        replications = int(_need(exp, "replications", "experiment"))
+        replications = _integer(_need(exp, "replications", "experiment"),
+                                "experiment.replications")
     if seed is None:
         if "seed" not in exp:
             raise ConfigError("experiment.seed: missing; runs must be "
                               "reproducible, there is no implicit randomness")
-        seed = int(exp["seed"])
+        seed = _integer(exp["seed"], "experiment.seed")
 
     dist = _build_distribution(_need(raw, "distribution", ""))
 
     cond = raw.get("conditions", {})
     if "grid" in cond:
-        condition_grid = tuple(int(n) for n in cond["grid"])
+        condition_grid = _integers(cond["grid"], "conditions.grid")
+        try:
+            check_condition_grid(condition_grid)
+        except TrimmingError as exc:
+            raise ConfigError(f"conditions.grid: {exc}") from exc
     else:
         top = max(20_000, checkpoints[-1] if checkpoints else 20_000)
         condition_grid = geometric_grid(16, top, 12)
-    tolerance = float(cond.get("tolerance", 1e-2))
+    tolerance = _number(cond.get("tolerance", 1e-2), "conditions.tolerance")
+    budget_eps = _number(raw.get("budget", {}).get("eps", 0.1), "budget.eps")
+    if not budget_eps > 0.0:
+        raise ConfigError(f"budget.eps: must be positive, got {budget_eps}")
 
     plan = _build_plan(_need(raw, "plan", ""), dist, condition_grid)
 
     try:
         config = ExperimentConfig(
             plan=plan,
-            checkpoints=tuple(checkpoints),
+            checkpoints=checkpoints,
             replications=replications,
             seed=seed,
-            max_samples=int(exp.get("max-samples", 10_000_000)),
+            max_samples=_integer(exp.get("max-samples", 10_000_000),
+                                 "experiment.max-samples"),
         )
     except ValueError as exc:
         raise ConfigError(f"experiment: {exc}") from exc
@@ -241,7 +276,7 @@ def parse_config(path: str | Path, *,
         config=config,
         condition_grid=condition_grid,
         condition_tolerance=tolerance,
-        budget_eps=float(raw.get("budget", {}).get("eps", 0.1)),
+        budget_eps=budget_eps,
         output_dir=out,
         raw=raw,
     )
@@ -260,11 +295,17 @@ def _fmt(v: float) -> str:
 
 
 class _Frame:
-    """Maps data coordinates onto the fixed SVG viewport."""
+    """Maps data coordinates onto the fixed SVG viewport.
 
-    def __init__(self, x_lo, x_hi, y_lo, y_hi):
+    Non-finite values are not drawn: they neither size the frame nor
+    appear in a line or band.
+    """
+
+    def __init__(self, xs, ys):
+        ys = [v for v in ys if math.isfinite(v)] or [0.0]
+        y_lo, y_hi = min(ys), max(ys)
         pad = 0.05 * (y_hi - y_lo or 1.0)
-        self.x_lo, self.x_hi = x_lo, x_hi
+        self.x_lo, self.x_hi = min(xs), max(xs)
         self.y_lo, self.y_hi = y_lo - pad, y_hi + pad
 
     def x(self, v):
@@ -275,18 +316,20 @@ class _Frame:
         f = (v - self.y_lo) / (self.y_hi - self.y_lo or 1.0)
         return _H - _MB - f * (_H - _MT - _MB)
 
+    def points(self, xs, ys) -> list[str]:
+        return [f"{_fmt(self.x(a))},{_fmt(self.y(b))}"
+                for a, b in zip(xs, ys) if math.isfinite(b)]
+
     def polyline(self, xs, ys, color, width=1.5, dash=""):
-        pts = " ".join(f"{_fmt(self.x(a))},{_fmt(self.y(b))}" for a, b in zip(xs, ys))
+        pts = " ".join(self.points(xs, ys))
         extra = f' stroke-dasharray="{dash}"' if dash else ""
         return (f'<polyline fill="none" stroke="{color}" '
                 f'stroke-width="{width}"{extra} points="{pts}"/>')
 
     def band(self, xs, lo, hi, color):
-        fwd = [f"{_fmt(self.x(a))},{_fmt(self.y(b))}" for a, b in zip(xs, lo)]
-        back = [f"{_fmt(self.x(a))},{_fmt(self.y(b))}"
-                for a, b in zip(reversed(xs), reversed(hi))]
+        pts = self.points(xs, lo) + self.points(reversed(xs), reversed(hi))
         return (f'<polygon fill="{color}" fill-opacity="0.25" stroke="none" '
-                f'points="{" ".join(fwd + back)}"/>')
+                f'points="{" ".join(pts)}"/>')
 
 
 def _svg_doc(title: str, frame: _Frame, body: list[str], x_label: str, y_label: str) -> str:
@@ -359,7 +402,7 @@ def plot(aggregate_csv: str | Path, out_dir: str | Path) -> list[Path]:
     single = reps <= 1
 
     ys = tr_med + tc_med + [1.0] + ([] if single else tr_lo + tr_hi)
-    frame = _Frame(min(xs), max(xs), min(ys), max(ys))
+    frame = _Frame(xs, ys)
     body = []
     if not single:
         body.append(frame.band(xs, tr_lo, tr_hi, "#4878b0"))
@@ -371,12 +414,12 @@ def plot(aggregate_csv: str | Path, out_dir: str | Path) -> list[Path]:
         "trimmed (solid) and truncated (dashed) sum over scale",
         frame, body, "log10 n", "ratio"))
 
-    safelog = lambda v: math.log10(v) if v > 0 else 0.0
+    safelog = lambda v: 0.0 if v <= 0 else math.log10(v)  # inf and nan stay non-finite
     rm_med_l = [safelog(v) for v in rm_med]
     rm_lo_l = [safelog(v) for v in rm_lo]
     rm_hi_l = [safelog(v) for v in rm_hi]
     ys2 = rm_med_l + ([] if single else rm_lo_l + rm_hi_l)
-    frame2 = _Frame(min(xs), max(xs), min(ys2), max(ys2))
+    frame2 = _Frame(xs, ys2)
     body2 = []
     if not single:
         body2.append(frame2.band(xs, rm_lo_l, rm_hi_l, "#8f6db0"))
@@ -428,16 +471,20 @@ def _write_csv(path: Path, rows) -> None:
             fh.write("\n")
 
 
-def _condition_reports(spec: RunSpec) -> list[ConditionReport]:
+def _condition_reports(spec: RunSpec) -> tuple[tuple[PlanPoint, ...], list[ConditionReport]]:
+    """The plan table on the condition grid, and the reports judged on it."""
     plan = spec.config.plan
-    return [check_condition(plan, cid, spec.condition_grid, spec.condition_tolerance)
-            for cid in conditions_for_plan(plan)]
+    table = plan.table(spec.condition_grid)
+    return table, [check_condition(plan, cid, table, spec.condition_tolerance)
+                   for cid in conditions_for_plan(plan)]
 
 
 def run(spec: RunSpec) -> RunManifest:
     """Execute all stages and write artifacts plus the manifest.
 
     Order: condition reports, budget table, traces, aggregate, plots.
+    The plan table on the condition grid serves both the condition
+    reports and the budget.
     ``manifest.failed`` is set when a pointwise hypothesis is violated.
     """
     out = spec.output_dir
@@ -451,14 +498,14 @@ def run(spec: RunSpec) -> RunManifest:
     )
 
     t0 = time.perf_counter()
-    reports = _condition_reports(spec)
+    table, reports = _condition_reports(spec)
     (out / "conditions.txt").write_text(format_condition_report(reports))
     for r in reports:
         manifest.verdicts[r.condition] = r.verdict
     manifest.stage_seconds["conditions"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    budget = borel_cantelli_budget(spec.config.plan, spec.budget_eps, spec.condition_grid)
+    budget = borel_cantelli_budget(spec.config.plan, spec.budget_eps, table)
     _write_csv(out / "budget.csv", budget.csv_rows())
     manifest.stage_seconds["budget"] = time.perf_counter() - t0
 
@@ -502,7 +549,7 @@ def _cmd_run(args) -> int:
 def _cmd_check(args) -> int:
     spec = parse_config(args.config, seed=args.seed, replications=args.replications,
                         n_max=args.nmax, out_dir=args.out_dir)
-    reports = _condition_reports(spec)
+    _, reports = _condition_reports(spec)
     print(format_condition_report(reports), end="")
     return 1 if any(r.verdict == "violated" for r in reports) else 0
 

@@ -357,6 +357,27 @@ def _matrix(traces: Sequence[ConvergenceTrace], attr: str) -> np.ndarray:
     return np.array([[getattr(r, attr) for r in t.rows] for t in traces])
 
 
+def _quantiles(matrix: np.ndarray) -> np.ndarray:
+    """(levels, checkpoints) quantiles over replications, interpolated as np.quantile.
+
+    np.quantile interpolates next to an inf as ``inf - inf = nan``.  Here a
+    quantile is inf when an inf order statistic carries positive weight,
+    and is the order statistic itself when the level falls exactly on it;
+    where both neighbouring order statistics are finite, or the column
+    holds a nan, the result is np.quantile's.
+    """
+    levels = np.asarray(RATIO_QUANTILES)
+    ordered = np.sort(matrix, axis=0)  # nan sorts last
+    h = (len(ordered) - 1) * levels    # np.quantile's index for its linear method
+    i = np.floor(h).astype(int)
+    below, above = ordered[i], ordered[np.minimum(i + 1, len(ordered) - 1)]
+    with np.errstate(invalid="ignore"):
+        interpolated = np.quantile(matrix, levels, axis=0)
+        carried = np.where((i == h)[:, None], below, below + above)
+    keep = np.isfinite(below) & np.isfinite(above) | np.isnan(ordered[-1])
+    return np.where(keep, interpolated, carried)
+
+
 def aggregate(traces: Sequence[ConvergenceTrace], min_n: int | None = None) -> AggregateSummary:
     """Summarize traces of one experiment.
 
@@ -378,14 +399,13 @@ def aggregate(traces: Sequence[ConvergenceTrace], min_n: int | None = None) -> A
     allowance_gt = np.array([p.allowance_gt for p in config.points])
     violations = np.count_nonzero(
         np.abs(expect_gt - _matrix(traces, "count_gt")) >= allowance_gt, axis=0)
-    levels = np.asarray(RATIO_QUANTILES)
     return AggregateSummary(
         checkpoints=grid,
         replications=len(traces),
         quantile_levels=RATIO_QUANTILES,
-        trimmed_quantiles=np.quantile(trimmed, levels, axis=0),
-        truncated_quantiles=np.quantile(truncated, levels, axis=0),
-        untrimmed_runmax_quantiles=np.quantile(runmax, levels, axis=0),
+        trimmed_quantiles=_quantiles(trimmed),
+        truncated_quantiles=_quantiles(truncated),
+        untrimmed_runmax_quantiles=_quantiles(runmax),
         sup_trimmed_deviation=np.max(np.abs(trimmed[:, cols] - 1.0), axis=1),
         min_n=min_n,
         exceedance_violations=tuple(violations.tolist()),

@@ -43,6 +43,7 @@ __all__ = [
     "plan_default",
     "plan_general",
     "check_condition",
+    "check_condition_grid",
     "ConditionReport",
     "format_condition_report",
     "geometric_grid",
@@ -457,35 +458,31 @@ def geometric_grid(start: int = 16, stop: int = 1_000_000, points: int = 10) -> 
 DEFAULT_VALIDATION_GRID = geometric_grid(16, 1_000_000, 10)
 
 
-def _validate_plan(plan: TrimmingPlan, grid: Sequence[int], *,
-                   require_fixed_points: bool, require_trim_floor: bool) -> tuple[str, ...]:
+def _validate_plan(plan: TrimmingPlan, table: Sequence[PlanPoint], *,
+                   require_trim_floor: bool) -> tuple[str, ...]:
     warnings: list[str] = []
-    if not grid:
+    if not table:
         return ()
-    points = []
-    for n in grid:
-        n = int(n)
-        log_t = plan.log_threshold(n)
-        if require_fixed_points and not plan.distribution.is_quantile_fixed_point(log_t):
+    for p in table:
+        if not plan.distribution.is_quantile_fixed_point(p.log_threshold):
             raise PlanError(
-                f"threshold at n = {n} is not a quantile fixed point of the law; "
+                f"threshold at n = {p.n} is not a quantile fixed point of the law; "
                 f"rule {plan.threshold_rule.name} is inadmissible there")
-        points.append(plan.checkpoint(n))
-    for p, q in zip(points, points[1:]):
+    for p, q in zip(table, table[1:]):
         if q.log_threshold < p.log_threshold:
             raise PlanError(f"threshold decreases between n = {p.n} and n = {q.n}")
         if q.expect_gt > q.expect_ge:
             raise PlanError(f"exceedance expectations out of order at n = {q.n}")
     # divergence heuristics are advisory: slow rules plateau on any desk grid
-    for i, p in enumerate(points):
-        for q in points[i + 1:]:
+    for i, p in enumerate(table):
+        for q in table[i + 1:]:
             if q.n >= 10 * p.n:
                 if q.log_threshold <= p.log_threshold:
                     warnings.append(
                         f"threshold stalls between n = {p.n} and n = {q.n}; "
                         "divergence not visible on this grid")
                 break
-    first, last = points[0], points[-1]
+    first, last = table[0], table[-1]
     ratio_first = first.trim / first.n
     ratio_last = last.trim / last.n
     if ratio_last >= 0.5 or ratio_last > ratio_first:
@@ -493,7 +490,7 @@ def _validate_plan(plan: TrimmingPlan, grid: Sequence[int], *,
             f"trim fraction does not shrink on this grid "
             f"({ratio_first:.3g} at n = {first.n}, {ratio_last:.3g} at n = {last.n})")
     if require_trim_floor:
-        for p in points:
+        for p in table:
             if p.clamped:
                 # the raw trim formula did not fit inside [0, n]; the floor
                 # hypothesis is void at such transient n
@@ -525,8 +522,8 @@ def plan_standard(dist: Distribution, threshold_rule, epsilon: float,
         summable_alt=SummableFunction.power(2.0),
         label=label,
     )
-    g = DEFAULT_VALIDATION_GRID if grid is None else tuple(grid)
-    w = _validate_plan(plan, g, require_fixed_points=True, require_trim_floor=False)
+    g = DEFAULT_VALIDATION_GRID if grid is None else grid
+    w = _validate_plan(plan, plan.table(g), require_trim_floor=False)
     object.__setattr__(plan, "warnings", w)
     return plan
 
@@ -561,8 +558,8 @@ def plan_general(dist: Distribution, threshold_rule, trim_rule, epsilon: float,
         summable_alt=summable_alt,
         label=label,
     )
-    g = DEFAULT_VALIDATION_GRID if grid is None else tuple(grid)
-    w = _validate_plan(plan, g, require_fixed_points=True, require_trim_floor=True)
+    g = DEFAULT_VALIDATION_GRID if grid is None else grid
+    w = _validate_plan(plan, plan.table(g), require_trim_floor=True)
     object.__setattr__(plan, "warnings", w)
     return plan
 
@@ -573,8 +570,7 @@ def plan_general(dist: Distribution, threshold_rule, trim_rule, epsilon: float,
 
 def _ratio(point: PlanPoint) -> float:
     """threshold / scale, finite even when both overflow floats."""
-    z = point.log_threshold - point.log_scale
-    return _safe_exp(z) if z <= LOG_FLOAT_MAX else math.inf
+    return _safe_exp(point.log_threshold - point.log_scale)
 
 
 def _value_standard_limit(plan: TrimmingPlan, p: PlanPoint) -> float:
@@ -662,33 +658,38 @@ def _slope(grid: Sequence[int], values: Sequence[float], logs: bool) -> float:
     return float(np.dot(xs, ys - ys.mean()) / denom)
 
 
-def check_condition(plan: TrimmingPlan, condition: str, grid: Sequence[int],
-                    tolerance: float = 1e-2) -> ConditionReport:
-    """Evaluate one hypothesis of the plan on a grid and deliver a verdict.
+def check_condition_grid(grid: Sequence[int]) -> None:
+    """Reject a grid that cannot carry an asymptotic verdict.
 
-    The grid must be strictly increasing with at least 8 points spanning
-    at least three decades; asymptotic statements judged on fewer points
-    would be noise.
+    A condition grid must be strictly increasing with at least 8 points
+    spanning at least three decades; asymptotic statements judged on fewer
+    points would be noise.
     """
-    if condition not in CONDITIONS:
-        raise TrimmingError(f"unknown condition {condition!r}; "
-                            f"known: {sorted(CONDITIONS)}")
-    grid = tuple(int(n) for n in grid)
     if len(grid) < 8:
         raise TrimmingError("condition grids need at least 8 points")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise TrimmingError("condition grids must be strictly increasing")
     if grid[-1] < 1000 * grid[0]:
         raise TrimmingError("condition grids must span at least three decades")
+
+
+def check_condition(plan: TrimmingPlan, condition: str, table: Sequence[PlanPoint],
+                    tolerance: float = 1e-2) -> ConditionReport:
+    """Evaluate one hypothesis of the plan on its table and deliver a verdict.
+
+    ``table`` is ``plan.table(grid)`` for a grid that passes
+    :func:`check_condition_grid`.
+    """
+    if condition not in CONDITIONS:
+        raise TrimmingError(f"unknown condition {condition!r}; "
+                            f"known: {sorted(CONDITIONS)}")
+    grid = tuple(p.n for p in table)
+    check_condition_grid(grid)
     kind, fn, _ = CONDITIONS[condition]
-    notes: list[str] = []
-    points = plan.table(grid)
-    for p in points:
-        if p.clamped:
-            notes.append(f"trim count clamped to [0, n] at n = {p.n}")
+    notes = [f"trim count clamped to [0, n] at n = {p.n}" for p in table if p.clamped]
     values = []
     degenerate = False
-    for p in points:
+    for p in table:
         if kind == "limit" and p.log_scale == -math.inf:
             degenerate = True
             notes.append(f"scale vanishes at n = {p.n}; threshold below the support")
@@ -700,7 +701,7 @@ def check_condition(plan: TrimmingPlan, condition: str, grid: Sequence[int],
         trend = _slope(grid, values, logs=False)
         # a clamped trim count voids the hypothesis at that n; the clamp is
         # already flagged in the notes
-        bad = [str(p.n) for p, v in zip(points, values) if v < 0.0 and not p.clamped]
+        bad = [str(p.n) for p, v in zip(table, values) if v < 0.0 and not p.clamped]
         verdict = "violated" if bad else "satisfied"
         if bad:
             notes.append("floor fails at n in {" + ", ".join(bad) + "}")

@@ -84,9 +84,9 @@ def test_criterion_03_condition_checker_verdicts():
     # tolerance frozen from pilot runs: the quantity decays like
     # n**-0.0225 and stands at 0.5407 on this grid while trending down;
     # the sabotaged rule lands three orders of magnitude above 1
-    good = check_condition(step_plan, "standard-limit", grid, tolerance=0.75)
+    good = check_condition(step_plan, "standard-limit", step_plan.table(grid), tolerance=0.75)
     sabotaged_plan = plan_standard(ParetoTail(0.5, 1.0), PowerThreshold(2.5), 0.05)
-    bad = check_condition(sabotaged_plan, "standard-limit", grid)
+    bad = check_condition(sabotaged_plan, "standard-limit", sabotaged_plan.table(grid))
     elapsed = time.perf_counter() - t0
     ok = (good.verdict == "satisfied" and bad.verdict != "satisfied"
           and elapsed < 1.0)

@@ -164,7 +164,7 @@ class TestBudget:
     def test_pareto_budget_values(self, pareto):
         plan = plan_standard(pareto, PowerThreshold(0.8), 0.05)
         grid = geometric_grid(1000, 10 ** 6, 8)
-        table = borel_cantelli_budget(plan, 0.5, grid)
+        table = borel_cantelli_budget(plan, 0.5, plan.table(grid))
         coef = 3.0 * 0.25 / 7.0
         for row in table.rows:
             n = row.n
@@ -177,8 +177,8 @@ class TestBudget:
     def test_doubling_eps_shrinks_every_summand(self, pareto):
         plan = plan_standard(pareto, PowerThreshold(0.8), 0.05)
         grid = geometric_grid(1000, 10 ** 6, 8)
-        small = borel_cantelli_budget(plan, 0.1, grid)
-        big = borel_cantelli_budget(plan, 0.2, grid)
+        small = borel_cantelli_budget(plan, 0.1, plan.table(grid))
+        big = borel_cantelli_budget(plan, 0.2, plan.table(grid))
         for a, b in zip(small.rows, big.rows):
             assert b.exponent_arg > a.exponent_arg
 
@@ -186,7 +186,7 @@ class TestBudget:
         # summand <= 1/n**2 on the tail: exponent argument beats 2 log n
         plan = plan_standard(pareto, PowerThreshold(0.8), 0.05)
         grid = geometric_grid(1000, 10 ** 6, 8)
-        table = borel_cantelli_budget(plan, 0.5, grid)
+        table = borel_cantelli_budget(plan, 0.5, plan.table(grid))
         for row in table.rows[-4:]:
             assert row.exponent_arg >= 2.0 * math.log(row.n)
         assert table.tail_within_budget()
@@ -194,11 +194,11 @@ class TestBudget:
     def test_csv_schema(self, pareto):
         plan = plan_standard(pareto, PowerThreshold(0.8), 0.05)
         rows = list(borel_cantelli_budget(plan, 0.1,
-                                          geometric_grid(1000, 10 ** 6, 8)).csv_rows())
+                                          plan.table(geometric_grid(1000, 10 ** 6, 8))).csv_rows())
         assert rows[0] == ("n", "exponent_arg", "log10_summand", "partial_sum")
         assert len(rows[1]) == 4
 
     def test_eps_domain(self, pareto):
         plan = plan_standard(pareto, PowerThreshold(0.8), 0.05)
         with pytest.raises(BoundsError):
-            borel_cantelli_budget(plan, 0.0, geometric_grid(1000, 10 ** 6, 8))
+            borel_cantelli_budget(plan, 0.0, plan.table(geometric_grid(1000, 10 ** 6, 8)))

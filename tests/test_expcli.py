@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -186,6 +187,25 @@ class TestPlot:
         for pa, pb in zip(a, b):
             assert pa.read_bytes() == pb.read_bytes()
 
+    def test_infinite_running_max_is_not_drawn(self, tmp_path):
+        # log-tail draws pass the float range, so S_n is inf on most paths
+        p = write_config(tmp_path, {
+            "distribution": {"family": "log-tail"},
+            "plan": {"rule": "default", "epsilon": 0.05},
+            "experiment.checkpoints": [1000, 10000, 100000],
+            "experiment.seed": 1,
+        }, drop=["conditions.grid"])
+        spec = parse_config(p)
+        run(spec)
+        agg = (spec.output_dir / "aggregate.csv").read_text()
+        assert "nan" not in agg
+        assert "inf" in agg
+        for name in ("ratios.svg", "dichotomy.svg"):
+            svg = (spec.output_dir / name).read_text()
+            assert "nan" not in svg
+            for attr in re.findall(r'\b(?:points|x|y)="([^"]*)"', svg):
+                assert all(math.isfinite(float(v)) for v in re.split(r"[ ,]", attr) if v)
+
     def test_malformed_csv_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("n\n")
@@ -220,6 +240,22 @@ class TestMain:
         p = write_config(tmp_path, drop=["experiment.seed"])
         assert main(["run", str(p)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("experiment.seed", "seven"),
+        ("experiment.replications", 2.5),
+        ("experiment.checkpoints", [1000, "3162", 10000]),
+        ("conditions.tolerance", "tight"),
+        ("budget.eps", "wide"),
+        ("budget.eps", 0),
+        ("conditions.grid", [1000, 10000, 100000, 1000000]),
+    ], ids=["seed", "replications", "checkpoint", "tolerance", "eps-type",
+            "eps-zero", "grid-points"])
+    def test_malformed_value_exit_two(self, tmp_path, capsys, key, value):
+        p = write_config(tmp_path, {key: value})
+        assert main(["run", str(p)]) == 2
+        assert f"config error: {key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_cli_overrides(self, tmp_path):
         p = write_config(tmp_path)

@@ -2,12 +2,14 @@ import math
 import os
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from heavytrim import montecarlo
+from heavytrim.expcli import parse_config, run
 from heavytrim.montecarlo import (ExperimentConfig, MonteCarloError,
                                   aggregate, dichotomy_summary,
                                   exceedance_counts, run_replication,
@@ -348,8 +350,31 @@ class TestRunReplication:
         simulate(pm_cfg)
         assert calls == []
 
+    def test_run_evaluates_the_plan_once_per_grid(self, tmp_path, monkeypatch):
+        # the condition-grid table serves all conditions and the budget; the
+        # checkpoint table was built with the config, before the run
+        monkeypatch.setenv("HEAVYTRIM_WORKERS", "1")
+        demo = Path(__file__).resolve().parents[1] / "configs" / "demo.json"
+        spec = parse_config(demo, replications=2, out_dir=tmp_path)
+        calls = []
+        checkpoint = TrimmingPlan.checkpoint
+        monkeypatch.setattr(TrimmingPlan, "checkpoint",
+                            lambda plan, n: calls.append(n) or checkpoint(plan, n))
+        run(spec)
+        assert len(calls) == len(spec.condition_grid)
+
 
 class TestSimulateAndAggregate:
+    def test_quantiles_carry_inf(self):
+        # levels 0.05..0.95 over 5 rows fall at indices 0.2, 1, 2, 3, 3.8
+        col = np.array([[1.0], [2.0], [3.0], [np.inf], [np.inf]])
+        q = montecarlo._quantiles(col)[:, 0]
+        assert q.tolist() == [np.quantile([1.0, 2.0], 0.2), 2.0, 3.0, np.inf, np.inf]
+        finite = np.arange(20.0).reshape(5, 4) ** 1.5
+        assert np.array_equal(montecarlo._quantiles(finite),
+                              np.quantile(finite, montecarlo.RATIO_QUANTILES, axis=0))
+        assert np.isnan(montecarlo._quantiles(np.array([[1.0], [np.nan]]))).all()
+
     def test_parallel_merge_matches_sequential(self, pareto_cfg, pareto_traces,
                                                monkeypatch):
         monkeypatch.setenv("HEAVYTRIM_WORKERS", "2")

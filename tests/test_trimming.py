@@ -334,13 +334,13 @@ def _mp_standard_limit_step(n, eps):
 class TestConditionChecker:
     def test_pareto_values_match_mpmath(self, pareto):
         plan = plan_standard(pareto, PowerThreshold(0.8), 0.05)
-        rep = check_condition(plan, "standard-limit", GRID_1E7)
+        rep = check_condition(plan, "standard-limit", plan.table(GRID_1E7))
         for n, v in zip(rep.grid, rep.values):
             assert v == pytest.approx(_mp_standard_limit_pareto(n, 0.8, 0.05), rel=1e-9)
 
     def test_step_values_match_mpmath(self, step):
         plan = plan_standard(step, SquareStepThreshold(0.05), 0.05)
-        rep = check_condition(plan, "standard-limit", GRID_1E7, tolerance=0.75)
+        rep = check_condition(plan, "standard-limit", plan.table(GRID_1E7), tolerance=0.75)
         for n, v in zip(rep.grid, rep.values):
             assert v == pytest.approx(_mp_standard_limit_step(n, 0.05), rel=1e-9)
         assert rep.verdict == "satisfied"
@@ -348,20 +348,21 @@ class TestConditionChecker:
 
     def test_pareto_limit_reaches_default_tolerance_on_long_grid(self, pareto):
         plan = plan_standard(pareto, PowerThreshold(0.8), 0.05)
-        rep = check_condition(plan, "standard-limit", geometric_grid(1000, 10 ** 10, 11))
+        rep = check_condition(plan, "standard-limit",
+                              plan.table(geometric_grid(1000, 10 ** 10, 11)))
         assert rep.verdict == "satisfied"
         assert rep.final_value < 1e-2
 
     def test_sabotage_rule_is_not_satisfied(self, pareto):
         plan = plan_standard(pareto, PowerThreshold(2.5), 0.05)
-        rep = check_condition(plan, "standard-limit", GRID_1E7)
+        rep = check_condition(plan, "standard-limit", plan.table(GRID_1E7))
         assert rep.verdict != "satisfied"
         assert rep.trend > 0.0
         assert rep.values[-1] > rep.values[0]
 
     def test_truncation_limit(self, pareto):
         plan = plan_standard(pareto, PowerThreshold(0.8), 0.05)
-        rep = check_condition(plan, "truncation-limit", GRID_1E7)
+        rep = check_condition(plan, "truncation-limit", plan.table(GRID_1E7))
         assert rep.verdict == "satisfied"
         # independent form: (t / moment) * log(weight(n)) / n
         for n, v in zip(rep.grid, rep.values):
@@ -372,7 +373,7 @@ class TestConditionChecker:
 
     def test_pointwise_floor_verdicts(self, pareto):
         good = plan_standard(pareto, PowerThreshold(0.8), 0.05)
-        assert check_condition(good, "trim-floor", GRID_1E7).verdict == "satisfied"
+        assert check_condition(good, "trim-floor", good.table(GRID_1E7)).verdict == "satisfied"
 
         class Meager:
             name = "meager"
@@ -383,15 +384,15 @@ class TestConditionChecker:
         bad = plan_general(pareto, PowerThreshold(0.8), Meager(), 0.05,
                            SummableFunction.power(9 / 8),
                            SummableFunction.power(2), ())
-        rep = check_condition(bad, "trim-floor", GRID_1E7)
+        rep = check_condition(bad, "trim-floor", bad.table(GRID_1E7))
         assert rep.verdict == "violated"
         assert any("floor fails" in note for note in rep.notes)
 
     def test_excess_conditions_on_continuous_law(self, pareto):
         plan = plan_standard(pareto, PowerThreshold(0.8), 0.05)
-        assert check_condition(plan, "excess-floor", GRID_1E7).verdict == "satisfied"
-        rep = check_condition(plan, "excess-limit", geometric_grid(1000, 10 ** 10, 11),
-                              tolerance=0.1)
+        assert check_condition(plan, "excess-floor", plan.table(GRID_1E7)).verdict == "satisfied"
+        rep = check_condition(plan, "excess-limit",
+                              plan.table(geometric_grid(1000, 10 ** 10, 11)), tolerance=0.1)
         assert rep.verdict == "satisfied"
 
     def test_degenerate_scale_is_inconclusive(self, pareto):
@@ -399,21 +400,21 @@ class TestConditionChecker:
         plan = TrimmingPlan(pareto, 0.05, PowerThreshold(0.001, 0.01),
                             StandardTrimRule(0.05), SummableFunction.power(9 / 8),
                             SummableFunction.power(2))
-        rep = check_condition(plan, "standard-limit", geometric_grid(16, 20000, 9))
+        rep = check_condition(plan, "standard-limit", plan.table(geometric_grid(16, 20000, 9)))
         assert rep.verdict == "inconclusive"
         assert any("scale vanishes" in note for note in rep.notes)
 
     def test_grid_preconditions(self, pareto):
         plan = plan_standard(pareto, PowerThreshold(0.8), 0.05)
         with pytest.raises(TrimmingError):
-            check_condition(plan, "standard-limit", (16, 100, 1000, 10000))
+            check_condition(plan, "standard-limit", plan.table((16, 100, 1000, 10000)))
         with pytest.raises(TrimmingError):
-            check_condition(plan, "standard-limit", tuple(range(100, 900, 100)))
+            check_condition(plan, "standard-limit", plan.table(tuple(range(100, 900, 100))))
         with pytest.raises(TrimmingError):
-            check_condition(plan, "standard-limit", (16, 16, 100, 1000, 2000,
-                                                     4000, 8000, 32000))
+            check_condition(plan, "standard-limit", plan.table((16, 16, 100, 1000, 2000,
+                                                                4000, 8000, 32000)))
         with pytest.raises(TrimmingError):
-            check_condition(plan, "no-such-condition", GRID_1E7)
+            check_condition(plan, "no-such-condition", plan.table(GRID_1E7))
 
     def test_conditions_for_plan(self, pareto, step):
         p1 = plan_standard(pareto, PowerThreshold(0.8), 0.05)
@@ -424,7 +425,7 @@ class TestConditionChecker:
 
     def test_report_formatting(self, pareto):
         plan = plan_standard(pareto, PowerThreshold(0.8), 0.05)
-        reports = [check_condition(plan, c, GRID_1E7)
+        reports = [check_condition(plan, c, plan.table(GRID_1E7))
                    for c in ("standard-limit", "trim-floor")]
         text = format_condition_report(reports)
         assert "condition standard-limit" in text
