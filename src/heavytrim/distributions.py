@@ -151,10 +151,7 @@ class Distribution:
         the scalar path exactly; closed-form laws may differ from it in
         the last ulp where the vector math library rounds differently.
         """
-        out = np.empty(len(u), dtype=np.float64)
-        for i, ui in enumerate(u):
-            out[i] = self.sample(float(ui))
-        return out
+        raise NotImplementedError
 
     # log-argument twins -------------------------------------------------
 
@@ -610,6 +607,9 @@ class LogTail(Distribution):
 
 
 _SEGMENT_KINDS = ("jump", "linear")
+# 64 KiB per sampling temporary: larger chunks ran no faster and raised
+# the peak RSS of a run
+_SAMPLE_CHUNK = 2 ** 13
 
 
 @dataclass(frozen=True, init=False)
@@ -627,6 +627,7 @@ class Tabulated(Distribution):
     xs: tuple[float, ...]
     fs: tuple[float, ...]
     kinds: tuple[str, ...]
+    _segments: tuple[np.ndarray, ...] = field(repr=False, compare=False)
 
     def __init__(self, rows: Sequence[tuple[float, float, str]]):
         if not rows:
@@ -652,6 +653,17 @@ class Tabulated(Distribution):
         object.__setattr__(self, "xs", tuple(xs))
         object.__setattr__(self, "fs", tuple(fs))
         object.__setattr__(self, "kinds", tuple(kinds))
+        # sampling segment i holds the levels in (fs[i-1], fs[i]]; segment 0
+        # those up to fs[0] and the last one those beyond the table (inf
+        # draws).  A linear segment that is not flat ramps from x0 as
+        # x0 + (u - f0) * dx / df; every other one draws its breakpoint.
+        ramp = [0 < i < len(xs) and kinds[i] == "linear" and fs[i] != fs[i - 1]
+                for i in range(len(xs) + 1)]
+        coef = [(xs[i - 1], fs[i - 1], xs[i] - xs[i - 1], fs[i] - fs[i - 1])
+                if r else (0.0, 0.0, 0.0, 1.0) for i, r in enumerate(ramp)]
+        object.__setattr__(self, "_segments", (
+            np.array(fs), np.array(xs + [math.inf]), ~np.array(ramp),
+            *(np.array(c) for c in zip(*coef))))
 
     @property
     def support_min(self) -> float:
@@ -704,13 +716,12 @@ class Tabulated(Distribution):
                 f"level {y} exceeds the tabulated mass {self.total_mass}")
         if y <= self.fs[0]:
             return self.xs[0]
+        # fs[i - 1] < y <= fs[i], so a linear segment here is not flat
         i = bisect.bisect_left(self.fs, y)
-        if self.kinds[i] == "jump" or self.fs[i] == self.fs[i - 1]:
+        if self.kinds[i] == "jump":
             return self.xs[i]
         x0, x1 = self.xs[i - 1], self.xs[i]
         f0, f1 = self.fs[i - 1], self.fs[i]
-        if y <= f0:
-            return x0
         return x0 + (y - f0) * (x1 - x0) / (f1 - f0)
 
     def truncated_moment(self, t: float) -> float:
@@ -732,6 +743,23 @@ class Tabulated(Distribution):
                 slope = (self.fs[i] - f0) / (x - x0)
                 terms.append(slope * (hi * hi - x0 * x0) / 2.0)
         return math.fsum(terms)
+
+    def sample_array(self, u: np.ndarray) -> np.ndarray:
+        levels, breakpoints, flat, x0, f0, dx, df = self._segments
+        out = np.empty(len(u), dtype=np.float64)
+        # each chunk writes into out, so no temporary is full length
+        for s in range(0, len(u), _SAMPLE_CHUNK):
+            uc, oc = u[s:s + _SAMPLE_CHUNK], out[s:s + _SAMPLE_CHUNK]
+            if not (uc.min() > 0.0 and uc.max() < 1.0):
+                raise DistributionError("uniform variates must lie in (0,1)")
+            i = np.searchsorted(levels, uc)
+            # the scalar quantile's operation order, so draws match it bit for bit
+            np.subtract(uc, f0[i], out=oc)
+            oc *= dx[i]
+            oc /= df[i]
+            oc += x0[i]
+            np.copyto(oc, breakpoints[i], where=flat[i])
+        return out
 
 
 def point_mass(location: float = 1.0) -> Tabulated:

@@ -11,8 +11,8 @@ key reference).  ``heavytrim run`` and ``heavytrim check`` exit 1 when a
 pointwise plan hypothesis is violated; an inconclusive limit hypothesis
 only warns, since no finite grid can settle an asymptotic statement.
 Config errors (missing keys, malformed or out-of-range values, invalid
-plans) are raised while parsing, before any artifact is written; they and
-I/O errors exit 2.
+plans, a condition grid the plan cannot be evaluated on) are raised
+before any artifact is written; they and I/O errors exit 2.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from typing import Sequence
 
 from . import __version__
 from .bounds import borel_cantelli_budget
-from .distributions import (AtomicStep, Distribution, LogTail, ParetoTail,
-                            Tabulated, square_step)
+from .distributions import (AtomicStep, Distribution, DistributionError, LogTail,
+                            ParetoTail, Tabulated, square_step)
 from .montecarlo import ExperimentConfig, aggregate, simulate, trace_csv_rows
 from .trimming import (AllowanceTrimRule, ConditionReport, PlanPoint, PowerThreshold,
                        ProjectedPowerThreshold, ProofVariantTrimRule,
@@ -472,9 +472,15 @@ def _write_csv(path: Path, rows) -> None:
 
 
 def _condition_reports(spec: RunSpec) -> tuple[tuple[PlanPoint, ...], list[ConditionReport]]:
-    """The plan table on the condition grid, and the reports judged on it."""
+    """The plan table on the condition grid, and the reports judged on it.
+
+    A plan that cannot be evaluated on the grid is a config error.
+    """
     plan = spec.config.plan
-    table = plan.table(spec.condition_grid)
+    try:
+        table = plan.table(spec.condition_grid)
+    except (TrimmingError, DistributionError) as exc:
+        raise ConfigError(f"conditions.grid: {exc}") from exc
     return table, [check_condition(plan, cid, table, spec.condition_tolerance)
                    for cid in conditions_for_plan(plan)]
 
@@ -484,9 +490,12 @@ def run(spec: RunSpec) -> RunManifest:
 
     Order: condition reports, budget table, traces, aggregate, plots.
     The plan table on the condition grid serves both the condition
-    reports and the budget.
+    reports and the budget; it is built before the output directory, so
+    a grid the plan cannot be evaluated on leaves no directory behind.
     ``manifest.failed`` is set when a pointwise hypothesis is violated.
     """
+    t0 = time.perf_counter()
+    table, reports = _condition_reports(spec)
     out = spec.output_dir
     out.mkdir(parents=True, exist_ok=True)
     cfg_bytes = json.dumps(spec.raw, sort_keys=True).encode()
@@ -497,8 +506,6 @@ def run(spec: RunSpec) -> RunManifest:
         plan_warnings=spec.config.plan.warnings,
     )
 
-    t0 = time.perf_counter()
-    table, reports = _condition_reports(spec)
     (out / "conditions.txt").write_text(format_condition_report(reports))
     for r in reports:
         manifest.verdicts[r.condition] = r.verdict

@@ -39,6 +39,27 @@ def mixed_table():
     ])
 
 
+@pytest.fixture(scope="session")
+def pareto_table():
+    # linear segments through (2**k, 1 - 2**(-k/2)), k = 0..59, then a jump
+    # to F = 1 at 2**60: a 61-row tabulated Pareto-1/2 tail out to ~1e18
+    rows = [(float(2 ** k), 1.0 - 2.0 ** (-k / 2), "linear") for k in range(60)]
+    return Tabulated(rows + [(float(2 ** 60), 1.0, "jump")])
+
+
+@pytest.fixture(scope="session")
+def partial_table():
+    # a flat linear segment on [2, 3] and mass 0.8 in all: levels above 0.8
+    # lie beyond the table and draw inf
+    return Tabulated([
+        (1.0, 0.0, "linear"),
+        (2.0, 0.3, "linear"),
+        (3.0, 0.3, "linear"),
+        (5.0, 0.6, "jump"),
+        (9.0, 0.8, "linear"),
+    ])
+
+
 def step_atoms_exact(count=8):
     """Exact rational atom table of the built-in step law, for oracles."""
     return [(Fraction(2) ** (k * k), Fraction(1, k * k) - Fraction(1, (k + 1) * (k + 1)))

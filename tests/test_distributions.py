@@ -9,7 +9,7 @@ from scipy import integrate
 from heavytrim.distributions import (Atom, AtomicStep, DistributionError, _ei,
                                      LogTail, ParetoTail, QuantileRangeError,
                                      Tabulated, UnboundedQuantileError,
-                                     point_mass, square_step)
+                                     _SAMPLE_CHUNK, point_mass, square_step)
 
 from conftest import scan_cdf, scan_quantile, step_atoms_exact
 
@@ -262,6 +262,25 @@ class TestSampling:
             pareto.sample(0.0)
         with pytest.raises(DistributionError):
             pareto.sample(1.0)
+
+    @pytest.mark.parametrize("law", ["mixed_table", "pm", "pareto_table", "partial_table"])
+    def test_tabulated_vector_is_scalar_bit_for_bit(self, request, law):
+        d = request.getfixturevalue(law)
+        # every level, its neighbours, and more than two chunks of draws
+        edges = [v for f in d.fs for v in (math.nextafter(f, 0.0), f, math.nextafter(f, 1.0))
+                 if 0.0 < v < 1.0]
+        draws = np.random.Generator(np.random.Philox(key=[5, 0])).random(3 * _SAMPLE_CHUNK + 5)
+        u = np.concatenate([edges, [5e-324, 1.0 - 2.0 ** -53], draws])
+        scalar = np.array([d.sample(float(v)) for v in u])
+        assert np.isinf(scalar).any() == (d.total_mass < 1.0)
+        assert np.array_equal(d.sample_array(u).view(np.uint64), scalar.view(np.uint64))
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, math.nan])
+    def test_tabulated_vector_domain_enforced(self, mixed_table, bad):
+        u = np.full(_SAMPLE_CHUNK + 3, 0.5)
+        u[-1] = bad
+        with pytest.raises(DistributionError):
+            mixed_table.sample_array(u)
 
 
 class TestOrderProperties:

@@ -257,6 +257,22 @@ class TestMain:
         assert f"config error: {key}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_unevaluable_condition_grid_exit_two(self, tmp_path, capsys, command):
+        # the polylog(1.5) allowance is undefined at n = 4 (floor(log n) = 1);
+        # without validation the plan parses and only the grid exposes it
+        polylog = {"family": "polylog", "param": 1.5}
+        p = write_config(tmp_path, {
+            "plan": {"rule": "general", "epsilon": 0.05, "validate": False,
+                     "threshold": {"rule": "power", "exponent": 0.8},
+                     "trim": {"rule": "standard"},
+                     "summable": polylog, "summable-alt": polylog},
+            "conditions.grid": [4 * 10 ** k for k in range(8)],
+        })
+        assert main([command, str(p)]) == 2
+        assert "config error: conditions.grid: log weight" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_cli_overrides(self, tmp_path):
         p = write_config(tmp_path)
         code = main(["run", str(p), "--replications", "2", "--nmax", "2000",

@@ -306,9 +306,13 @@ class TestRunReplication:
         assert p.trim >= r.n - np.count_nonzero(np.isfinite(x))
         assert r.trimmed == math.fsum(np.sort(x)[: r.n - p.trim].tolist())
 
-    def test_memory_guard_bounds_replication_peak(self, pareto_cfg):
+    @pytest.mark.parametrize("law", ["pareto", "pareto_table", "logtail", "step", "pm"])
+    def test_memory_guard_bounds_replication_peak(self, request, pareto_cfg, law):
+        # the guard budgets every built-in law, so its bound must hold for each
         n = 200_000
-        cfg = ExperimentConfig(pareto_cfg.plan, (1000, 3162, 10000, 31623, 100000, n),
+        plan = (pareto_cfg.plan if law == "pareto"
+                else plan_default(request.getfixturevalue(law), 0.05, grid=()))
+        cfg = ExperimentConfig(plan, (1000, 3162, 10000, 31623, 100000, n),
                                1, pareto_cfg.seed)
         tracemalloc.start()
         try:
