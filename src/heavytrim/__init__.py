@@ -15,14 +15,14 @@ from .distributions import (Atom, AtomicStep, Distribution, DistributionError,
                             UnboundedQuantileError, point_mass, square_step)
 from .trimming import (AllowanceTrimRule, ConditionReport, PlanError,
                        PowerThreshold, ProjectedPowerThreshold,
-                       ProofVariantTrimRule, SquareStepThreshold,
-                       StandardTrimRule, SummableFunction, TrimmingError,
-                       TrimmingPlan, check_condition, fluctuation_allowance,
-                       format_condition_report, geometric_grid, plan_default,
-                       plan_general, plan_standard, rebase_summable)
+                       SquareStepThreshold, StandardTrimRule, SummableFunction,
+                       TrimmingError, TrimmingPlan, check_condition,
+                       fluctuation_allowance, format_condition_report,
+                       geometric_grid, plan_default, plan_general,
+                       plan_standard, rebase_summable)
 from .bounds import (BernsteinInput, BoundsError, ProbabilityBound,
                      bernstein_max_tail, bernstein_relative,
-                     borel_cantelli_budget, max_deviation_tail_exact)
+                     borel_cantelli_budget)
 from .montecarlo import (ConvergenceTrace, ExperimentConfig, MonteCarloError,
                          aggregate, dichotomy_summary, exceedance_counts,
                          run_replication, sample_mean_instability, simulate,

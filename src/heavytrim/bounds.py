@@ -2,17 +2,13 @@
 
 The two Bernstein-type bounds are evaluated in log space so that
 exponents in the tens of thousands survive; reports carry log10 of the
-bound.  The module also hosts the exact maximal-deviation oracle used to
-verify that the bounds dominate truth on small lattice instances, via
-dynamic programming over prefix-sum distributions in exact rational
-arithmetic.
+bound.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .trimming import PlanPoint, TrimmingPlan
@@ -25,7 +21,6 @@ __all__ = [
     "BudgetRow",
     "BudgetTable",
     "borel_cantelli_budget",
-    "max_deviation_tail_exact",
     "BoundsError",
 ]
 
@@ -175,51 +170,3 @@ def borel_cantelli_budget(plan: TrimmingPlan, eps: float,
             within_budget=arg >= plan.summable.log_value(p.n),
         ))
     return BudgetTable(epsilon=eps, rows=tuple(rows))
-
-
-# --------------------------------------------------------------------------
-# exact maximal-deviation oracle on small lattice laws
-# --------------------------------------------------------------------------
-
-def _as_fractions(support: Sequence, probs: Sequence) -> tuple[list[Fraction], list[Fraction]]:
-    sup = [Fraction(v) for v in support]
-    pr = [Fraction(p) for p in probs]
-    if len(sup) != len(pr) or not sup:
-        raise BoundsError("support and probs must be equally sized and nonempty")
-    if any(p < 0 for p in pr) or sum(pr) != 1:
-        raise BoundsError("probs must be nonnegative and sum to exactly 1; "
-                          "pass Fractions or strings for exactness")
-    return sup, pr
-
-
-def max_deviation_tail_exact(support: Sequence, probs: Sequence, n: int,
-                             deviation) -> Fraction:
-    """P(max over k <= n of |Z_k - E Z_k| >= deviation), exactly.
-
-    Dynamic programming over the distribution of the prefix sum among
-    paths that have not yet deviated; the absorbed mass accumulates the
-    answer.  All arithmetic is rational, so the result is exact whenever
-    support, probs and deviation are rational.
-    """
-    sup, pr = _as_fractions(support, probs)
-    dev = Fraction(deviation)
-    if dev <= 0:
-        raise BoundsError("deviation must be positive")
-    mean = sum(v * p for v, p in zip(sup, pr))
-    alive: dict[Fraction, Fraction] = {Fraction(0): Fraction(1)}
-    absorbed = Fraction(0)
-    for k in range(1, n + 1):
-        step_mean = k * mean
-        nxt: dict[Fraction, Fraction] = {}
-        for s, q in alive.items():
-            for v, p in zip(sup, pr):
-                if p == 0:
-                    continue
-                z = s + v
-                if abs(z - step_mean) >= dev:
-                    absorbed += q * p
-                else:
-                    nxt[z] = nxt.get(z, Fraction(0)) + q * p
-        alive = nxt
-    return absorbed
-

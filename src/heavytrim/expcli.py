@@ -33,9 +33,8 @@ from .distributions import (AtomicStep, Distribution, DistributionError, LogTail
                             ParetoTail, Tabulated, square_step)
 from .montecarlo import ExperimentConfig, aggregate, simulate, trace_csv_rows
 from .trimming import (AllowanceTrimRule, ConditionReport, PlanPoint, PowerThreshold,
-                       ProjectedPowerThreshold, ProofVariantTrimRule,
-                       SquareStepThreshold, StandardTrimRule, SummableFunction,
-                       TrimmingError, TrimmingPlan, check_condition,
+                       ProjectedPowerThreshold, SquareStepThreshold, StandardTrimRule,
+                       SummableFunction, TrimmingError, TrimmingPlan, check_condition,
                        check_condition_grid, conditions_for_plan,
                        format_condition_report, geometric_grid, plan_default,
                        plan_general, plan_standard)
@@ -175,7 +174,7 @@ def _build_plan(section: dict, dist: Distribution, grid: tuple[int, ...]) -> Tri
             if trim_name == "standard":
                 trim_rule = StandardTrimRule(epsilon)
             elif trim_name == "proof-variant":
-                trim_rule = ProofVariantTrimRule(epsilon)
+                trim_rule = StandardTrimRule(epsilon, log_floor=True)
             elif trim_name == "allowance":
                 trim_rule = AllowanceTrimRule(epsilon, summable)
             else:

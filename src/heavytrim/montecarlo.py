@@ -1,16 +1,16 @@
 """Seeded single-path Monte Carlo for trimmed, truncated and raw sums.
 
-Each replication draws one array of samples from a counter-based
-generator keyed by (seed, replication index) and re-scans its prefixes at
-every checkpoint, preserving the almost-sure coupling the limit
-statements are about; fresh samples per checkpoint would only ever probe
-the weak law.  Sums are exact: entries are accumulated as integers per
-float exponent and the total is rounded once, so every sum equals
-``math.fsum`` of the same entries bit for bit wherever fsum returns.
-The integer form of S_n is the previous prefix's plus that of the new
-segment, so the raw sum adds each entry once per path; the trimmed sum
-subtracts the trimmed entries from it, and the independent ``<= t`` sum
-that checks it still scans the whole prefix at every checkpoint.
+Each replication follows one path drawn from a counter-based generator
+keyed by (seed, replication index) and evaluates it at every checkpoint,
+preserving the almost-sure coupling the limit statements are about; fresh
+samples per checkpoint would only ever probe the weak law.  The path is
+drawn in chunks ending at checkpoints and never held whole.  Sums are
+exact: entries are accumulated as integers per float exponent and the
+total is rounded once, so every sum equals ``math.fsum`` of the same
+entries bit for bit wherever fsum returns.  S_n's integer form adds each
+chunk's form once; the truncated and the trimmed sum are S_n's form minus
+that of one of two small pools: the draws above the current threshold,
+and the ``max b(n)`` largest draws.
 
 Plan values (``t(n)``, ``d(n)``, ``b(n)``, the expected exceedances and
 their allowance) depend on n alone, so they live once per experiment in
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterable, Sequence
@@ -69,11 +68,9 @@ _KEYS = 4096
 _LOW26 = np.uint64((1 << 26) - 1)
 # bincount sums its float weights exactly while each bucket stays below
 # 2**53; a 26-bit fraction half is below 2**26, so any call with at most
-# 2**27 entries is exact.  The chunks are for memory and speed: with the
-# key and weight temporaries of one chunk alive instead of the whole
-# array's, a Pareto-1/2 replication peaks at 32 instead of 58 B per sample
-# at n = 2e5 (tracemalloc) and takes 0.05 instead of 0.09 s at n = 1e6
-# (2-core shared host); 2**14 to 2**16 time alike, 2**12 is slower.
+# 2**27 entries is exact.  Longer arrays are bucketed, and paths drawn, in
+# chunks of this size, so one chunk's temporaries are alive at a time;
+# 2**14 to 2**16 time alike, 2**12 is slower (2-core shared host).
 _CHUNK = 1 << 16
 
 
@@ -163,21 +160,6 @@ def exceedance_counts(values: np.ndarray, cutoff: float) -> tuple[int, int]:
     return int(np.count_nonzero(values > cutoff)), int(np.count_nonzero(values >= cutoff))
 
 
-# Upper bound on the memory one replication holds per sample: the
-# tracemalloc peak of run_replication at n = 2e5 is 30-36 B per sample
-# across the built-in laws (AtomicStep's sampling temporaries are the
-# largest), and falls towards 24-32 B at n = 1e6 as fixed buffers amortize.
-_BYTES_PER_SAMPLE = 40
-
-
-def _memory_budget_bytes() -> int:
-    return int(os.environ.get("HEAVYTRIM_MEMORY_MB", "4096")) * 1_000_000
-
-
-def _workers() -> int:
-    return max(1, int(os.environ.get("HEAVYTRIM_WORKERS", "1")))
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative experiment: plan, checkpoint grid, replications, seed.
@@ -209,13 +191,11 @@ class ExperimentConfig:
             raise MonteCarloError("need at least one replication")
         if not 0 <= self.seed < 2 ** 64:
             raise MonteCarloError("seed must be an unsigned 64-bit integer")
-        need = _BYTES_PER_SAMPLE * self.checkpoints[-1] * _workers()
-        budget = _memory_budget_bytes()
-        if need > budget:
-            raise MonteCarloError(
-                f"replication buffers need ~{need/1e6:.0f} MB, over the "
-                f"{budget/1e6:.0f} MB budget (HEAVYTRIM_MEMORY_MB)")
-        object.__setattr__(self, "points", self.plan.table(self.checkpoints))
+        points = self.plan.table(self.checkpoints)
+        for p, q in zip(points, points[1:]):  # run_replication's pools need this
+            if q.threshold < p.threshold:
+                raise MonteCarloError(f"threshold decreases between n = {p.n} and n = {q.n}")
+        object.__setattr__(self, "points", points)
 
     @property
     def distribution(self) -> Distribution:
@@ -251,53 +231,70 @@ class ConvergenceTrace:
         return self.config.seed
 
 
+def _merge(pool: list[np.ndarray], keep: int) -> float:
+    """Replace the arrays in ``pool`` by one of their ``keep`` largest entries;
+    return the largest entry left out (-inf if none), which a later entry
+    must exceed to be among the ``keep`` largest."""
+    merged = np.concatenate(pool)
+    pool.clear()  # frees the merged arrays before the copy below
+    cut = len(merged) - keep
+    if cut <= 0:
+        pool.append(merged)
+        return -math.inf
+    merged.partition(cut - 1)
+    pool.append(merged[cut:].copy())
+    return float(merged[cut - 1])
+
+
 def run_replication(config: ExperimentConfig, replication: int) -> ConvergenceTrace:
     """One seeded path, evaluated at every checkpoint of the config.
 
     Deterministic given (config.seed, replication): the draws come from a
     counter-based generator keyed by that pair, so replications neither
-    overlap nor depend on scheduling.
+    overlap nor depend on scheduling.  Drawing in chunks reproduces one
+    call for the whole path bit for bit.
     """
     rng = np.random.Generator(np.random.Philox(key=[config.seed, replication]))
-    x = config.distribution.sample_array(rng.random(config.n_max))
-    path = np.zeros((3, _KEYS), dtype=np.int64)  # form of the current prefix
-    start = 0
-    rows = []
+    keep = max(p.trim for p in config.points)
+    path = np.zeros((3, _KEYS), dtype=np.int64)  # form of all draws so far
+    over, ties, last = np.empty(0), 0, -math.inf  # the draws above `last`; those at it
+    pool, waiting, floor = [], 0, -math.inf  # the `keep` largest draws, then candidates
+    start, rows = 0, []
     for p in config.points:
-        prefix = x[: p.n]
-        path += _buckets(x[start: p.n])
-        start = p.n
-        over_mask = prefix > p.threshold
-        # summed on its own, not as S_n minus the exceedances, so the exact
-        # split at the threshold checks the prefix accumulation
-        below = _buckets(prefix[~over_mask])
-        if not np.array_equal(below + _buckets(prefix[over_mask]), path):
-            raise MonteCarloError(
-                f"sum decomposition does not add up at n = {p.n}; "
-                "this is a bug, not randomness")
-        untrimmed = _rounded(path)
-        truncated = _rounded(below)
-        trimmed = _rounded(path - _buckets(_largest(prefix, p.trim)))
-        count_gt = int(np.count_nonzero(over_mask))
-        count_ge = int(np.count_nonzero(prefix >= p.threshold))
-        rows.append(TraceRow(
-            n=p.n,
-            untrimmed=untrimmed,
-            trimmed=trimmed,
-            truncated=truncated,
-            count_gt=count_gt,
-            count_ge=count_ge,
-            ratio_trimmed=trimmed / p.scale,
-            ratio_truncated=truncated / p.scale,
-        ))
+        t = p.threshold
+        if t > last:  # thresholds never decrease (ExperimentConfig)
+            at_least = over[over >= t]
+            over = at_least[at_least > t]
+            ties, last = len(at_least) - len(over), t
+        parts = [over]
+        for i in range(start, p.n, _CHUNK):
+            x = config.distribution.sample_array(rng.random(min(_CHUNK, p.n - i)))
+            path += _buckets(x)
+            at_least = x[x >= t]
+            parts.append(at_least[at_least > t])
+            ties += len(at_least) - len(parts[-1])
+            pool.append(x[x > floor])
+            waiting += len(pool[-1])
+            if waiting > keep:  # amortized: a merge costs about twice `keep`
+                floor, waiting = _merge(pool, keep), 0
+        start, over = p.n, np.concatenate(parts)
+        floor, waiting = _merge(pool, keep), 0
+        if path[0].sum() != p.n:
+            raise MonteCarloError(f"the path form counts {path[0].sum()} draws at "
+                                  f"n = {p.n}; this is a bug, not randomness")
+        truncated = _rounded(path - _buckets(over))
+        trimmed = _rounded(path - _buckets(_largest(pool[0], p.trim)))
+        rows.append(TraceRow(p.n, _rounded(path), trimmed, truncated, len(over),
+                             len(over) + ties, trimmed / p.scale, truncated / p.scale))
     return ConvergenceTrace(replication=replication, config=config, rows=tuple(rows))
 
 
 def simulate(config: ExperimentConfig) -> tuple[ConvergenceTrace, ...]:
     """All replications, merged in replication order regardless of scheduling."""
-    workers = _workers()
+    workers = max(1, int(os.environ.get("HEAVYTRIM_WORKERS", "1")))
     indices = range(config.replications)
     if workers > 1 and config.replications > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             traces = list(pool.map(partial(run_replication, config), indices,
                                    chunksize=max(1, config.replications // (4 * workers))))

@@ -35,7 +35,6 @@ __all__ = [
     "SquareStepThreshold",
     "ProjectedPowerThreshold",
     "StandardTrimRule",
-    "ProofVariantTrimRule",
     "AllowanceTrimRule",
     "TrimmingPlan",
     "PlanPoint",
@@ -306,34 +305,19 @@ def _loglog(n: int) -> float:
 
 @dataclass(frozen=True)
 class StandardTrimRule:
-    """b(n) = ceil(a + 9 * max(a**(1/2+eps) * loglog(n)**(1/2-eps), loglog n))."""
+    """b(n) = ceil(a + 9 * max(a**(1/2+eps) * loglog(n)**(1/2-eps), loglog n)).
+
+    With ``log_floor`` the second slot of the max is log n instead of
+    loglog n: the variant the proof uses.
+    """
 
     epsilon: float
-
-    @property
-    def name(self) -> str:
-        return f"standard(epsilon={self.epsilon})"
-
-    def raw_count(self, n: int, expect_gt: float) -> float:
-        ll = _loglog(n)
-        slack = 9.0 * max(expect_gt ** (0.5 + self.epsilon) * ll ** (0.5 - self.epsilon), ll)
-        return expect_gt + slack
-
-
-@dataclass(frozen=True)
-class ProofVariantTrimRule:
-    """Variant with log(n) in the second slot of the max instead of loglog(n)."""
-
-    epsilon: float
-
-    @property
-    def name(self) -> str:
-        return f"proof-variant(epsilon={self.epsilon})"
+    log_floor: bool = False
 
     def raw_count(self, n: int, expect_gt: float) -> float:
         ll = _loglog(n)
         slack = 9.0 * max(expect_gt ** (0.5 + self.epsilon) * ll ** (0.5 - self.epsilon),
-                          math.log(n))
+                          math.log(n) if self.log_floor else ll)
         return expect_gt + slack
 
 
@@ -344,10 +328,6 @@ class AllowanceTrimRule:
 
     epsilon: float
     summable: SummableFunction
-
-    @property
-    def name(self) -> str:
-        return f"allowance(epsilon={self.epsilon})"
 
     def raw_count(self, n: int, expect_gt: float) -> float:
         return expect_gt + fluctuation_allowance(expect_gt, n, self.epsilon, self.summable)

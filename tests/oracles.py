@@ -1,0 +1,87 @@
+"""Slow, independent reference implementations that tests compare against.
+
+``run_replication_prefix`` is the prefix engine that ``run_replication``
+streams: it holds the whole path and rescans each prefix at every
+checkpoint.  It binds the exact-sum primitives at import, so a test may
+patch them in ``heavytrim.montecarlo`` without touching the oracle.
+``max_deviation_tail_exact`` gives maximal-deviation probabilities of small
+lattice laws in exact rational arithmetic, for checking that the bounds
+dominate truth.
+"""
+
+from fractions import Fraction
+from typing import Sequence
+
+import numpy as np
+
+from heavytrim.bounds import BoundsError
+from heavytrim.montecarlo import (ConvergenceTrace, ExperimentConfig, TraceRow,
+                                  _buckets, _largest, _rounded)
+
+
+def run_replication_prefix(config: ExperimentConfig, replication: int) -> ConvergenceTrace:
+    """``run_replication`` computed on the held path, prefix by prefix."""
+    rng = np.random.Generator(np.random.Philox(key=[config.seed, replication]))
+    x = config.distribution.sample_array(rng.random(config.n_max))
+    rows = []
+    for p in config.points:
+        prefix = x[: p.n]
+        over_mask = prefix > p.threshold
+        path = _buckets(prefix)
+        truncated = _rounded(_buckets(prefix[~over_mask]))
+        trimmed = _rounded(path - _buckets(_largest(prefix, p.trim)))
+        rows.append(TraceRow(
+            n=p.n,
+            untrimmed=_rounded(path),
+            trimmed=trimmed,
+            truncated=truncated,
+            count_gt=int(np.count_nonzero(over_mask)),
+            count_ge=int(np.count_nonzero(prefix >= p.threshold)),
+            ratio_trimmed=trimmed / p.scale,
+            ratio_truncated=truncated / p.scale,
+        ))
+    return ConvergenceTrace(replication=replication, config=config, rows=tuple(rows))
+
+
+def _as_fractions(support: Sequence, probs: Sequence) -> tuple[list[Fraction], list[Fraction]]:
+    sup = [Fraction(v) for v in support]
+    pr = [Fraction(p) for p in probs]
+    if len(sup) != len(pr) or not sup:
+        raise BoundsError("support and probs must be equally sized and nonempty")
+    if any(p < 0 for p in pr) or sum(pr) != 1:
+        raise BoundsError("probs must be nonnegative and sum to exactly 1; "
+                          "pass Fractions or strings for exactness")
+    return sup, pr
+
+
+def max_deviation_tail_exact(support: Sequence, probs: Sequence, n: int,
+                             deviation) -> Fraction:
+    """P(max over k <= n of |Z_k - E Z_k| >= deviation), exactly.
+
+    Dynamic programming over the distribution of the prefix sum among
+    paths that have not yet deviated; the absorbed mass accumulates the
+    answer.  All arithmetic is rational, so the result is exact whenever
+    support, probs and deviation are rational.
+    """
+    sup, pr = _as_fractions(support, probs)
+    dev = Fraction(deviation)
+    if dev <= 0:
+        raise BoundsError("deviation must be positive")
+    mean = sum(v * p for v, p in zip(sup, pr))
+    alive: dict[Fraction, Fraction] = {Fraction(0): Fraction(1)}
+    absorbed = Fraction(0)
+    for k in range(1, n + 1):
+        step_mean = k * mean
+        nxt: dict[Fraction, Fraction] = {}
+        for s, q in alive.items():
+            for v, p in zip(sup, pr):
+                if p == 0:
+                    continue
+                z = s + v
+                if abs(z - step_mean) >= dev:
+                    absorbed += q * p
+                else:
+                    nxt[z] = nxt.get(z, Fraction(0)) + q * p
+        alive = nxt
+    return absorbed
+

@@ -17,8 +17,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from heavytrim.bounds import (BernsteinInput, bernstein_max_tail,
-                              max_deviation_tail_exact)
+from heavytrim.bounds import BernsteinInput, bernstein_max_tail
 from heavytrim.distributions import ParetoTail, square_step
 from heavytrim.expcli import parse_config, run
 from heavytrim.montecarlo import (ExperimentConfig, aggregate,
@@ -26,6 +25,7 @@ from heavytrim.montecarlo import (ExperimentConfig, aggregate,
 from heavytrim.trimming import (PowerThreshold, SquareStepThreshold,
                                 SummableFunction, check_condition,
                                 geometric_grid, plan_standard, rebase_summable)
+from oracles import max_deviation_tail_exact
 
 CHECKPOINTS = (1000, 3162, 10000, 31623, 100000, 316228, 1000000)
 SEED = 20260810

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heavytrim.bounds import (BernsteinInput, BoundsError, ProbabilityBound,
-                              _as_fractions, bernstein_max_tail,
-                              bernstein_relative, borel_cantelli_budget,
-                              max_deviation_tail_exact)
+                              bernstein_max_tail, bernstein_relative,
+                              borel_cantelli_budget)
 from heavytrim.distributions import ParetoTail
 from heavytrim.trimming import (PowerThreshold, SummableFunction,
                                 geometric_grid, plan_standard)
+from oracles import _as_fractions, max_deviation_tail_exact
 
 
 def max_deviation_tail_enumerate(support: Sequence, probs: Sequence, n: int,

@@ -12,6 +12,7 @@ import heavytrim
 from heavytrim.distributions import AtomicStep, ParetoTail, Tabulated
 from heavytrim.expcli import (CONFIG_GRAMMAR, ConfigError, main, parse_config,
                               plot, run)
+from heavytrim.trimming import PowerThreshold
 
 
 def write_config(tmp_path: Path, overrides=None, drop=None) -> Path:
@@ -273,6 +274,21 @@ class TestMain:
         assert "config error: conditions.grid: log weight" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_decreasing_threshold_exit_two(self, tmp_path, capsys, monkeypatch):
+        # without validation only the checkpoint table meets the rule
+        monkeypatch.setattr(PowerThreshold, "log_threshold",
+                            lambda rule, dist, n: math.log(1e6 / n))
+        power = {"family": "power", "param": 2.0}
+        p = write_config(tmp_path, {
+            "plan": {"rule": "general", "epsilon": 0.05, "validate": False,
+                     "threshold": {"rule": "power", "exponent": 0.8},
+                     "trim": {"rule": "standard"},
+                     "summable": power, "summable-alt": power},
+        })
+        assert main(["run", str(p)]) == 2
+        assert "config error: experiment: threshold decreases" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_cli_overrides(self, tmp_path):
         p = write_config(tmp_path)
         code = main(["run", str(p), "--replications", "2", "--nmax", "2000",
@@ -284,8 +300,8 @@ class TestMain:
 
     def test_import_loads_no_scipy(self):
         src = str(Path(heavytrim.__file__).resolve().parents[1])
-        probe = ("import sys, heavytrim.expcli; "
-                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        probe = ("import sys, heavytrim.expcli; print(sorted(m for m in sys.modules "
+                 "if m.split('.')[0] in ('scipy', 'concurrent')))")
         out = subprocess.run([sys.executable, "-c", probe],
                              env={**os.environ, "PYTHONPATH": src}, check=True,
                              capture_output=True, text=True, timeout=60).stdout

@@ -1,5 +1,4 @@
 import math
-import os
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -15,9 +14,12 @@ from heavytrim.montecarlo import (ExperimentConfig, MonteCarloError,
                                   exceedance_counts, run_replication,
                                   sample_mean_instability, simulate,
                                   trace_csv_rows, trimmed_sum, truncated_sum)
-from heavytrim.trimming import (PowerThreshold, TrimmingPlan,
+from heavytrim.distributions import Tabulated
+from heavytrim.trimming import (PowerThreshold, StandardTrimRule,
+                                SummableFunction, TrimmingPlan,
                                 fluctuation_allowance, plan_default,
-                                plan_standard)
+                                plan_general, plan_standard)
+from oracles import run_replication_prefix
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +38,28 @@ def pareto_traces(pareto_cfg):
 def pm_cfg(pm):
     plan = plan_default(pm, 0.05, grid=())
     return ExperimentConfig(plan, (100, 1000, 10000), 3, 7)
+
+
+class _Stepped:
+    """Threshold 1 before n = 3000, 2 before n = 50000, then 4."""
+
+    def log_threshold(self, dist, n):
+        return math.log(1.0 if n < 3000 else 2.0 if n < 50_000 else 4.0)
+
+
+class _Falling:
+    def log_threshold(self, dist, n):
+        return math.log(1e6 / n)
+
+
+def _plan_with(dist, threshold_rule):
+    return plan_general(dist, threshold_rule, StandardTrimRule(0.05), 0.05,
+                        SummableFunction.power(9 / 8), SummableFunction.power(2.0), ())
+
+
+# 70001 is no multiple of the 2**16 chunk, and the segment after it spans
+# four chunks
+ORACLE_GRID = (1000, 3162, 70001, 300000)
 
 
 class TestTrimmedSum:
@@ -257,23 +281,6 @@ class TestRunReplication:
                 if r.count_gt <= k <= r.n:
                     assert trimmed_sum(x[: r.n], k) <= truncated_sum(x[: r.n], p.threshold)
 
-    def test_decomposition_check_fires(self, pareto_cfg, monkeypatch):
-        cfg = ExperimentConfig(pareto_cfg.plan, (1000,), 1, pareto_cfg.seed)
-        t = cfg.points[0].threshold
-        # with an exceedance on the path, the "<= t" selection is the only
-        # argument of the primitive that holds no entry above t
-        assert run_replication(cfg, 0).rows[0].count_gt > 0
-        buckets = montecarlo._buckets
-
-        def lossy(values):
-            if len(values) > 1 and values.max() <= t:
-                values = values[1:]
-            return buckets(values)
-
-        monkeypatch.setattr(montecarlo, "_buckets", lossy)
-        with pytest.raises(MonteCarloError, match="sum decomposition"):
-            run_replication(cfg, 0)
-
     def test_inf_draws_match_scalar_recomputation(self, logtail):
         # a 1/log tail draws inf about once per 710 samples: the raw sum is
         # inf, the trim drops every inf, the counts include them
@@ -308,8 +315,10 @@ class TestRunReplication:
 
     @pytest.mark.parametrize("law", ["pareto", "pareto_table", "logtail", "step", "pm"])
     def test_memory_guard_bounds_replication_peak(self, request, pareto_cfg, law):
-        # the guard budgets every built-in law, so its bound must hold for each
-        n = 200_000
+        # a replication holds a chunk and its two pools, not the path: at
+        # n = 1e6 the tracemalloc peak is 4-10 MB across the built-in laws,
+        # where holding the path took 20-32 MB
+        n = 1_000_000
         plan = (pareto_cfg.plan if law == "pareto"
                 else plan_default(request.getfixturevalue(law), 0.05, grid=()))
         cfg = ExperimentConfig(plan, (1000, 3162, 10000, 31623, 100000, n),
@@ -320,13 +329,7 @@ class TestRunReplication:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= montecarlo._BYTES_PER_SAMPLE * n
-
-    def test_memory_budget_guard(self, pareto, monkeypatch):
-        monkeypatch.setenv("HEAVYTRIM_MEMORY_MB", "1")
-        plan = plan_standard(pareto, PowerThreshold(0.8), 0.05)
-        with pytest.raises(MonteCarloError, match="budget"):
-            ExperimentConfig(plan, (1000, 100000), 2, 1)
+        assert peak <= 16_000_000
 
     def test_config_validation(self, pareto):
         plan = plan_standard(pareto, PowerThreshold(0.8), 0.05)
@@ -340,6 +343,8 @@ class TestRunReplication:
             ExperimentConfig(plan, (100, 1000), 2, -5)
         with pytest.raises(MonteCarloError):
             ExperimentConfig(plan, (100, 1000), 2, 1, max_samples=500)
+        with pytest.raises(MonteCarloError, match="threshold decreases between n = 100 and"):
+            ExperimentConfig(_plan_with(pareto, _Falling()), (100, 1000), 2, 1)
 
     def test_points_are_the_plan_table(self, pareto_cfg):
         assert pareto_cfg.points == pareto_cfg.plan.table(pareto_cfg.checkpoints)
@@ -366,6 +371,57 @@ class TestRunReplication:
                             lambda plan, n: calls.append(n) or checkpoint(plan, n))
         run(spec)
         assert len(calls) == len(spec.condition_grid)
+
+
+class TestAgainstPrefixOracle:
+    """The one-pass engine against the prefix engine it replaces, bit for bit."""
+
+    @staticmethod
+    def assert_same(config):
+        for i in (0, 1):
+            assert list(trace_csv_rows([run_replication(config, i)])) == \
+                list(trace_csv_rows([run_replication_prefix(config, i)]))
+
+    @pytest.mark.parametrize("law", ["pareto", "pareto_table", "logtail", "step",
+                                     "pm", "mixed_table"])
+    def test_builtin_laws(self, request, pareto_cfg, law):
+        plan = (pareto_cfg.plan if law == "pareto"
+                else plan_default(request.getfixturevalue(law), 0.05, grid=()))
+        self.assert_same(ExperimentConfig(plan, ORACLE_GRID, 2, 31))
+
+    def test_thresholds_on_atoms(self):
+        # thresholds 1, 2, 4, 4 on atoms: draws at a threshold count in N_ge
+        # only, and leave N_ge when the threshold moves past them
+        law = Tabulated([(1.0, 0.25, "jump"), (2.0, 0.5, "jump"),
+                         (4.0, 0.75, "jump"), (8.0, 1.0, "jump")])
+        cfg = ExperimentConfig(_plan_with(law, _Stepped()), ORACLE_GRID, 2, 31)
+        assert [p.threshold for p in cfg.points] == [1.0, 2.0, 4.0, 4.0]
+        assert all(r.count_ge > r.count_gt for r in run_replication(cfg, 0).rows)
+        self.assert_same(cfg)
+
+    def test_lossy_buckets_are_caught(self, pareto_cfg, monkeypatch):
+        cfg = ExperimentConfig(pareto_cfg.plan, (1000,), 1, pareto_cfg.seed)
+        t = cfg.points[0].threshold
+        # with an exceedance on the path, the "> t" selection is the only
+        # argument of the primitive that holds no entry at or below t; the
+        # oracle keeps the intact primitive
+        assert run_replication(cfg, 0).rows[0].count_gt > 0
+        buckets = montecarlo._buckets
+
+        def lossy(values):
+            if len(values) > 1 and values.min() > t:
+                values = values[1:]
+            return buckets(values)
+
+        monkeypatch.setattr(montecarlo, "_buckets", lossy)
+        assert run_replication(cfg, 0) != run_replication_prefix(cfg, 0)
+
+    def test_count_check_fires(self, pareto_cfg, monkeypatch):
+        cfg = ExperimentConfig(pareto_cfg.plan, (1000,), 1, pareto_cfg.seed)
+        buckets = montecarlo._buckets
+        monkeypatch.setattr(montecarlo, "_buckets", lambda values: buckets(values[1:]))
+        with pytest.raises(MonteCarloError, match="path form counts 999 draws at n = 1000"):
+            run_replication(cfg, 0)
 
 
 class TestSimulateAndAggregate:

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from heavytrim.distributions import ParetoTail, point_mass, square_step
 from heavytrim.trimming import (AllowanceTrimRule, PlanError, PowerThreshold,
-                                ProjectedPowerThreshold, ProofVariantTrimRule,
-                                SquareStepThreshold, StandardTrimRule,
-                                SummableFunction, TrimmingError, TrimmingPlan,
+                                ProjectedPowerThreshold, SquareStepThreshold,
+                                StandardTrimRule, SummableFunction,
+                                TrimmingError, TrimmingPlan,
                                 check_condition, conditions_for_plan,
                                 fluctuation_allowance, format_condition_report,
                                 geometric_grid, plan_default, plan_general,
@@ -176,7 +176,7 @@ class TestPlanStandardPareto:
 
     def test_proof_variant_uses_log_slot(self, pareto):
         plan = plan_standard(pareto, PowerThreshold(0.8), 0.05,
-                             trim_rule=ProofVariantTrimRule(0.05))
+                             trim_rule=StandardTrimRule(0.05, log_floor=True))
         n = 1000
         p = plan.checkpoint(n)
         ll = math.log(math.log(n))
