@@ -90,6 +90,12 @@ def _logsumexp(terms: Sequence[float]) -> float:
     return top + math.log(math.fsum(math.exp(v - top) for v in terms))
 
 
+def _check_uniform(u: np.ndarray) -> None:
+    """Raise unless every entry of ``u`` lies in (0, 1); a nan fails too."""
+    if len(u) and not (u.min() > 0.0 and u.max() < 1.0):
+        raise DistributionError("uniform variates must lie in (0,1)")
+
+
 class Distribution:
     """Base class; subclasses implement the exact functionals for one family."""
 
@@ -150,6 +156,8 @@ class Distribution:
         Deterministic given ``u``.  Atomic and tabulated laws agree with
         the scalar path exactly; closed-form laws may differ from it in
         the last ulp where the vector math library rounds differently.
+        Like :meth:`sample`, raises :class:`DistributionError` unless every
+        variate lies in (0, 1); the input array is left unchanged.
         """
         raise NotImplementedError
 
@@ -390,6 +398,7 @@ class AtomicStep(Distribution):
         return _logsumexp(terms)
 
     def sample_array(self, u: np.ndarray) -> np.ndarray:
+        _check_uniform(u)
         cum = np.asarray(self._cum)
         idx = np.searchsorted(cum, u, side="left")
         # levels beyond the table, like atoms beyond the float range,
@@ -507,8 +516,13 @@ class ParetoTail(Distribution):
         return log_t >= self._log_scale
 
     def sample_array(self, u: np.ndarray) -> np.ndarray:
+        _check_uniform(u)
+        # scale * (1 - u) ** (-1 / alpha) in one fresh array, in that order
+        out = np.subtract(1.0, u)
         with np.errstate(over="ignore"):
-            return self.scale * (1.0 - u) ** (-1.0 / self.alpha)
+            np.power(out, -1.0 / self.alpha, out=out)
+        out *= self.scale
+        return out
 
 
 @dataclass(frozen=True)
@@ -600,6 +614,7 @@ class LogTail(Distribution):
         return log_t >= math.log(self.threshold)
 
     def sample_array(self, u: np.ndarray) -> np.ndarray:
+        _check_uniform(u)
         lo = self.cdf(self.threshold)
         with np.errstate(over="ignore"):
             out = np.where(u <= lo, self.threshold, np.exp(1.0 / (1.0 - u)))
@@ -750,8 +765,7 @@ class Tabulated(Distribution):
         # each chunk writes into out, so no temporary is full length
         for s in range(0, len(u), _SAMPLE_CHUNK):
             uc, oc = u[s:s + _SAMPLE_CHUNK], out[s:s + _SAMPLE_CHUNK]
-            if not (uc.min() > 0.0 and uc.max() < 1.0):
-                raise DistributionError("uniform variates must lie in (0,1)")
+            _check_uniform(uc)
             i = np.searchsorted(levels, uc)
             # the scalar quantile's operation order, so draws match it bit for bit
             np.subtract(uc, f0[i], out=oc)

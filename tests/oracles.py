@@ -1,9 +1,12 @@
 """Slow, independent reference implementations that tests compare against.
 
+``buckets_reference`` is the exact-sum kernel that ``montecarlo._buckets``
+speeds up: it converts each fraction half to float before summing it.
 ``run_replication_prefix`` is the prefix engine that ``run_replication``
 streams: it holds the whole path and rescans each prefix at every
-checkpoint.  It binds the exact-sum primitives at import, so a test may
-patch them in ``heavytrim.montecarlo`` without touching the oracle.
+checkpoint.  It sums with ``buckets_reference`` and binds the other
+primitives at import, so a test may patch them in ``heavytrim.montecarlo``
+without touching the oracle.
 ``max_deviation_tail_exact`` gives maximal-deviation probabilities of small
 lattice laws in exact rational arithmetic, for checking that the bounds
 dominate truth.
@@ -16,7 +19,26 @@ import numpy as np
 
 from heavytrim.bounds import BoundsError
 from heavytrim.montecarlo import (ConvergenceTrace, ExperimentConfig, TraceRow,
-                                  _buckets, _largest, _rounded)
+                                  _largest, _rounded)
+
+_KEYS = 4096
+_LOW26 = np.uint64((1 << 26) - 1)
+_BLOCK = 1 << 16  # bincount stays exact up to 2**27 entries per call
+
+
+def buckets_reference(values: np.ndarray) -> np.ndarray:
+    """``montecarlo._buckets``'s (3, 4096) integer form, computed through
+    ``uint64 -> float64`` conversions of the fraction halves."""
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+    out = np.zeros((3, _KEYS), dtype=np.int64)
+    for start in range(0, len(bits), _BLOCK):
+        chunk = bits[start:start + _BLOCK]
+        key = (chunk >> np.uint64(52)).view(np.int64)
+        out[0] += np.bincount(key, minlength=_KEYS)
+        for row, half in ((1, chunk >> np.uint64(26)), (2, chunk)):
+            weights = (half & _LOW26).astype(np.float64)
+            out[row] += np.bincount(key, weights, _KEYS).astype(np.int64)
+    return out
 
 
 def run_replication_prefix(config: ExperimentConfig, replication: int) -> ConvergenceTrace:
@@ -27,9 +49,9 @@ def run_replication_prefix(config: ExperimentConfig, replication: int) -> Conver
     for p in config.points:
         prefix = x[: p.n]
         over_mask = prefix > p.threshold
-        path = _buckets(prefix)
-        truncated = _rounded(_buckets(prefix[~over_mask]))
-        trimmed = _rounded(path - _buckets(_largest(prefix, p.trim)))
+        path = buckets_reference(prefix)
+        truncated = _rounded(buckets_reference(prefix[~over_mask]))
+        trimmed = _rounded(path - buckets_reference(_largest(prefix, p.trim)))
         rows.append(TraceRow(
             n=p.n,
             untrimmed=_rounded(path),

@@ -282,6 +282,28 @@ class TestSampling:
         with pytest.raises(DistributionError):
             mixed_table.sample_array(u)
 
+    @pytest.mark.parametrize("law", ["pareto", "logtail", "step"])
+    @pytest.mark.parametrize("bad", [0.0, 1.0, math.nan, -0.5, 1.5])
+    def test_vector_domain_enforced(self, request, law, bad):
+        # u = 0.0 used to draw the support minimum, where sample() raises
+        with pytest.raises(DistributionError):
+            request.getfixturevalue(law).sample_array(np.array([0.5, bad, 0.25]))
+
+    @pytest.mark.parametrize("law", ["pareto", "logtail", "step", "mixed_table"])
+    def test_vector_leaves_input_unchanged(self, request, law):
+        u = np.random.Generator(np.random.Philox(key=[5, 1])).random(1000)
+        before = u.copy()
+        request.getfixturevalue(law).sample_array(u)
+        assert np.array_equal(u.view(np.uint64), before.view(np.uint64))
+
+    @pytest.mark.parametrize("alpha, scale", [(0.5, 3.0), (0.3, 0.25), (0.9, 1e10)])
+    def test_pareto_vector_is_closed_form_bit_for_bit(self, alpha, scale):
+        draws = np.random.Generator(np.random.Philox(key=[5, 2])).random(1000)
+        u = np.concatenate([[5e-324, 0.5, 1.0 - 2.0 ** -53], draws])
+        expected = scale * (1.0 - u) ** (-1.0 / alpha)
+        assert np.array_equal(ParetoTail(alpha, scale).sample_array(u).view(np.uint64),
+                              expected.view(np.uint64))
+
 
 class TestOrderProperties:
     @given(x=st.floats(0.0, 1e9), y=st.floats(0.0, 1e9))

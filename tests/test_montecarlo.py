@@ -19,7 +19,7 @@ from heavytrim.trimming import (PowerThreshold, StandardTrimRule,
                                 SummableFunction, TrimmingPlan,
                                 fluctuation_allowance, plan_default,
                                 plan_general, plan_standard)
-from oracles import run_replication_prefix
+from oracles import buckets_reference, run_replication_prefix
 
 
 @pytest.fixture(scope="module")
@@ -41,10 +41,10 @@ def pm_cfg(pm):
 
 
 class _Stepped:
-    """Threshold 1 before n = 3000, 2 before n = 50000, then 4."""
+    """Threshold 1 before n = 3000, 2 before n = ``_CHUNK``, then 4."""
 
     def log_threshold(self, dist, n):
-        return math.log(1.0 if n < 3000 else 2.0 if n < 50_000 else 4.0)
+        return math.log(1.0 if n < 3000 else 2.0 if n < montecarlo._CHUNK else 4.0)
 
 
 class _Falling:
@@ -57,9 +57,9 @@ def _plan_with(dist, threshold_rule):
                         SummableFunction.power(9 / 8), SummableFunction.power(2.0), ())
 
 
-# 70001 is no multiple of the 2**16 chunk, and the segment after it spans
-# four chunks
-ORACLE_GRID = (1000, 3162, 70001, 300000)
+# checkpoints 17 draws past one block and 5 past four: the last segment
+# starts mid-block and spans three blocks, the last one partial
+ORACLE_GRID = (1000, 3162, montecarlo._CHUNK + 17, 4 * montecarlo._CHUNK + 5)
 
 
 class TestTrimmedSum:
@@ -173,6 +173,22 @@ class TestExactSum:
         x = np.ldexp(rng.random(n), rng.integers(-1074, 1000, n))
         assert trimmed_sum(x, 0) == math.fsum(x.tolist())
         assert truncated_sum(x, 1.0) == math.fsum(x[x <= 1.0].tolist())
+
+    @pytest.mark.parametrize("length", [0, 1, montecarlo._CHUNK - 1, montecarlo._CHUNK,
+                                        3 * montecarlo._CHUNK + 17])
+    def test_kernel_matches_reference(self, length):
+        # every 64-bit pattern is a float: random ones spread over all keys,
+        # and every fifth entry is an edge pattern: nan payloads, +-inf, +-0,
+        # the smallest and largest subnormal, the largest float, -1 and 1
+        edges = np.array([0x7FF0000000000001, 0xFFF8000000000000, 0x7FFFFFFFFFFFFFFF,
+                          0x7FF0000000000000, 0xFFF0000000000000, 0, 1 << 63, 1,
+                          0x800FFFFFFFFFFFFF, 0x7FEFFFFFFFFFFFFF, 0xBFF0000000000000,
+                          0x3FF0000000000000], dtype=np.uint64)
+        bits = np.random.default_rng(length).integers(0, 2 ** 64, length, np.uint64)
+        bits[::5] = np.resize(edges, len(bits[::5]))
+        values = bits.copy().view(np.float64)
+        assert np.array_equal(montecarlo._buckets(values), buckets_reference(values))
+        assert np.array_equal(values.view(np.uint64), bits)  # input left unchanged
 
     def test_overflow_raises_like_fsum(self):
         values = [1.7976931348623157e308] * 2
