@@ -20,9 +20,8 @@ from .trimming import (AllowanceTrimRule, ConditionReport, PlanError,
                        fluctuation_allowance, format_condition_report,
                        geometric_grid, plan_default, plan_general,
                        plan_standard, rebase_summable)
-from .bounds import (BernsteinInput, BoundsError, ProbabilityBound,
-                     bernstein_max_tail, bernstein_relative,
-                     borel_cantelli_budget)
+from .bounds import (BoundsError, ProbabilityBound, bernstein_max_tail,
+                     bernstein_relative, borel_cantelli_budget)
 from .montecarlo import (ConvergenceTrace, ExperimentConfig, MonteCarloError,
                          aggregate, dichotomy_summary, exceedance_counts,
                          run_replication, sample_mean_instability, simulate,

@@ -14,7 +14,6 @@ from typing import Sequence
 from .trimming import PlanPoint, TrimmingPlan
 
 __all__ = [
-    "BernsteinInput",
     "ProbabilityBound",
     "bernstein_max_tail",
     "bernstein_relative",
@@ -29,30 +28,6 @@ _LN10 = math.log(10.0)
 
 class BoundsError(ValueError):
     """Arguments outside the domain of a bound."""
-
-
-@dataclass(frozen=True)
-class BernsteinInput:
-    """Inputs for the maximal-deviation bound on a sum of bounded variables.
-
-    ``deviation`` is the deviation level t, ``variance`` the variance of
-    the full sum, ``amplitude`` an almost-sure bound on each centered
-    summand, ``count`` the number of summands (carried for reporting; the
-    bound itself depends on it only through the variance).
-    """
-
-    deviation: float
-    variance: float
-    amplitude: float
-    count: int = 0
-
-    def __post_init__(self):
-        if not self.deviation > 0.0:
-            raise BoundsError(f"deviation must be positive, got {self.deviation}")
-        if self.variance < 0.0:
-            raise BoundsError(f"variance must be nonnegative, got {self.variance}")
-        if not self.amplitude > 0.0:
-            raise BoundsError(f"amplitude must be positive, got {self.amplitude}")
 
 
 @dataclass(frozen=True)
@@ -78,19 +53,31 @@ class ProbabilityBound:
     def log10(self) -> float:
         return self.log_value / _LN10
 
-    def __float__(self) -> float:
-        return self.value
 
-
-def bernstein_max_tail(inp: BernsteinInput) -> ProbabilityBound:
+def bernstein_max_tail(deviation: float, variance: float,
+                       amplitude: float) -> ProbabilityBound:
     """Bound on P(max over prefixes of |sum - mean| >= deviation).
 
     Evaluates ``2 exp(-t**2 / (2 V + (2/3) M t))`` for independent
-    summands with variance total V, each within M of its mean.
+    summands with variance total V, each within M of its mean, at
+    deviation t.
     """
-    t = inp.deviation
-    denom = 2.0 * inp.variance + (2.0 / 3.0) * inp.amplitude * t
-    return ProbabilityBound(math.log(2.0) - t * t / denom)
+    if not deviation > 0.0:
+        raise BoundsError(f"deviation must be positive, got {deviation}")
+    if variance < 0.0:
+        raise BoundsError(f"variance must be nonnegative, got {variance}")
+    if not amplitude > 0.0:
+        raise BoundsError(f"amplitude must be positive, got {amplitude}")
+    denom = 2.0 * variance + (2.0 / 3.0) * amplitude * deviation
+    return ProbabilityBound(math.log(2.0) - deviation * deviation / denom)
+
+
+def _relative_rate(kappa: float) -> float:
+    """``3 kappa**2 / (6 + 2 kappa)``: the Bernstein exponent per unit of
+    mean_total / upper at relative deviation kappa."""
+    if not kappa > 0.0:
+        raise BoundsError(f"relative deviation must be positive, got {kappa}")
+    return 3.0 * kappa * kappa / (6.0 + 2.0 * kappa)
 
 
 def bernstein_relative(kappa: float, mean_total: float, upper: float) -> ProbabilityBound:
@@ -101,13 +88,11 @@ def bernstein_relative(kappa: float, mean_total: float, upper: float) -> Probabi
     equal to :func:`bernstein_max_tail` at deviation kappa * mean_total
     with variance upper * mean_total.
     """
-    if not kappa > 0.0:
-        raise BoundsError(f"kappa must be positive, got {kappa}")
+    coef = _relative_rate(kappa)
     if not mean_total > 0.0:
         raise BoundsError(f"mean_total must be positive, got {mean_total}")
     if not upper > 0.0:
         raise BoundsError(f"upper must be positive, got {upper}")
-    coef = 3.0 * kappa * kappa / (6.0 + 2.0 * kappa)
     return ProbabilityBound(math.log(2.0) - coef * mean_total / upper)
 
 
@@ -129,10 +114,6 @@ class BudgetTable:
     epsilon: float
     rows: tuple[BudgetRow, ...]
 
-    @property
-    def total(self) -> float:
-        return self.rows[-1].partial_sum if self.rows else 0.0
-
     def tail_within_budget(self, tail: int = 2) -> bool:
         """Whether the last ``tail`` rows obey the pointwise budget."""
         return all(r.within_budget for r in self.rows[-tail:])
@@ -153,9 +134,7 @@ def borel_cantelli_budget(plan: TrimmingPlan, eps: float,
     whether the summand is pointwise below ``1/summable(n)``, i.e. whether
     the exponent argument has caught up with ``log summable(n)``.
     """
-    if not eps > 0.0:
-        raise BoundsError(f"eps must be positive, got {eps}")
-    coef = 3.0 * eps * eps / (6.0 + 2.0 * eps)
+    coef = _relative_rate(eps)
     rows = []
     running = 0.0
     for p in table:

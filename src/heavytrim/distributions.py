@@ -622,9 +622,6 @@ class LogTail(Distribution):
 
 
 _SEGMENT_KINDS = ("jump", "linear")
-# 64 KiB per sampling temporary: larger chunks ran no faster and raised
-# the peak RSS of a run
-_SAMPLE_CHUNK = 2 ** 13
 
 
 @dataclass(frozen=True, init=False)
@@ -760,19 +757,15 @@ class Tabulated(Distribution):
         return math.fsum(terms)
 
     def sample_array(self, u: np.ndarray) -> np.ndarray:
+        _check_uniform(u)
         levels, breakpoints, flat, x0, f0, dx, df = self._segments
-        out = np.empty(len(u), dtype=np.float64)
-        # each chunk writes into out, so no temporary is full length
-        for s in range(0, len(u), _SAMPLE_CHUNK):
-            uc, oc = u[s:s + _SAMPLE_CHUNK], out[s:s + _SAMPLE_CHUNK]
-            _check_uniform(uc)
-            i = np.searchsorted(levels, uc)
-            # the scalar quantile's operation order, so draws match it bit for bit
-            np.subtract(uc, f0[i], out=oc)
-            oc *= dx[i]
-            oc /= df[i]
-            oc += x0[i]
-            np.copyto(oc, breakpoints[i], where=flat[i])
+        i = np.searchsorted(levels, u)
+        # the scalar quantile's operation order, so draws match it bit for bit
+        out = np.subtract(u, f0[i])
+        out *= dx[i]
+        out /= df[i]
+        out += x0[i]
+        np.copyto(out, breakpoints[i], where=flat[i])
         return out
 
 

@@ -10,9 +10,11 @@ Config files are JSON (see ``CONFIG_GRAMMAR`` or the README for the full
 key reference).  ``heavytrim run`` and ``heavytrim check`` exit 1 when a
 pointwise plan hypothesis is violated; an inconclusive limit hypothesis
 only warns, since no finite grid can settle an asymptotic statement.
-Config errors (missing keys, malformed or out-of-range values, invalid
-plans, a condition grid the plan cannot be evaluated on) are raised
-before any artifact is written; they and I/O errors exit 2.
+Config errors (missing or unknown keys, sections that are not objects,
+malformed or out-of-range values, invalid plans, a condition grid the
+plan cannot be evaluated on) are raised before any artifact is written;
+they and I/O errors exit 2.  Any other exception is an internal failure
+and exits 3.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -43,7 +45,7 @@ __all__ = ["parse_config", "run", "plot", "main", "RunManifest", "ConfigError",
            "CONFIG_GRAMMAR"]
 
 CONFIG_GRAMMAR = """\
-JSON object with sections:
+JSON object with sections; a key not listed here is rejected:
 
 distribution:
   family: "pareto" | "log-tail" | "square-step" | "atomic-step" | "tabulated"
@@ -82,10 +84,27 @@ class ConfigError(ValueError):
     """Config file rejected; the message carries the offending key path."""
 
 
+def _path(where: str, key: str) -> str:
+    return f"{where}.{key}" if where else key
+
+
 def _need(section: dict, key: str, where: str):
     if key not in section:
-        raise ConfigError(f"{where}.{key}: missing")
+        raise ConfigError(f"{_path(where, key)}: missing")
     return section[key]
+
+
+def _section(value, where: str, allowed: tuple[str, ...]) -> dict:
+    """``value`` as the config section ``where``: an object with no key
+    outside ``allowed``, so a misspelled key fails instead of falling back
+    on a default."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected an object, got {value!r}")
+    for key in value:
+        if key not in allowed:
+            raise ConfigError(f"{_path(where, key)}: unknown key; "
+                              f"expected one of {', '.join(allowed)}")
+    return value
 
 
 def _integer(value, key: str) -> int:
@@ -109,7 +128,9 @@ def _number(value, key: str) -> float:
     raise ConfigError(f"{key}: expected a number, got {value!r}")
 
 
-def _build_distribution(section: dict) -> Distribution:
+def _build_distribution(value) -> Distribution:
+    section = _section(value, "distribution", ("family", "alpha", "scale", "threshold",
+                                               "max-index", "atoms", "rows"))
     family = _need(section, "family", "distribution")
     try:
         if family == "pareto":
@@ -132,7 +153,8 @@ def _build_distribution(section: dict) -> Distribution:
     raise ConfigError(f"distribution.family: unknown family {family!r}")
 
 
-def _build_threshold_rule(section: dict, epsilon: float):
+def _build_threshold_rule(value, epsilon: float):
+    section = _section(value, "plan.threshold", ("rule", "exponent", "coefficient"))
     rule = _need(section, "rule", "plan.threshold")
     if rule == "power":
         return PowerThreshold(exponent=float(_need(section, "exponent", "plan.threshold")),
@@ -144,7 +166,8 @@ def _build_threshold_rule(section: dict, epsilon: float):
     raise ConfigError(f"plan.threshold.rule: unknown rule {rule!r}")
 
 
-def _build_summable(section: dict, where: str) -> SummableFunction:
+def _build_summable(value, where: str) -> SummableFunction:
+    section = _section(value, where, ("family", "param"))
     family = _need(section, "family", where)
     param = float(_need(section, "param", where))
     try:
@@ -153,7 +176,9 @@ def _build_summable(section: dict, where: str) -> SummableFunction:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _build_plan(section: dict, dist: Distribution, grid: tuple[int, ...]) -> TrimmingPlan:
+def _build_plan(value, dist: Distribution, grid: tuple[int, ...]) -> TrimmingPlan:
+    section = _section(value, "plan", ("rule", "epsilon", "threshold", "trim", "summable",
+                                       "summable-alt", "validate"))
     rule = _need(section, "rule", "plan")
     try:
         epsilon = float(_need(section, "epsilon", "plan"))
@@ -169,7 +194,7 @@ def _build_plan(section: dict, dist: Distribution, grid: tuple[int, ...]) -> Tri
             summable = _build_summable(_need(section, "summable", "plan"), "plan.summable")
             summable_alt = _build_summable(_need(section, "summable-alt", "plan"),
                                            "plan.summable-alt")
-            trim_section = _need(section, "trim", "plan")
+            trim_section = _section(_need(section, "trim", "plan"), "plan.trim", ("rule",))
             trim_name = _need(trim_section, "rule", "plan.trim")
             if trim_name == "standard":
                 trim_rule = StandardTrimRule(epsilon)
@@ -222,8 +247,11 @@ def parse_config(path: str | Path, *,
         ) from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
+    _section(raw, "", ("distribution", "plan", "experiment", "conditions", "budget",
+                       "output"))
 
-    exp = _need(raw, "experiment", "")
+    exp = _section(_need(raw, "experiment", ""), "experiment",
+                   ("checkpoints", "replications", "seed", "max-samples"))
     checkpoints = _integers(_need(exp, "checkpoints", "experiment"), "experiment.checkpoints")
     if n_max is not None:
         checkpoints = tuple(n for n in checkpoints if n <= n_max)
@@ -240,7 +268,7 @@ def parse_config(path: str | Path, *,
 
     dist = _build_distribution(_need(raw, "distribution", ""))
 
-    cond = raw.get("conditions", {})
+    cond = _section(raw.get("conditions", {}), "conditions", ("grid", "tolerance"))
     if "grid" in cond:
         condition_grid = _integers(cond["grid"], "conditions.grid")
         try:
@@ -251,7 +279,8 @@ def parse_config(path: str | Path, *,
         top = max(20_000, checkpoints[-1] if checkpoints else 20_000)
         condition_grid = geometric_grid(16, top, 12)
     tolerance = _number(cond.get("tolerance", 1e-2), "conditions.tolerance")
-    budget_eps = _number(raw.get("budget", {}).get("eps", 0.1), "budget.eps")
+    budget = _section(raw.get("budget", {}), "budget", ("eps",))
+    budget_eps = _number(budget.get("eps", 0.1), "budget.eps")
     if not budget_eps > 0.0:
         raise ConfigError(f"budget.eps: must be positive, got {budget_eps}")
 
@@ -269,8 +298,9 @@ def parse_config(path: str | Path, *,
     except ValueError as exc:
         raise ConfigError(f"experiment: {exc}") from exc
 
+    output = _section(raw.get("output", {}), "output", ("directory",))
     out = Path(out_dir) if out_dir is not None else Path(
-        raw.get("output", {}).get("directory", "heavytrim-out"))
+        output.get("directory", "heavytrim-out"))
     return RunSpec(
         config=config,
         condition_grid=condition_grid,
@@ -446,17 +476,7 @@ class RunManifest:
     failed: bool = False
 
     def to_json(self) -> str:
-        payload = {
-            "config_sha256": self.config_sha256,
-            "seed": self.seed,
-            "version": self.version,
-            "stage_seconds": self.stage_seconds,
-            "files": self.files,
-            "verdicts": self.verdicts,
-            "plan_warnings": list(self.plan_warnings),
-            "failed": self.failed,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
 def _sha256(path: Path) -> str:
@@ -539,9 +559,13 @@ def run(spec: RunSpec) -> RunManifest:
     return manifest
 
 
-def _cmd_run(args) -> int:
-    spec = parse_config(args.config, seed=args.seed, replications=args.replications,
+def _spec(args) -> RunSpec:
+    return parse_config(args.config, seed=args.seed, replications=args.replications,
                         n_max=args.nmax, out_dir=args.out_dir)
+
+
+def _cmd_run(args) -> int:
+    spec = _spec(args)
     manifest = run(spec)
     for cid, verdict in manifest.verdicts.items():
         marker = {"satisfied": "ok", "violated": "FAIL", "inconclusive": "warn"}[verdict]
@@ -553,9 +577,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    spec = parse_config(args.config, seed=args.seed, replications=args.replications,
-                        n_max=args.nmax, out_dir=args.out_dir)
-    _, reports = _condition_reports(spec)
+    _, reports = _condition_reports(_spec(args))
     print(format_condition_report(reports), end="")
     return 1 if any(r.verdict == "violated" for r in reports) else 0
 
@@ -607,6 +629,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"io error during {args.command}: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -72,7 +72,8 @@ _OFFSET = np.float64(2.0 ** 26).view(np.uint64)
 # bincount sums its float weights exactly while each bucket stays below
 # 2**53; an offset half is below 2**27, so any call with at most 2**26
 # entries is exact.  Longer arrays are bucketed, and paths drawn, in blocks
-# of this size, so that a block's temporaries stay in the L2 cache.  On a
+# of this size, so that a block's temporaries stay in the L2 cache; a
+# sampler sees one block at a time and needs no chunking of its own.  On a
 # 2-core shared host with 2 MiB of L2 per core, one 2**16-draw Pareto-1/2
 # chunk bucket-sums at ~18 ns/draw in 2**16 blocks, ~10 ns in 2**15 or
 # 2**14, ~12 ns in 2**13 and ~16 ns in 2**12; whole runs were fastest with
@@ -331,7 +332,6 @@ class AggregateSummary:
     truncated_quantiles: np.ndarray
     untrimmed_runmax_quantiles: np.ndarray
     sup_trimmed_deviation: np.ndarray   # per replication, over n >= min_n
-    min_n: int
     exceedance_violations: tuple[int, ...]   # per checkpoint
     median_trimmed_error: tuple[float, ...]  # per checkpoint
 
@@ -417,7 +417,6 @@ def aggregate(traces: Sequence[ConvergenceTrace], min_n: int | None = None) -> A
         truncated_quantiles=_quantiles(truncated),
         untrimmed_runmax_quantiles=_quantiles(runmax),
         sup_trimmed_deviation=np.max(np.abs(trimmed[:, cols] - 1.0), axis=1),
-        min_n=min_n,
         exceedance_violations=tuple(violations.tolist()),
         median_trimmed_error=tuple(np.median(np.abs(trimmed - 1.0), axis=0).tolist()),
     )

@@ -233,10 +233,6 @@ class PowerThreshold:
         if not self.coefficient > 0.0:
             raise TrimmingError(f"coefficient must be positive, got {self.coefficient}")
 
-    @property
-    def name(self) -> str:
-        return f"power(exponent={self.exponent}, coefficient={self.coefficient})"
-
     def log_threshold(self, dist: Distribution, n: int) -> float:
         return math.log(self.coefficient) + self.exponent * math.log(n)
 
@@ -254,10 +250,6 @@ class SquareStepThreshold:
     def __post_init__(self):
         if not 0.0 < self.epsilon < 0.25:
             raise TrimmingError(f"epsilon must lie in (0, 1/4), got {self.epsilon}")
-
-    @property
-    def name(self) -> str:
-        return f"square-step(epsilon={self.epsilon})"
 
     def index(self, n: int) -> int:
         k = math.floor(float(n) ** (0.25 - self.epsilon / 2.0))
@@ -280,10 +272,6 @@ class ProjectedPowerThreshold:
     def __post_init__(self):
         if not self.exponent > 0.0:
             raise TrimmingError(f"exponent must be positive, got {self.exponent}")
-
-    @property
-    def name(self) -> str:
-        return f"projected-power(exponent={self.exponent})"
 
     def log_threshold(self, dist: Distribution, n: int) -> float:
         z = self.exponent * math.log(n)
@@ -377,7 +365,6 @@ class TrimmingPlan:
     trim_rule: object
     summable: SummableFunction
     summable_alt: SummableFunction
-    label: str = ""
     warnings: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
@@ -438,16 +425,19 @@ def geometric_grid(start: int = 16, stop: int = 1_000_000, points: int = 10) -> 
 DEFAULT_VALIDATION_GRID = geometric_grid(16, 1_000_000, 10)
 
 
-def _validate_plan(plan: TrimmingPlan, table: Sequence[PlanPoint], *,
-                   require_trim_floor: bool) -> tuple[str, ...]:
+def _validated(plan: TrimmingPlan, grid: Sequence[int] | None, *,
+               require_trim_floor: bool) -> TrimmingPlan:
+    """Check the structural hypotheses on ``grid`` (default
+    ``DEFAULT_VALIDATION_GRID``) and attach the advisory warnings to ``plan``."""
+    table = plan.table(DEFAULT_VALIDATION_GRID if grid is None else grid)
     warnings: list[str] = []
     if not table:
-        return ()
+        return plan
     for p in table:
         if not plan.distribution.is_quantile_fixed_point(p.log_threshold):
             raise PlanError(
                 f"threshold at n = {p.n} is not a quantile fixed point of the law; "
-                f"rule {plan.threshold_rule.name} is inadmissible there")
+                f"rule {plan.threshold_rule!r} is inadmissible there")
     for p, q in zip(table, table[1:]):
         if q.log_threshold < p.log_threshold:
             raise PlanError(f"threshold decreases between n = {p.n} and n = {q.n}")
@@ -480,12 +470,13 @@ def _validate_plan(plan: TrimmingPlan, table: Sequence[PlanPoint], *,
                 raise PlanError(
                     f"trim count {p.trim} at n = {p.n} is below the exceedance "
                     f"floor {p.expect_gt + p.allowance_gt:.3f}")
-    return tuple(dict.fromkeys(warnings))
+    object.__setattr__(plan, "warnings", tuple(dict.fromkeys(warnings)))
+    return plan
 
 
 def plan_standard(dist: Distribution, threshold_rule, epsilon: float,
                   grid: Sequence[int] | None = None, *,
-                  trim_rule=None, label: str = "standard") -> TrimmingPlan:
+                  trim_rule=None) -> TrimmingPlan:
     """Plan with the explicit ceiling trim formula and fixed internal weights.
 
     The weight functions are pinned to power(9/8) for the allowance and
@@ -500,12 +491,8 @@ def plan_standard(dist: Distribution, threshold_rule, epsilon: float,
         trim_rule=trim_rule or StandardTrimRule(epsilon),
         summable=SummableFunction.power(9.0 / 8.0),
         summable_alt=SummableFunction.power(2.0),
-        label=label,
     )
-    g = DEFAULT_VALIDATION_GRID if grid is None else grid
-    w = _validate_plan(plan, plan.table(g), require_trim_floor=False)
-    object.__setattr__(plan, "warnings", w)
-    return plan
+    return _validated(plan, grid, require_trim_floor=False)
 
 
 def plan_default(dist: Distribution, epsilon: float,
@@ -514,13 +501,12 @@ def plan_default(dist: Distribution, epsilon: float,
     fixed points of the law, so the fixed-point hypothesis holds by
     construction for any law."""
     rule = ProjectedPowerThreshold(0.5 - 2.0 * epsilon)
-    return plan_standard(dist, rule, epsilon, grid, label="default")
+    return plan_standard(dist, rule, epsilon, grid)
 
 
 def plan_general(dist: Distribution, threshold_rule, trim_rule, epsilon: float,
                  summable: SummableFunction, summable_alt: SummableFunction,
-                 grid: Sequence[int] | None = None, *,
-                 label: str = "general") -> TrimmingPlan:
+                 grid: Sequence[int] | None = None) -> TrimmingPlan:
     """Fully caller-specified plan.
 
     Construction verifies the pointwise trim floor
@@ -536,12 +522,8 @@ def plan_general(dist: Distribution, threshold_rule, trim_rule, epsilon: float,
         trim_rule=trim_rule,
         summable=summable,
         summable_alt=summable_alt,
-        label=label,
     )
-    g = DEFAULT_VALIDATION_GRID if grid is None else grid
-    w = _validate_plan(plan, plan.table(g), require_trim_floor=True)
-    object.__setattr__(plan, "warnings", w)
-    return plan
+    return _validated(plan, grid, require_trim_floor=True)
 
 
 # --------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from heavytrim.bounds import BernsteinInput, bernstein_max_tail
+from heavytrim.bounds import bernstein_max_tail
 from heavytrim.distributions import ParetoTail, square_step
 from heavytrim.expcli import parse_config, run
 from heavytrim.montecarlo import (ExperimentConfig, aggregate,
@@ -116,11 +116,10 @@ def test_criterion_05_bernstein_dominance():
         for n in (10, 20):
             for dev in (1, Fraction(3, 2), 2, 3, 4):
                 exact = max_deviation_tail_exact((0, 1), (1 - p, p), n, dev)
-                bound = bernstein_max_tail(BernsteinInput(
+                bound = bernstein_max_tail(
                     deviation=float(dev),
                     variance=n * float(p) * (1.0 - float(p)),
-                    amplitude=float(max(p, 1 - p)),
-                    count=n))
+                    amplitude=float(max(p, 1 - p)))
                 cases += 1
                 if bound.raw > float(exact):
                     wins += 1
@@ -173,11 +172,10 @@ def test_criterion_08_exceedance_concentration(demo_run):
     j = CHECKPOINTS.index(100_000)
     violations = agg.exceedance_violations[j]
     point = config.plan.checkpoint(100_000)
-    bound = bernstein_max_tail(BernsteinInput(
+    bound = bernstein_max_tail(
         deviation=point.allowance_gt,
         variance=point.expect_gt,
-        amplitude=1.0,
-        count=100_000))
+        amplitude=1.0)
     consistent = bound.raw * len(traces) < 1e-2
     report(8, violations == 0 and consistent,
            f"count deviations beyond the allowance in 0/"

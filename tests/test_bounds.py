@@ -6,9 +6,8 @@ from typing import Sequence
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heavytrim.bounds import (BernsteinInput, BoundsError, ProbabilityBound,
-                              bernstein_max_tail, bernstein_relative,
-                              borel_cantelli_budget)
+from heavytrim.bounds import (BoundsError, ProbabilityBound, bernstein_max_tail,
+                              bernstein_relative, borel_cantelli_budget)
 from heavytrim.distributions import ParetoTail
 from heavytrim.trimming import (PowerThreshold, SummableFunction,
                                 geometric_grid, plan_standard)
@@ -43,14 +42,12 @@ def max_deviation_tail_enumerate(support: Sequence, probs: Sequence, n: int,
 class TestMaxTailBound:
     def test_hand_value(self):
         # 2 exp(-100 / (50 + 20/3)); the exponent is 30/17
-        b = bernstein_max_tail(BernsteinInput(deviation=10.0, variance=25.0,
-                                              amplitude=1.0, count=5))
+        b = bernstein_max_tail(deviation=10.0, variance=25.0, amplitude=1.0)
         assert b.raw == pytest.approx(2.0 * math.exp(-30.0 / 17.0), rel=1e-12)
         assert b.raw == pytest.approx(0.34247, abs=5e-5)
 
     def test_vacuous_at_tiny_deviation(self):
-        b = bernstein_max_tail(BernsteinInput(deviation=1e-12, variance=1.0,
-                                              amplitude=1.0))
+        b = bernstein_max_tail(deviation=1e-12, variance=1.0, amplitude=1.0)
         assert b.raw == pytest.approx(2.0, rel=1e-9)
         assert b.value == 1.0
 
@@ -65,16 +62,16 @@ class TestMaxTailBound:
     def test_monotone_decreasing_in_deviation(self, t1, t2):
         lo, hi = sorted((t1, t2))
         mk = lambda t: bernstein_max_tail(
-            BernsteinInput(deviation=t, variance=4.0, amplitude=1.0)).log_value
+            deviation=t, variance=4.0, amplitude=1.0).log_value
         assert mk(hi) <= mk(lo)
 
     def test_input_domain(self):
         with pytest.raises(BoundsError):
-            BernsteinInput(deviation=0.0, variance=1.0, amplitude=1.0)
+            bernstein_max_tail(deviation=0.0, variance=1.0, amplitude=1.0)
         with pytest.raises(BoundsError):
-            BernsteinInput(deviation=1.0, variance=-1.0, amplitude=1.0)
+            bernstein_max_tail(deviation=1.0, variance=-1.0, amplitude=1.0)
         with pytest.raises(BoundsError):
-            BernsteinInput(deviation=1.0, variance=1.0, amplitude=0.0)
+            bernstein_max_tail(deviation=1.0, variance=1.0, amplitude=0.0)
 
 
 class TestRelativeBound:
@@ -97,10 +94,10 @@ class TestRelativeBound:
         # same exponent; the relative form is that specialization
         for kappa, mean_total, upper in ((0.5, 40.0, 2.0), (2.0, 7.0, 1.0)):
             rel = bernstein_relative(kappa, mean_total, upper)
-            mt = bernstein_max_tail(BernsteinInput(
+            mt = bernstein_max_tail(
                 deviation=kappa * mean_total,
                 variance=upper * mean_total,
-                amplitude=upper))
+                amplitude=upper)
             assert rel.log_value == pytest.approx(mt.log_value, rel=1e-12)
 
     @given(v=st.floats(0.1, 10.0))
@@ -108,8 +105,8 @@ class TestRelativeBound:
     def test_dominates_max_tail_under_variance_cap(self, v):
         kappa, mean_total, upper = 1.0, 20.0, 2.0
         cap = upper * mean_total
-        mt = bernstein_max_tail(BernsteinInput(
-            deviation=kappa * mean_total, variance=min(v, cap), amplitude=upper))
+        mt = bernstein_max_tail(
+            deviation=kappa * mean_total, variance=min(v, cap), amplitude=upper)
         rel = bernstein_relative(kappa, mean_total, upper)
         assert rel.log_value >= mt.log_value - 1e-12
 
@@ -148,8 +145,8 @@ class TestExactOracle:
         for n in (10, 20):
             for dev in (1, 2, 3, 4, 6):
                 exact = max_deviation_tail_exact((0, 1), p, n, Fraction(dev))
-                bound = bernstein_max_tail(BernsteinInput(
-                    deviation=float(dev), variance=n * 0.25, amplitude=0.5))
+                bound = bernstein_max_tail(
+                    deviation=float(dev), variance=n * 0.25, amplitude=0.5)
                 assert bound.raw > float(exact)
 
     def test_probability_normalization_enforced(self):

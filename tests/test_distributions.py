@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from heavytrim import montecarlo
 from heavytrim.distributions import (Atom, AtomicStep, DistributionError, _ei,
                                      LogTail, ParetoTail, QuantileRangeError,
                                      Tabulated, UnboundedQuantileError,
-                                     _SAMPLE_CHUNK, point_mass, square_step)
+                                     point_mass, square_step)
 
 from conftest import scan_cdf, scan_quantile, step_atoms_exact
 
@@ -269,7 +270,8 @@ class TestSampling:
         # every level, its neighbours, and more than two chunks of draws
         edges = [v for f in d.fs for v in (math.nextafter(f, 0.0), f, math.nextafter(f, 1.0))
                  if 0.0 < v < 1.0]
-        draws = np.random.Generator(np.random.Philox(key=[5, 0])).random(3 * _SAMPLE_CHUNK + 5)
+        draws = np.random.Generator(np.random.Philox(key=[5, 0])).random(
+            3 * montecarlo._CHUNK + 5)
         u = np.concatenate([edges, [5e-324, 1.0 - 2.0 ** -53], draws])
         scalar = np.array([d.sample(float(v)) for v in u])
         assert np.isinf(scalar).any() == (d.total_mass < 1.0)
@@ -277,7 +279,7 @@ class TestSampling:
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, math.nan])
     def test_tabulated_vector_domain_enforced(self, mixed_table, bad):
-        u = np.full(_SAMPLE_CHUNK + 3, 0.5)
+        u = np.full(montecarlo._CHUNK + 3, 0.5)
         u[-1] = bad
         with pytest.raises(DistributionError):
             mixed_table.sample_array(u)

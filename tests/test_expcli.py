@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import heavytrim
+from heavytrim import expcli
 from heavytrim.distributions import AtomicStep, ParetoTail, Tabulated
 from heavytrim.expcli import (CONFIG_GRAMMAR, ConfigError, main, parse_config,
                               plot, run)
@@ -257,6 +258,32 @@ class TestMain:
         assert main(["run", str(p)]) == 2
         assert f"config error: {key}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("experiment", 5),
+        ("conditions", [1]),
+        ("plan.threshold", 0.8),
+        ("conditions.tolerence", 0.01),
+        ("distribution.scal", 2.0),
+        ("experiment.max_samples", 1000000),
+        ("budgett", {"eps": 0.1}),
+    ], ids=["experiment-number", "conditions-list", "threshold-number", "tolerance-typo",
+            "scale-typo", "max-samples-typo", "budget-typo"])
+    def test_config_shape_exit_two(self, tmp_path, capsys, key, value):
+        # a section that is not an object, or a key no section knows
+        p = write_config(tmp_path, {key: value})
+        for command in ("check", "run"):
+            assert main([command, str(p)]) == 2
+            assert f"config error: {key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_internal_error_exit_three(self, tmp_path, capsys, monkeypatch):
+        def crash(config):
+            raise OverflowError("integer division result too large for a float")
+        monkeypatch.setattr(expcli, "simulate", crash)
+        assert main(["run", str(write_config(tmp_path))]) == 3
+        assert capsys.readouterr().err == (
+            "internal error: OverflowError: integer division result too large for a float\n")
 
     @pytest.mark.parametrize("command", ["run", "check"])
     def test_unevaluable_condition_grid_exit_two(self, tmp_path, capsys, command):

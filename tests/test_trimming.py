@@ -215,6 +215,14 @@ class TestPlanStandardStep:
         with pytest.raises(PlanError, match="n = "):
             plan_standard(step, PowerThreshold(0.8), 0.05)
 
+    def test_duck_typed_rule_named_off_the_atoms(self, step):
+        class Custom:
+            def log_threshold(self, dist, n):
+                return math.log(3.0)
+
+        with pytest.raises(PlanError, match="rule <.*Custom object"):
+            plan_standard(step, Custom(), 0.05, geometric_grid(1000, 10 ** 6, 8))
+
 
 class TestPlanDefault:
     def test_continuous_law_gets_the_power_target(self, pareto):
