@@ -96,6 +96,33 @@ def _check_uniform(u: np.ndarray) -> None:
         raise DistributionError("uniform variates must lie in (0,1)")
 
 
+# Buckets of the guide table below; a power of two, so u * _GUIDE_SIZE is
+# exact and its floor is the bucket of u.
+_GUIDE_SIZE = 2 ** 12
+
+
+class _GuideIndex:
+    """``np.searchsorted(levels, u)`` for uniforms in (0, 1), in expected
+    constant time per draw: the guide table of Chen & Asau (1974), see
+    Devroye, Non-Uniform Random Variate Generation (1986), III.2.4.
+
+    ``guide[j]`` is the index shared by every u in the bucket
+    [j/M, (j+1)/M) when no level lies in it, and -1 otherwise; only draws
+    that land on -1 are searched.  Callers check the domain first.
+    """
+
+    def __init__(self, levels: Sequence[float]):
+        self.levels = np.array(levels)
+        first = [bisect.bisect_left(levels, j / _GUIDE_SIZE) for j in range(_GUIDE_SIZE + 1)]
+        self.guide = np.array([a if a == b else -1 for a, b in zip(first, first[1:])])
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        i = self.guide[(u * _GUIDE_SIZE).astype(np.intp)]
+        amb = i < 0
+        i[amb] = np.searchsorted(self.levels, u[amb])
+        return i
+
+
 class Distribution:
     """Base class; subclasses implement the exact functionals for one family."""
 
@@ -299,6 +326,8 @@ class AtomicStep(Distribution):
     _cum: tuple[float, ...] = field(repr=False)
     _xs: tuple[float, ...] = field(repr=False)
     _logs: tuple[float, ...] = field(repr=False)
+    _index: _GuideIndex = field(repr=False, compare=False)
+    _locations: np.ndarray = field(repr=False, compare=False)
 
     def __init__(self, atoms: Sequence[Atom | tuple[float, float]]):
         built = []
@@ -325,6 +354,8 @@ class AtomicStep(Distribution):
         object.__setattr__(self, "_cum", tuple(min(c, 1.0) for c in cum))
         object.__setattr__(self, "_xs", tuple(a.x for a in built))
         object.__setattr__(self, "_logs", tuple(a.log_x for a in built))
+        object.__setattr__(self, "_index", _GuideIndex(self._cum))
+        object.__setattr__(self, "_locations", np.array(self._xs + (math.inf,)))
 
     @property
     def support_min(self) -> float:
@@ -399,12 +430,9 @@ class AtomicStep(Distribution):
 
     def sample_array(self, u: np.ndarray) -> np.ndarray:
         _check_uniform(u)
-        cum = np.asarray(self._cum)
-        idx = np.searchsorted(cum, u, side="left")
-        # levels beyond the table, like atoms beyond the float range,
-        # surface as inf draws, matching the scalar sample() policy
-        xs = np.asarray(self._xs + (math.inf,))
-        return xs[np.minimum(idx, len(self._xs))]
+        # the index is the scalar bisect_left; levels beyond the table, like
+        # atoms beyond the float range, draw inf, as sample() does
+        return self._locations[self._index(u)]
 
 
 def _check_atom_mass(mass: float) -> None:
@@ -639,6 +667,7 @@ class Tabulated(Distribution):
     xs: tuple[float, ...]
     fs: tuple[float, ...]
     kinds: tuple[str, ...]
+    _index: _GuideIndex = field(repr=False, compare=False)
     _segments: tuple[np.ndarray, ...] = field(repr=False, compare=False)
 
     def __init__(self, rows: Sequence[tuple[float, float, str]]):
@@ -666,16 +695,17 @@ class Tabulated(Distribution):
         object.__setattr__(self, "fs", tuple(fs))
         object.__setattr__(self, "kinds", tuple(kinds))
         # sampling segment i holds the levels in (fs[i-1], fs[i]]; segment 0
-        # those up to fs[0] and the last one those beyond the table (inf
-        # draws).  A linear segment that is not flat ramps from x0 as
-        # x0 + (u - f0) * dx / df; every other one draws its breakpoint.
-        ramp = [0 < i < len(xs) and kinds[i] == "linear" and fs[i] != fs[i - 1]
-                for i in range(len(xs) + 1)]
+        # those up to fs[0] and the last one those beyond the table.  Each
+        # draws x0 + (u - f0) * dx / df: a linear segment that is not flat
+        # ramps from its left breakpoint, every other one holds
+        # (breakpoint, 0, 0, 1) and so draws its breakpoint exactly (inf
+        # beyond the table).
+        bounds = xs + [math.inf]
         coef = [(xs[i - 1], fs[i - 1], xs[i] - xs[i - 1], fs[i] - fs[i - 1])
-                if r else (0.0, 0.0, 0.0, 1.0) for i, r in enumerate(ramp)]
-        object.__setattr__(self, "_segments", (
-            np.array(fs), np.array(xs + [math.inf]), ~np.array(ramp),
-            *(np.array(c) for c in zip(*coef))))
+                if 0 < i < len(xs) and kinds[i] == "linear" and fs[i] != fs[i - 1]
+                else (bounds[i], 0.0, 0.0, 1.0) for i in range(len(bounds))]
+        object.__setattr__(self, "_index", _GuideIndex(fs))
+        object.__setattr__(self, "_segments", tuple(np.array(c) for c in zip(*coef)))
 
     @property
     def support_min(self) -> float:
@@ -758,14 +788,13 @@ class Tabulated(Distribution):
 
     def sample_array(self, u: np.ndarray) -> np.ndarray:
         _check_uniform(u)
-        levels, breakpoints, flat, x0, f0, dx, df = self._segments
-        i = np.searchsorted(levels, u)
+        x0, f0, dx, df = self._segments
+        i = self._index(u)
         # the scalar quantile's operation order, so draws match it bit for bit
         out = np.subtract(u, f0[i])
         out *= dx[i]
         out /= df[i]
         out += x0[i]
-        np.copyto(out, breakpoints[i], where=flat[i])
         return out
 
 

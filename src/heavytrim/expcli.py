@@ -157,19 +157,22 @@ def _build_threshold_rule(value, epsilon: float):
     section = _section(value, "plan.threshold", ("rule", "exponent", "coefficient"))
     rule = _need(section, "rule", "plan.threshold")
     if rule == "power":
-        return PowerThreshold(exponent=float(_need(section, "exponent", "plan.threshold")),
-                              coefficient=float(section.get("coefficient", 1.0)))
+        return PowerThreshold(
+            exponent=_number(_need(section, "exponent", "plan.threshold"),
+                             "plan.threshold.exponent"),
+            coefficient=_number(section.get("coefficient", 1.0), "plan.threshold.coefficient"))
     if rule == "square-step":
         return SquareStepThreshold(epsilon)
     if rule == "projected-power":
-        return ProjectedPowerThreshold(float(_need(section, "exponent", "plan.threshold")))
+        return ProjectedPowerThreshold(_number(_need(section, "exponent", "plan.threshold"),
+                                               "plan.threshold.exponent"))
     raise ConfigError(f"plan.threshold.rule: unknown rule {rule!r}")
 
 
 def _build_summable(value, where: str) -> SummableFunction:
     section = _section(value, where, ("family", "param"))
     family = _need(section, "family", where)
-    param = float(_need(section, "param", where))
+    param = _number(_need(section, "param", where), f"{where}.param")
     try:
         return SummableFunction(family, param)
     except ValueError as exc:
@@ -180,8 +183,11 @@ def _build_plan(value, dist: Distribution, grid: tuple[int, ...]) -> TrimmingPla
     section = _section(value, "plan", ("rule", "epsilon", "threshold", "trim", "summable",
                                        "summable-alt", "validate"))
     rule = _need(section, "rule", "plan")
+    validate = section.get("validate", True)
+    if not isinstance(validate, bool):
+        raise ConfigError(f"plan.validate: expected true or false, got {validate!r}")
     try:
-        epsilon = float(_need(section, "epsilon", "plan"))
+        epsilon = _number(_need(section, "epsilon", "plan"), "plan.epsilon")
         if not 0.0 < epsilon < 0.25:
             raise ConfigError(f"plan.epsilon: must lie in (0, 1/4), got {epsilon}")
         if rule == "default":
@@ -204,7 +210,7 @@ def _build_plan(value, dist: Distribution, grid: tuple[int, ...]) -> TrimmingPla
                 trim_rule = AllowanceTrimRule(epsilon, summable)
             else:
                 raise ConfigError(f"plan.trim.rule: unknown rule {trim_name!r}")
-            check_grid = grid if section.get("validate", True) else ()
+            check_grid = grid if validate else ()
             return plan_general(dist, t_rule, trim_rule, epsilon,
                                 summable, summable_alt, check_grid)
     except ConfigError:
@@ -299,8 +305,10 @@ def parse_config(path: str | Path, *,
         raise ConfigError(f"experiment: {exc}") from exc
 
     output = _section(raw.get("output", {}), "output", ("directory",))
-    out = Path(out_dir) if out_dir is not None else Path(
-        output.get("directory", "heavytrim-out"))
+    directory = output.get("directory", "heavytrim-out")
+    if not isinstance(directory, str):
+        raise ConfigError(f"output.directory: expected a path string, got {directory!r}")
+    out = Path(out_dir) if out_dir is not None else Path(directory)
     return RunSpec(
         config=config,
         condition_grid=condition_grid,

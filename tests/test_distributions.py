@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from heavytrim import montecarlo
+from heavytrim import distributions, montecarlo
 from heavytrim.distributions import (Atom, AtomicStep, DistributionError, _ei,
                                      LogTail, ParetoTail, QuantileRangeError,
                                      Tabulated, UnboundedQuantileError,
@@ -192,6 +192,32 @@ class TestTabulated:
         assert pm.sample(0.99) == 1.0
 
 
+# laws whose levels sit on guide-table bucket edges or crowd into one bucket
+_GUIDE_LAWS = {
+    "quarters": lambda: Tabulated([(float(k), k / 4, "jump") for k in range(1, 5)]),
+    "crowded": lambda: Tabulated([(float(k), 1.0 - 2.0 ** -k, "jump") for k in range(1, 53)]),
+    "square_step": square_step,
+    "partial_atoms": lambda: AtomicStep([(2.0, 0.5), (3.0, 0.25), (5.0, 0.125)]),
+}
+_LOOKUP_LAWS = ["mixed_table", "pm", "pareto_table", "partial_table", *_GUIDE_LAWS]
+
+
+def _law_and_levels(request, name):
+    d = _GUIDE_LAWS[name]() if name in _GUIDE_LAWS else request.getfixturevalue(name)
+    return d, np.array(d.fs if isinstance(d, Tabulated) else d._cum)
+
+
+def _edge_variates(levels):
+    # every level and guide-table bucket edge with their neighbours, the
+    # extreme variates, and more than three blocks of draws
+    m = distributions._GUIDE_SIZE
+    points = [*levels, *(j / m for j in range(m + 1))]
+    near = [v for p in points for v in (math.nextafter(p, 0.0), p, math.nextafter(p, 1.0))]
+    draws = np.random.Generator(np.random.Philox(key=[5, 0])).random(3 * montecarlo._CHUNK + 5)
+    u = np.concatenate([near, [5e-324, 1.0 - 2.0 ** -53], draws])
+    return u[(u > 0.0) & (u < 1.0)]
+
+
 class TestSampling:
     def test_scalar_examples(self, step, pareto):
         assert step.sample(0.5) == 2.0
@@ -264,18 +290,20 @@ class TestSampling:
         with pytest.raises(DistributionError):
             pareto.sample(1.0)
 
-    @pytest.mark.parametrize("law", ["mixed_table", "pm", "pareto_table", "partial_table"])
+    @pytest.mark.parametrize("law", _LOOKUP_LAWS)
     def test_tabulated_vector_is_scalar_bit_for_bit(self, request, law):
-        d = request.getfixturevalue(law)
-        # every level, its neighbours, and more than two chunks of draws
-        edges = [v for f in d.fs for v in (math.nextafter(f, 0.0), f, math.nextafter(f, 1.0))
-                 if 0.0 < v < 1.0]
-        draws = np.random.Generator(np.random.Philox(key=[5, 0])).random(
-            3 * montecarlo._CHUNK + 5)
-        u = np.concatenate([edges, [5e-324, 1.0 - 2.0 ** -53], draws])
+        # tabulated and atomic laws alike
+        d, levels = _law_and_levels(request, law)
+        u = _edge_variates(levels)
         scalar = np.array([d.sample(float(v)) for v in u])
         assert np.isinf(scalar).any() == (d.total_mass < 1.0)
         assert np.array_equal(d.sample_array(u).view(np.uint64), scalar.view(np.uint64))
+
+    @pytest.mark.parametrize("law", _LOOKUP_LAWS)
+    def test_guide_index_is_searchsorted(self, request, law):
+        d, levels = _law_and_levels(request, law)
+        u = _edge_variates(levels)
+        assert np.array_equal(d._index(u), np.searchsorted(levels, u))
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, math.nan])
     def test_tabulated_vector_domain_enforced(self, mixed_table, bad):

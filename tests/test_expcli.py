@@ -277,6 +277,31 @@ class TestMain:
             assert f"config error: {key}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("plan.epsilon", [0.05]),
+        ("plan.threshold.exponent", [0.8]),
+        ("plan.threshold.coefficient", [1.0]),
+        ("plan.summable.param", [2.0]),
+        ("plan.summable-alt.param", None),
+        ("plan.validate", "false"),
+        ("output.directory", 5),
+    ], ids=["epsilon", "exponent", "coefficient", "summable", "summable-alt", "validate",
+            "directory"])
+    def test_wrong_type_exit_two(self, tmp_path, capsys, key, value):
+        # a value of the wrong JSON type names its key; "false" is not false
+        power = {"family": "power", "param": 2.0}
+        p = write_config(tmp_path, {
+            "plan": {"rule": "general", "epsilon": 0.05, "validate": False,
+                     "threshold": {"rule": "power", "exponent": 0.8},
+                     "trim": {"rule": "standard"},
+                     "summable": power, "summable-alt": dict(power)},
+            key: value,
+        })
+        for command in ("check", "run"):
+            assert main([command, str(p)]) == 2
+            assert f"config error: {key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_internal_error_exit_three(self, tmp_path, capsys, monkeypatch):
         def crash(config):
             raise OverflowError("integer division result too large for a float")
