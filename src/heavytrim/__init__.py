@@ -23,8 +23,7 @@ from .trimming import (AllowanceTrimRule, ConditionReport, PlanError,
 from .bounds import (BoundsError, ProbabilityBound, bernstein_max_tail,
                      bernstein_relative, borel_cantelli_budget)
 from .montecarlo import (ConvergenceTrace, ExperimentConfig, MonteCarloError,
-                         aggregate, dichotomy_summary, exceedance_counts,
-                         run_replication, sample_mean_instability, simulate,
+                         aggregate, exceedance_counts, run_replication, simulate,
                          trimmed_sum, truncated_sum)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .trimming import PlanPoint, TrimmingPlan
+from .trimming import PlanPoint
 
 __all__ = [
     "ProbabilityBound",
@@ -34,9 +34,8 @@ class BoundsError(ValueError):
 class ProbabilityBound:
     """A probability bound stored as the natural log of its raw value.
 
-    ``raw`` may exceed 1 (a vacuous bound); ``value`` clamps to [0, 1]
-    for reporting.  ``log10`` stays finite far below the smallest
-    positive float.
+    ``raw`` may exceed 1 (a vacuous bound); ``log10`` stays finite far
+    below the smallest positive float.
     """
 
     log_value: float
@@ -44,10 +43,6 @@ class ProbabilityBound:
     @property
     def raw(self) -> float:
         return math.exp(self.log_value)
-
-    @property
-    def value(self) -> float:
-        return min(1.0, self.raw)
 
     @property
     def log10(self) -> float:
@@ -106,7 +101,6 @@ class BudgetRow:
     exponent_arg: float       # (3 eps^2 / (6 + 2 eps)) * scale(n) / threshold(n)
     log10_summand: float
     partial_sum: float
-    within_budget: bool       # summand <= 1 / summable(n)
 
 
 @dataclass(frozen=True)
@@ -114,25 +108,18 @@ class BudgetTable:
     epsilon: float
     rows: tuple[BudgetRow, ...]
 
-    def tail_within_budget(self, tail: int = 2) -> bool:
-        """Whether the last ``tail`` rows obey the pointwise budget."""
-        return all(r.within_budget for r in self.rows[-tail:])
-
     def csv_rows(self):
         yield ("n", "exponent_arg", "log10_summand", "partial_sum")
         for r in self.rows:
             yield (r.n, repr(r.exponent_arg), repr(r.log10_summand), repr(r.partial_sum))
 
 
-def borel_cantelli_budget(plan: TrimmingPlan, eps: float,
-                          table: Sequence[PlanPoint]) -> BudgetTable:
+def borel_cantelli_budget(eps: float, table: Sequence[PlanPoint]) -> BudgetTable:
     """Deviation budget making truncated-sum deviations summable.
 
-    For each point of ``table`` (``plan.table(grid)``) tabulates the
+    For each point of ``table`` (a plan's ``table(grid)``) tabulates the
     exponent argument ``(3 eps^2/(6+2 eps)) * d(n)/t(n)``, the log10 of
-    the resulting summand ``exp(-arg)``, the running partial sum, and
-    whether the summand is pointwise below ``1/summable(n)``, i.e. whether
-    the exponent argument has caught up with ``log summable(n)``.
+    the resulting summand ``exp(-arg)`` and the running partial sum.
     """
     coef = _relative_rate(eps)
     rows = []
@@ -146,6 +133,5 @@ def borel_cantelli_budget(plan: TrimmingPlan, eps: float,
             exponent_arg=arg,
             log10_summand=-arg / _LN10,
             partial_sum=running,
-            within_budget=arg >= plan.summable.log_value(p.n),
         ))
     return BudgetTable(epsilon=eps, rows=tuple(rows))

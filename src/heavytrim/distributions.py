@@ -226,50 +226,9 @@ class Distribution:
 
     # diagnostics --------------------------------------------------------
 
-    @property
-    def support_min(self) -> float:
-        raise NotImplementedError
-
     def atom_free_tail_start(self) -> float | None:
         """Smallest kappa with no atoms on [kappa, inf), or None if atoms persist."""
         raise NotImplementedError
-
-    def has_unbounded_moment(self, levels: int = 12, growth_factor: float = 100.0) -> float | bool:
-        """Heuristic check that the first moment is infinite.
-
-        Walks the truncated moment along quantiles of levels 1 - 4**-i and
-        requires strict growth with total factor >= ``growth_factor``.  A
-        growth check is not a proof; laws that plateau within the
-        examined range are reported as bounded even if the true moment
-        diverges far beyond it.
-        """
-        moments = []
-        for i in range(1, levels + 1):
-            try:
-                t = self.quantile(1.0 - 4.0 ** (-i))
-            except QuantileRangeError:
-                break
-            m = self.truncated_moment(t)
-            if moments and m <= moments[-1]:
-                return False
-            moments.append(m)
-        if len(moments) < 3 or moments[0] <= 0.0:
-            return False
-        return moments[-1] / moments[0] >= growth_factor
-
-    def validate_on_grid(self, xs: Sequence[float]) -> None:
-        """Assert F is nondecreasing, within [0,1] and right-continuous on a grid."""
-        prev = 0.0
-        for x in sorted(xs):
-            v = self.cdf(x)
-            if not 0.0 <= v <= 1.0:
-                raise DistributionError(f"cdf({x}) = {v} outside [0,1]")
-            if v < prev - 1e-15:
-                raise DistributionError(f"cdf decreasing at x = {x}")
-            lv = self.cdf_left(x)
-            if lv > v + 1e-15:
-                raise DistributionError(f"cdf_left({x}) exceeds cdf({x})")
-            prev = v
 
 
 @dataclass(frozen=True)
@@ -356,10 +315,6 @@ class AtomicStep(Distribution):
         object.__setattr__(self, "_logs", tuple(a.log_x for a in built))
         object.__setattr__(self, "_index", _GuideIndex(self._cum))
         object.__setattr__(self, "_locations", np.array(self._xs + (math.inf,)))
-
-    @property
-    def support_min(self) -> float:
-        return self.atoms[0].x
 
     @property
     def total_mass(self) -> float:
@@ -476,10 +431,6 @@ class ParetoTail(Distribution):
         if not self.scale > 0.0:
             raise DistributionError(f"scale must be positive, got {self.scale}")
 
-    @property
-    def support_min(self) -> float:
-        return self.scale
-
     def atom_free_tail_start(self) -> float | None:
         return self.scale
 
@@ -570,10 +521,6 @@ class LogTail(Distribution):
         if self.threshold < math.e:
             raise DistributionError(
                 f"threshold must be at least e = {math.e:.6f}, got {self.threshold}")
-
-    @property
-    def support_min(self) -> float:
-        return self.threshold
 
     def atom_free_tail_start(self) -> float | None:
         return math.nextafter(self.threshold, math.inf)
@@ -706,10 +653,6 @@ class Tabulated(Distribution):
                 else (bounds[i], 0.0, 0.0, 1.0) for i in range(len(bounds))]
         object.__setattr__(self, "_index", _GuideIndex(fs))
         object.__setattr__(self, "_segments", tuple(np.array(c) for c in zip(*coef)))
-
-    @property
-    def support_min(self) -> float:
-        return self.xs[0]
 
     @property
     def total_mass(self) -> float:

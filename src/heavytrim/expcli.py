@@ -128,24 +128,34 @@ def _number(value, key: str) -> float:
     raise ConfigError(f"{key}: expected a number, got {value!r}")
 
 
+def _string(value, key: str) -> str:
+    if isinstance(value, str):
+        return value
+    raise ConfigError(f"{key}: expected a string, got {value!r}")
+
+
 def _build_distribution(value) -> Distribution:
     section = _section(value, "distribution", ("family", "alpha", "scale", "threshold",
                                                "max-index", "atoms", "rows"))
     family = _need(section, "family", "distribution")
     try:
         if family == "pareto":
-            return ParetoTail(alpha=float(_need(section, "alpha", "distribution")),
-                              scale=float(section.get("scale", 1.0)))
+            return ParetoTail(
+                alpha=_number(_need(section, "alpha", "distribution"), "distribution.alpha"),
+                scale=_number(section.get("scale", 1.0), "distribution.scale"))
         if family == "log-tail":
-            return LogTail(threshold=float(section.get("threshold", math.e)))
+            return LogTail(threshold=_number(section.get("threshold", math.e),
+                                             "distribution.threshold"))
         if family == "square-step":
-            return square_step(int(section.get("max-index", 128)))
+            return square_step(_integer(section.get("max-index", 128), "distribution.max-index"))
         if family == "atomic-step":
-            atoms = _need(section, "atoms", "distribution")
-            return AtomicStep([(float(x), float(m)) for x, m in atoms])
+            key = "distribution.atoms"
+            return AtomicStep([(_number(x, key), _number(m, key))
+                               for x, m in _need(section, "atoms", "distribution")])
         if family == "tabulated":
-            rows = _need(section, "rows", "distribution")
-            return Tabulated([(float(x), float(f), str(kind)) for x, f, kind in rows])
+            key = "distribution.rows"
+            return Tabulated([(_number(x, key), _number(f, key), _string(kind, key))
+                              for x, f, kind in _need(section, "rows", "distribution")])
     except ConfigError:
         raise
     except (ValueError, TypeError) as exc:
@@ -305,9 +315,7 @@ def parse_config(path: str | Path, *,
         raise ConfigError(f"experiment: {exc}") from exc
 
     output = _section(raw.get("output", {}), "output", ("directory",))
-    directory = output.get("directory", "heavytrim-out")
-    if not isinstance(directory, str):
-        raise ConfigError(f"output.directory: expected a path string, got {directory!r}")
+    directory = _string(output.get("directory", "heavytrim-out"), "output.directory")
     out = Path(out_dir) if out_dir is not None else Path(directory)
     return RunSpec(
         config=config,
@@ -400,17 +408,23 @@ def _svg_doc(title: str, frame: _Frame, body: list[str], x_label: str, y_label: 
 
 
 def _read_aggregate_csv(path: Path) -> dict[str, list[float]]:
-    lines = path.read_text().splitlines()
+    try:
+        lines = path.read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     if len(lines) < 2:
         raise ConfigError(f"{path}: aggregate CSV has no data rows")
     header = lines[0].split(",")
     cols: dict[str, list[float]] = {h: [] for h in header}
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
         if len(cells) != len(header):
-            raise ConfigError(f"{path}: malformed CSV row: {line!r}")
+            raise ConfigError(f"{path}: line {lineno}: malformed CSV row: {line!r}")
         for h, c in zip(header, cells):
-            cols[h].append(float(c))
+            try:
+                cols[h].append(float(c))
+            except ValueError:
+                raise ConfigError(f"{path}: line {lineno}: {h} is not a number: {c!r}") from None
     return cols
 
 
@@ -419,11 +433,10 @@ def plot(aggregate_csv: str | Path, out_dir: str | Path) -> list[Path]:
 
     A pure function of the CSV bytes: identical input produces identical
     SVG output.  Single-replication aggregates collapse the band into the
-    median line and only the line is drawn.
+    median line and only the line is drawn.  The CSV is read and checked
+    before ``out_dir`` is made, so a malformed one leaves nothing behind.
     """
     aggregate_csv = Path(aggregate_csv)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     cols = _read_aggregate_csv(aggregate_csv)
     try:
         ns = cols["n"]
@@ -435,6 +448,11 @@ def plot(aggregate_csv: str | Path, out_dir: str | Path) -> list[Path]:
         rm_lo, rm_hi = cols["untrimmed_runmax_q05"], cols["untrimmed_runmax_q95"]
     except KeyError as exc:
         raise ConfigError(f"{aggregate_csv}: missing column {exc}") from exc
+    for lineno, n in enumerate(ns, start=2):
+        if not n > 0:  # plotted as log10 n
+            raise ConfigError(f"{aggregate_csv}: line {lineno}: n must be positive, got {n!r}")
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     xs = [math.log10(n) for n in ns]
     single = reps <= 1
 
@@ -539,7 +557,7 @@ def run(spec: RunSpec) -> RunManifest:
     manifest.stage_seconds["conditions"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    budget = borel_cantelli_budget(spec.config.plan, spec.budget_eps, table)
+    budget = borel_cantelli_budget(spec.budget_eps, table)
     _write_csv(out / "budget.csv", budget.csv_rows())
     manifest.stage_seconds["budget"] = time.perf_counter() - t0
 

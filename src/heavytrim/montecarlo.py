@@ -15,7 +15,9 @@ and the ``max b(n)`` largest draws.
 Plan values (``t(n)``, ``d(n)``, ``b(n)``, the expected exceedances and
 their allowance) depend on n alone, so they live once per experiment in
 ``ExperimentConfig.points``; a trace row holds only what its path
-produced, and every consumer pairs it with that table.
+produced, and every consumer pairs it with that table.  Aggregation
+keeps what the artifacts show: per-checkpoint quantiles of the two
+ratios and of the raw sum's running max over its scale.
 
 Samples whose true value exceeds the float range surface as ``inf``;
 S_n is then ``inf`` however large its finite part, and any sufficient
@@ -47,10 +49,6 @@ __all__ = [
     "simulate",
     "aggregate",
     "AggregateSummary",
-    "dichotomy_summary",
-    "DichotomySummary",
-    "sample_mean_instability",
-    "InstabilityTable",
     "trace_csv_rows",
     "MonteCarloError",
 ]
@@ -323,7 +321,7 @@ def simulate(config: ExperimentConfig) -> tuple[ConvergenceTrace, ...]:
 
 @dataclass(frozen=True)
 class AggregateSummary:
-    """Per-checkpoint quantiles and per-replication deviation summaries."""
+    """Per-checkpoint quantiles over replications and exceedance violation counts."""
 
     checkpoints: tuple[int, ...]
     replications: int
@@ -331,9 +329,7 @@ class AggregateSummary:
     trimmed_quantiles: np.ndarray       # (levels, checkpoints)
     truncated_quantiles: np.ndarray
     untrimmed_runmax_quantiles: np.ndarray
-    sup_trimmed_deviation: np.ndarray   # per replication, over n >= min_n
     exceedance_violations: tuple[int, ...]   # per checkpoint
-    median_trimmed_error: tuple[float, ...]  # per checkpoint
 
     def csv_rows(self) -> Iterable[tuple]:
         header = ["n"]
@@ -388,120 +384,30 @@ def _quantiles(matrix: np.ndarray) -> np.ndarray:
     return np.where(keep, interpolated, carried)
 
 
-def aggregate(traces: Sequence[ConvergenceTrace], min_n: int | None = None) -> AggregateSummary:
+def aggregate(traces: Sequence[ConvergenceTrace]) -> AggregateSummary:
     """Summarize traces of one experiment.
 
-    Also counts, per checkpoint, how many replications saw the strict
-    exceedance count stray from its expectation by at least the
-    fluctuation allowance; the concentration statements predict a
-    summably rare event.
+    Per checkpoint, takes quantiles over replications of the trimmed and
+    truncated ratios and of the raw sum's running max over its scale, and
+    counts how many replications saw the strict exceedance count stray
+    from its expectation by at least the fluctuation allowance; the
+    concentration statements predict a summably rare event.
     """
     config = _experiment(traces)
-    grid = config.checkpoints
-    min_n = grid[0] if min_n is None else int(min_n)
-    cols = [j for j, n in enumerate(grid) if n >= min_n]
-    if not cols:
-        raise MonteCarloError(f"no checkpoints at or above min_n = {min_n}")
-    trimmed = _matrix(traces, "ratio_trimmed")
-    truncated = _matrix(traces, "ratio_truncated")
-    runmax = dichotomy_summary(traces).running_max
+    scale = np.array([p.scale for p in config.points])
+    runmax = np.maximum.accumulate(_matrix(traces, "untrimmed") / scale, axis=1)
     expect_gt = np.array([p.expect_gt for p in config.points])
     allowance_gt = np.array([p.allowance_gt for p in config.points])
     violations = np.count_nonzero(
         np.abs(expect_gt - _matrix(traces, "count_gt")) >= allowance_gt, axis=0)
     return AggregateSummary(
-        checkpoints=grid,
+        checkpoints=config.checkpoints,
         replications=len(traces),
         quantile_levels=RATIO_QUANTILES,
-        trimmed_quantiles=_quantiles(trimmed),
-        truncated_quantiles=_quantiles(truncated),
+        trimmed_quantiles=_quantiles(_matrix(traces, "ratio_trimmed")),
+        truncated_quantiles=_quantiles(_matrix(traces, "ratio_truncated")),
         untrimmed_runmax_quantiles=_quantiles(runmax),
-        sup_trimmed_deviation=np.max(np.abs(trimmed[:, cols] - 1.0), axis=1),
         exceedance_violations=tuple(violations.tolist()),
-        median_trimmed_error=tuple(np.median(np.abs(trimmed - 1.0), axis=0).tolist()),
-    )
-
-
-# --------------------------------------------------------------------------
-# diagnostics
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DichotomySummary:
-    """Running extrema of the raw-sum-to-scale ratio along each path."""
-
-    checkpoints: tuple[int, ...]
-    running_max: np.ndarray     # (replications, checkpoints)
-    running_min: np.ndarray
-    growth_factors: np.ndarray  # runmax at last checkpoint / ratio at first
-    growth_threshold: float
-
-    @property
-    def fraction_growing(self) -> float:
-        return float(np.mean(self.growth_factors >= self.growth_threshold))
-
-
-def dichotomy_summary(traces: Sequence[ConvergenceTrace],
-                      growth_threshold: float = 10.0) -> DichotomySummary:
-    config = _experiment(traces)
-    ratios = _matrix(traces, "untrimmed") / np.array([p.scale for p in config.points])
-    runmax = np.maximum.accumulate(ratios, axis=1)
-    runmin = np.minimum.accumulate(ratios, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        growth = runmax[:, -1] / ratios[:, 0]
-    return DichotomySummary(
-        checkpoints=config.checkpoints,
-        running_max=runmax,
-        running_min=runmin,
-        growth_factors=growth,
-        growth_threshold=growth_threshold,
-    )
-
-
-@dataclass(frozen=True)
-class InstabilityTable:
-    """Empirical means of the trimmed sum across replication counts."""
-
-    sample_size: int
-    trim: int
-    level_means: tuple[tuple[int, float], ...]
-    spread: float               # max level mean / min level mean
-    threshold: float
-    flagged_unstable: bool
-
-
-def sample_mean_instability(config: ExperimentConfig,
-                            r_levels: Sequence[int] = (100, 1000, 10000),
-                            sample_size: int | None = None,
-                            threshold: float = 1.5) -> InstabilityTable:
-    """Tabulate the empirical mean of the trimmed sum for growing R.
-
-    A law whose trimmed sum has infinite expectation can never stabilize
-    these means in principle; whether the drift is visible at desk scale
-    depends on how hard the trim suppresses the extreme records, so the
-    spread is reported rather than asserted.  Replication batches are
-    nested: the mean at each level reuses all draws of the smaller ones.
-    """
-    levels = sorted(set(int(r) for r in r_levels))
-    if levels[0] < 1:
-        raise MonteCarloError("replication levels must be positive")
-    n = int(sample_size) if sample_size else min(10_000, config.n_max)
-    point = config.plan.checkpoint(n)
-    sums = []
-    for rep in range(levels[-1]):
-        rng = np.random.Generator(np.random.Philox(key=[config.seed, rep]))
-        x = config.distribution.sample_array(rng.random(n))
-        sums.append(trimmed_sum(x, point.trim))
-    means = tuple((lvl, _rounded(_buckets(sums[:lvl])) / lvl) for lvl in levels)
-    vals = [m for _, m in means]
-    spread = max(vals) / min(vals) if min(vals) > 0.0 else math.inf
-    return InstabilityTable(
-        sample_size=n,
-        trim=point.trim,
-        level_means=means,
-        spread=spread,
-        threshold=threshold,
-        flagged_unstable=spread > threshold,
     )
 
 

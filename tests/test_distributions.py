@@ -51,7 +51,7 @@ class TestParetoForms:
 
     def test_quantile_inverts_survival(self, pareto):
         assert pareto.quantile(0.75) == pytest.approx(16.0, rel=1e-14)
-        assert pareto.quantile(0.0) == pareto.support_min
+        assert pareto.quantile(0.0) == pareto.scale
 
     def test_truncated_moment_closed_form_vs_quadrature(self, pareto):
         for t in [2.0, 4.0, 16.0, 100.0]:
@@ -352,7 +352,7 @@ class TestOrderProperties:
         assert d.cdf(q) >= y - 1e-12
         below = q * (1.0 - 1e-9)
         if below < q:
-            assert d.cdf(below) < y or below < d.support_min
+            assert d.cdf(below) < y or below < d.quantile(0.0)
 
     def test_galois_on_step_atoms(self, step):
         atoms = step_atoms_exact(5)
@@ -429,17 +429,6 @@ class TestLogTwins:
         assert logtail.is_quantile_fixed_point(math.log(5.0))
 
 
-class TestInfiniteMeanHeuristic:
-    def test_heavy_laws_flagged_unbounded(self, step, pareto, logtail):
-        assert step.has_unbounded_moment()
-        assert pareto.has_unbounded_moment()
-        assert logtail.has_unbounded_moment()
-
-    def test_finite_mean_laws_flagged_bounded(self, pm, mixed_table):
-        assert not pm.has_unbounded_moment()
-        assert not mixed_table.has_unbounded_moment()
-
-
 class TestConstruction:
     def test_atom_validation(self):
         with pytest.raises(DistributionError):
@@ -464,6 +453,10 @@ class TestConstruction:
             square_step(max_index=1)
 
     def test_grid_validation_passes(self, step, pareto, logtail, mixed_table):
-        xs = list(np.geomspace(0.5, 1e8, 60))
+        # F is nondecreasing, within [0, 1] and at least its left limit on a grid
+        xs = np.geomspace(0.5, 1e8, 60)
         for d in (step, pareto, logtail, mixed_table):
-            d.validate_on_grid(xs)
+            values = [d.cdf(x) for x in xs]
+            assert all(0.0 <= v <= 1.0 for v in values)
+            assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
+            assert all(d.cdf_left(x) <= v + 1e-15 for x, v in zip(xs, values))

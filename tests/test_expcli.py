@@ -216,6 +216,20 @@ class TestPlot:
         bad.write_text("n,trimmed_q50\n10,0.5,99\n")
         with pytest.raises(ConfigError):
             plot(bad, tmp_path)
+        # checked before the output directory is made
+        full = ("n,replications,trimmed_q05,trimmed_q50,trimmed_q95,truncated_q50,"
+                "untrimmed_runmax_q05,untrimmed_runmax_q50,untrimmed_runmax_q95\n")
+        for text, match in [("n,trimmed_q50\n1000,0.5\n1000,abc\n", "line 3: trimmed_q50"),
+                            ("n,trimmed_q50\n1000,0.5\n", "missing column"),
+                            (full + "0,4,1,1,1,1,1,1,1\n", "line 2: n must be positive")]:
+            bad.write_text(text)
+            with pytest.raises(ConfigError, match=match):
+                plot(bad, tmp_path / "plots")
+            assert not (tmp_path / "plots").exists()
+        bad.write_bytes(b"n\n\xff\n")
+        with pytest.raises(ConfigError, match="not UTF-8"):
+            plot(bad, tmp_path / "plots")
+        assert not (tmp_path / "plots").exists()
 
 
 class TestMain:
@@ -285,22 +299,43 @@ class TestMain:
         ("plan.summable-alt.param", None),
         ("plan.validate", "false"),
         ("output.directory", 5),
+        ("distribution.alpha", "0.5"),
+        ("distribution.scale", "1.0"),
+        ("distribution.threshold", "3.0"),
+        ("distribution.max-index", 40.9),
+        ("distribution.max-index", True),
+        ("distribution.atoms", [["2", 0.5], [8.0, 0.5]]),
+        ("distribution.rows", [[1.0, "0", "linear"], [4.0, 1.0, "linear"]]),
+        ("distribution.rows", [[1.0, 0.0, "linear"], [4.0, 1.0, 5]]),
     ], ids=["epsilon", "exponent", "coefficient", "summable", "summable-alt", "validate",
-            "directory"])
+            "directory", "alpha", "scale", "log-tail-threshold", "max-index-fraction",
+            "max-index-bool", "atom", "row", "row-kind"])
     def test_wrong_type_exit_two(self, tmp_path, capsys, key, value):
         # a value of the wrong JSON type names its key; "false" is not false
         power = {"family": "power", "param": 2.0}
+        family = {"distribution.threshold": "log-tail", "distribution.max-index": "square-step",
+                  "distribution.atoms": "atomic-step", "distribution.rows": "tabulated"}
         p = write_config(tmp_path, {
             "plan": {"rule": "general", "epsilon": 0.05, "validate": False,
                      "threshold": {"rule": "power", "exponent": 0.8},
                      "trim": {"rule": "standard"},
                      "summable": power, "summable-alt": dict(power)},
+            "distribution.family": family.get(key, "pareto"),
             key: value,
         })
         for command in ("check", "run"):
             assert main([command, str(p)]) == 2
             assert f"config error: {key}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", ["n,trimmed_q50\n1000,abc\n", "n,trimmed_q50\n1000,0.5\n"],
+                             ids=["not-a-number", "missing-column"])
+    def test_malformed_csv_plot_exit_two(self, tmp_path, capsys, text):
+        bad = tmp_path / "aggregate.csv"
+        bad.write_text(text)
+        assert main(["plot", str(bad), "--out-dir", str(tmp_path / "plots")]) == 2
+        assert f"config error: {bad}" in capsys.readouterr().err
+        assert not (tmp_path / "plots").exists()
 
     def test_internal_error_exit_three(self, tmp_path, capsys, monkeypatch):
         def crash(config):
