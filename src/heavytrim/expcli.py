@@ -124,7 +124,10 @@ def _integers(values, key: str) -> tuple[int, ...]:
 
 def _number(value, key: str) -> float:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{key}: integer beyond the float range") from None
     raise ConfigError(f"{key}: expected a number, got {value!r}")
 
 
@@ -261,6 +264,8 @@ def parse_config(path: str | Path, *,
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # not UTF-8, or an integer beyond int's digit limit
+        raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
     _section(raw, "", ("distribution", "plan", "experiment", "conditions", "budget",

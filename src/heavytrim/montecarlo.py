@@ -67,43 +67,56 @@ _KEYS = 4096
 # the float 2**26 + half exactly, so bit operations make the weights.
 _HIGH26 = np.uint64(((1 << 26) - 1) << 26)
 _OFFSET = np.float64(2.0 ** 26).view(np.uint64)
-# bincount sums its float weights exactly while each bucket stays below
-# 2**53; an offset half is below 2**27, so any call with at most 2**26
-# entries is exact.  Longer arrays are bucketed, and paths drawn, in blocks
-# of this size, so that a block's temporaries stay in the L2 cache; a
-# sampler sees one block at a time and needs no chunking of its own.  On a
-# 2-core shared host with 2 MiB of L2 per core, one 2**16-draw Pareto-1/2
+# bincount sums float weights exactly while each bucket stays below 2**53;
+# an offset half is below 2**27, so a float64 accumulator is exact for
+# _FLUSH = 2**26 entries.  A path's accumulator is flushed into its int64
+# form at each checkpoint and every _FLUSH draws (whole blocks) between.
+# Arrays are bucketed, and paths drawn, in blocks of _CHUNK so that a
+# block's temporaries stay in L2; a sampler sees one block at a time.  On a
+# 2-core shared host with 2 MiB of L2 per core, a 2**16-draw Pareto-1/2
 # chunk bucket-sums at ~18 ns/draw in 2**16 blocks, ~10 ns in 2**15 or
 # 2**14, ~12 ns in 2**13 and ~16 ns in 2**12; whole runs were fastest with
 # 2**14 or 2**15 and used least memory with 2**13.
-_CHUNK = 1 << 14
+_FLUSH, _CHUNK = 1 << 26, 1 << 14
 
 
-def _buckets(values: np.ndarray) -> np.ndarray:
-    """Exact integer form of the sum of a float64 array, shape (3, 4096).
-
-    Per sign-and-exponent key, the rows hold the entry count and the sums
-    of the high and of the low 26 fraction bits.  The form is additive:
-    the form of a union of arrays is the sum of their forms, so a prefix
-    is accumulated segment by segment and a subset is subtracted exactly.
-    """
+def _accumulate(acc: np.ndarray, values: np.ndarray) -> None:
+    """Add ``values`` into a float64 (3, 4096) accumulator of :func:`_buckets`
+    rows, whose fraction halves carry 2**26 each; exact up to ``_FLUSH`` entries."""
     bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
-    out = np.zeros((3, _KEYS), dtype=np.int64)
     halves = np.empty(min(len(bits), _CHUNK), dtype=np.uint64)
     for start in range(0, len(bits), _CHUNK):
         chunk = bits[start:start + _CHUNK]
         key = (chunk >> np.uint64(52)).view(np.int64)
         half = halves[:len(chunk)]
-        out[0] += np.bincount(key, minlength=_KEYS)
+        acc[0] += np.bincount(key, minlength=_KEYS)
         np.bitwise_and(chunk, _HIGH26, out=half)
         half |= _OFFSET
-        out[1] += np.bincount(key, half.view(np.float64), _KEYS).astype(np.int64)
+        acc[1] += np.bincount(key, half.view(np.float64), _KEYS)
         np.left_shift(chunk, np.uint64(26), out=half)
         half &= _HIGH26
         half |= _OFFSET
-        out[2] += np.bincount(key, half.view(np.float64), _KEYS).astype(np.int64)
-    out[1:] -= out[0] << 26  # each entry added 2**26 to both of its halves
-    return out
+        acc[2] += np.bincount(key, half.view(np.float64), _KEYS)
+
+
+def _flushed(acc: np.ndarray) -> np.ndarray:
+    """The int64 form an accumulator stands for; the accumulator is zeroed."""
+    form = acc.astype(np.int64)
+    form[1:] -= form[0] << 26  # each entry added 2**26 to both of its halves
+    acc[:] = 0.0
+    return form
+
+
+def _buckets(values: np.ndarray) -> np.ndarray:
+    """Exact integer form of the sum of a float64 array, shape (3, 4096): per
+    sign-and-exponent key, the entry count and the sums of the high and of
+    the low 26 fraction bits.  Forms add, so a prefix is accumulated segment
+    by segment and a subset is subtracted exactly."""
+    acc, form = np.zeros((3, _KEYS)), np.zeros((3, _KEYS), dtype=np.int64)
+    for start in range(0, len(values), _FLUSH):
+        _accumulate(acc, values[start:start + _FLUSH])
+        form += _flushed(acc)
+    return form
 
 
 def _rounded(form: np.ndarray) -> float:
@@ -268,7 +281,8 @@ def run_replication(config: ExperimentConfig, replication: int) -> ConvergenceTr
     """
     rng = np.random.Generator(np.random.Philox(key=[config.seed, replication]))
     keep = max(p.trim for p in config.points)
-    path = np.zeros((3, _KEYS), dtype=np.int64)  # form of all draws so far
+    path = np.zeros((3, _KEYS), dtype=np.int64)  # form of the draws up to the last flush
+    acc = np.zeros((3, _KEYS))  # accumulator of the draws since then
     over, ties, last = np.empty(0), 0, -math.inf  # the draws above `last`; those at it
     pool, waiting, floor = [], 0, -math.inf  # the `keep` largest draws, then candidates
     start, rows = 0, []
@@ -281,16 +295,20 @@ def run_replication(config: ExperimentConfig, replication: int) -> ConvergenceTr
         parts = [over]
         for i in range(start, p.n, _CHUNK):
             x = config.distribution.sample_array(rng.random(min(_CHUNK, p.n - i)))
-            path += _buckets(x)
-            at_least = x[x >= t]
+            if i > start and (i - start) % _FLUSH == 0:
+                path += _flushed(acc)
+            _accumulate(acc, x)
+            high = x[x >= min(t, floor)]  # one pass; both pools draw from it
+            at_least = high[high >= t]
             parts.append(at_least[at_least > t])
             ties += len(at_least) - len(parts[-1])
-            pool.append(x[x > floor])
+            pool.append(high[high > floor])
             waiting += len(pool[-1])
             if waiting > keep:  # amortized: a merge costs about twice `keep`
                 floor, waiting = _merge(pool, keep), 0
         start, over = p.n, np.concatenate(parts)
         floor, waiting = _merge(pool, keep), 0
+        path += _flushed(acc)
         if path[0].sum() != p.n:
             raise MonteCarloError(f"the path form counts {path[0].sum()} draws at "
                                   f"n = {p.n}; this is a bug, not randomness")
@@ -370,18 +388,21 @@ def _quantiles(matrix: np.ndarray) -> np.ndarray:
     quantile is inf when an inf order statistic carries positive weight,
     and is the order statistic itself when the level falls exactly on it;
     where both neighbouring order statistics are finite, or the column
-    holds a nan, the result is np.quantile's.
+    holds a nan, the result is np.quantile's bit for bit, by its arithmetic
+    rather than a call (which imports numpy.ma on numpy >= 2, ~13 ms).
     """
     levels = np.asarray(RATIO_QUANTILES)
     ordered = np.sort(matrix, axis=0)  # nan sorts last
     h = (len(ordered) - 1) * levels    # np.quantile's index for its linear method
     i = np.floor(h).astype(int)
     below, above = ordered[i], ordered[np.minimum(i + 1, len(ordered) - 1)]
+    g = (h - i if len(ordered) > 1 else np.ones_like(h))[:, None]  # as np.quantile weighs
     with np.errstate(invalid="ignore"):
-        interpolated = np.quantile(matrix, levels, axis=0)
+        d = above - below  # np.quantile's linear interpolation
+        interpolated = np.where(g >= 0.5, above - d * (1 - g), below + d * g)
         carried = np.where((i == h)[:, None], below, below + above)
-    keep = np.isfinite(below) & np.isfinite(above) | np.isnan(ordered[-1])
-    return np.where(keep, interpolated, carried)
+    keep = np.isfinite(below) & np.isfinite(above)
+    return np.where(np.isnan(ordered[-1]), np.nan, np.where(keep, interpolated, carried))
 
 
 def aggregate(traces: Sequence[ConvergenceTrace]) -> AggregateSummary:

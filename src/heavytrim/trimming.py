@@ -17,6 +17,7 @@ exceedance counts, trim counts) stays comfortably in range.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -427,7 +428,7 @@ DEFAULT_VALIDATION_GRID = geometric_grid(16, 1_000_000, 10)
 
 def _validated(plan: TrimmingPlan, grid: Sequence[int] | None, *,
                require_trim_floor: bool) -> TrimmingPlan:
-    """Check the structural hypotheses on ``grid`` (default
+    """Check the structural hypotheses on the increasing ``grid`` (default
     ``DEFAULT_VALIDATION_GRID``) and attach the advisory warnings to ``plan``."""
     table = plan.table(DEFAULT_VALIDATION_GRID if grid is None else grid)
     warnings: list[str] = []
@@ -443,15 +444,14 @@ def _validated(plan: TrimmingPlan, grid: Sequence[int] | None, *,
             raise PlanError(f"threshold decreases between n = {p.n} and n = {q.n}")
         if q.expect_gt > q.expect_ge:
             raise PlanError(f"exceedance expectations out of order at n = {q.n}")
-    # divergence heuristics are advisory: slow rules plateau on any desk grid
+    # divergence heuristics are advisory: slow rules plateau on any desk grid;
+    # each point is compared with the first one at least a decade on
+    ns = [p.n for p in table]
     for i, p in enumerate(table):
-        for q in table[i + 1:]:
-            if q.n >= 10 * p.n:
-                if q.log_threshold <= p.log_threshold:
-                    warnings.append(
-                        f"threshold stalls between n = {p.n} and n = {q.n}; "
-                        "divergence not visible on this grid")
-                break
+        j = bisect_left(ns, 10 * p.n, i + 1)
+        if j < len(table) and table[j].log_threshold <= p.log_threshold:
+            warnings.append(f"threshold stalls between n = {p.n} and n = {table[j].n}; "
+                            "divergence not visible on this grid")
     first, last = table[0], table[-1]
     ratio_first = first.trim / first.n
     ratio_last = last.trim / last.n

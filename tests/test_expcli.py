@@ -328,6 +328,26 @@ class TestMain:
             assert f"config error: {key}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key", ["distribution.alpha", "plan.epsilon", "budget.eps",
+                                     "conditions.tolerance"])
+    def test_integer_beyond_float_range_exit_two(self, tmp_path, capsys, key):
+        # valid JSON: an integer literal has no size limit, a float has
+        p = write_config(tmp_path, {key: 10 ** 400})
+        for command in ("check", "run"):
+            assert main([command, str(p)]) == 2
+            assert f"config error: {key}: integer beyond the float range" in \
+                capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", [b'{"a": "\xff"}', b'{"a": 1' + b"0" * 5000 + b"}"],
+                             ids=["not-utf8", "digit-limit"])
+    def test_unreadable_config_exit_two(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text)
+        for command in ("check", "run"):
+            assert main([command, str(bad)]) == 2
+            assert f"config error: {bad}: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("text", ["n,trimmed_q50\n1000,abc\n", "n,trimmed_q50\n1000,0.5\n"],
                              ids=["not-a-number", "missing-column"])
     def test_malformed_csv_plot_exit_two(self, tmp_path, capsys, text):

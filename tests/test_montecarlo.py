@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -188,6 +192,15 @@ class TestExactSum:
         values = bits.copy().view(np.float64)
         assert np.array_equal(montecarlo._buckets(values), buckets_reference(values))
         assert np.array_equal(values.view(np.uint64), bits)  # input left unchanged
+
+    def test_kernel_flushes_exactly(self, monkeypatch):
+        # 2**26 offset halves below 2**27 each stay below 2**53, where float
+        # sums of integers are exact; a path flushes between whole blocks
+        assert montecarlo._FLUSH * 2 ** 27 <= 2 ** 53
+        assert montecarlo._FLUSH % montecarlo._CHUNK == 0
+        values = np.random.default_rng(3).pareto(0.5, 3 * montecarlo._CHUNK + 17)
+        monkeypatch.setattr(montecarlo, "_FLUSH", 1000)
+        assert np.array_equal(montecarlo._buckets(values), buckets_reference(values))
 
     def test_overflow_raises_like_fsum(self):
         values = [1.7976931348623157e308] * 2
@@ -414,6 +427,14 @@ class TestAgainstPrefixOracle:
         assert all(r.count_ge > r.count_gt for r in run_replication(cfg, 0).rows)
         self.assert_same(cfg)
 
+    @pytest.mark.parametrize("law", ["pareto", "mixed_table"])
+    def test_flush_every_two_blocks(self, request, pareto_cfg, monkeypatch, law):
+        # ORACLE_GRID's last segment spans three blocks: one flush inside it
+        monkeypatch.setattr(montecarlo, "_FLUSH", 2 * montecarlo._CHUNK)
+        plan = (pareto_cfg.plan if law == "pareto"
+                else plan_default(request.getfixturevalue(law), 0.05, grid=()))
+        self.assert_same(ExperimentConfig(plan, ORACLE_GRID, 2, 31))
+
     def test_lossy_buckets_are_caught(self, pareto_cfg, monkeypatch):
         cfg = ExperimentConfig(pareto_cfg.plan, (1000,), 1, pareto_cfg.seed)
         t = cfg.points[0].threshold
@@ -421,20 +442,21 @@ class TestAgainstPrefixOracle:
         # argument of the primitive that holds no entry at or below t; the
         # oracle keeps the intact primitive
         assert run_replication(cfg, 0).rows[0].count_gt > 0
-        buckets = montecarlo._buckets
+        accumulate = montecarlo._accumulate
 
-        def lossy(values):
+        def lossy(acc, values):
             if len(values) > 1 and values.min() > t:
                 values = values[1:]
-            return buckets(values)
+            accumulate(acc, values)
 
-        monkeypatch.setattr(montecarlo, "_buckets", lossy)
+        monkeypatch.setattr(montecarlo, "_accumulate", lossy)
         assert run_replication(cfg, 0) != run_replication_prefix(cfg, 0)
 
     def test_count_check_fires(self, pareto_cfg, monkeypatch):
         cfg = ExperimentConfig(pareto_cfg.plan, (1000,), 1, pareto_cfg.seed)
-        buckets = montecarlo._buckets
-        monkeypatch.setattr(montecarlo, "_buckets", lambda values: buckets(values[1:]))
+        accumulate = montecarlo._accumulate
+        monkeypatch.setattr(montecarlo, "_accumulate",
+                            lambda acc, values: accumulate(acc, values[1:]))
         with pytest.raises(MonteCarloError, match="path form counts 999 draws at n = 1000"):
             run_replication(cfg, 0)
 
@@ -449,6 +471,45 @@ class TestSimulateAndAggregate:
         assert np.array_equal(montecarlo._quantiles(finite),
                               np.quantile(finite, montecarlo.RATIO_QUANTILES, axis=0))
         assert np.isnan(montecarlo._quantiles(np.array([[1.0], [np.nan]]))).all()
+
+    @given(rows=st.sampled_from([1, 2, 3, 5, 7, 100]), columns=st.integers(1, 4),
+           data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_quantiles_match_numpy_bit_for_bit(self, rows, columns, data):
+        # finite entries within a range where no difference overflows, and a
+        # few repeated values for ties; no -0.0, which ties with 0.0 in
+        # another bit pattern, so sort and partition may order them apart
+        # (no ratio is -0.0: a zero sum rounds to +0.0)
+        entries = st.one_of(st.floats(-1e300, 1e300).map(lambda v: v + 0.0),
+                            st.sampled_from([0.0, 1.0, 2.5]))
+        matrix = np.array(data.draw(st.lists(entries, min_size=rows * columns,
+                                             max_size=rows * columns))).reshape(rows, columns)
+        expected = np.quantile(matrix, montecarlo.RATIO_QUANTILES, axis=0)
+        assert np.array_equal(montecarlo._quantiles(matrix).view(np.uint64),
+                              expected.view(np.uint64))
+
+    def test_run_leaves_numpy_ma_unloaded(self, tmp_path):
+        src = str(Path(montecarlo.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "HEAVYTRIM_WORKERS": "1"}
+        probe = "import sys, numpy; print('numpy.ma' in sys.modules)"
+        if subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                          capture_output=True, text=True, timeout=60).stdout.strip() == "True":
+            pytest.skip("this numpy imports numpy.ma with numpy itself")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "distribution": {"family": "pareto", "alpha": 0.5, "scale": 1.0},
+            "plan": {"rule": "standard", "epsilon": 0.05,
+                     "threshold": {"rule": "power", "exponent": 0.8}},
+            "experiment": {"checkpoints": [1000, 10000], "replications": 5, "seed": 1},
+            "output": {"directory": str(tmp_path / "out")},
+        }))
+        probe = ("import sys; from heavytrim import expcli; "
+                 f"expcli.run(expcli.parse_config({str(config)!r})); "
+                 "print('numpy.ma' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        assert (tmp_path / "out" / "aggregate.csv").exists()
+        assert out.strip().splitlines()[-1] == "False"
 
     def test_parallel_merge_matches_sequential(self, pareto_cfg, pareto_traces,
                                                monkeypatch):

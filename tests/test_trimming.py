@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -6,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heavytrim.distributions import ParetoTail, point_mass, square_step
-from heavytrim.trimming import (AllowanceTrimRule, PlanError, PowerThreshold,
-                                ProjectedPowerThreshold, SquareStepThreshold,
+from heavytrim.trimming import (DEFAULT_VALIDATION_GRID, AllowanceTrimRule, PlanError,
+                                PowerThreshold, ProjectedPowerThreshold, SquareStepThreshold,
                                 StandardTrimRule, SummableFunction,
                                 TrimmingError, TrimmingPlan,
                                 check_condition, conditions_for_plan,
@@ -222,6 +224,47 @@ class TestPlanStandardStep:
 
         with pytest.raises(PlanError, match="rule <.*Custom object"):
             plan_standard(step, Custom(), 0.05, geometric_grid(1000, 10 ** 6, 8))
+
+
+def _stall_warnings_quadratic(table):
+    """The stall scan as a pairwise loop: each point against the first later
+    point at least ten times its n."""
+    out = []
+    for i, p in enumerate(table):
+        for q in table[i + 1:]:
+            if q.n >= 10 * p.n:
+                if q.log_threshold <= p.log_threshold:
+                    out.append(f"threshold stalls between n = {p.n} and n = {q.n}; "
+                               "divergence not visible on this grid")
+                break
+    return list(dict.fromkeys(out))
+
+
+class TestStallScan:
+    @pytest.fixture(scope="class")
+    def lattice_grid(self):
+        # the step-lattice benchmark workload's 2,000-point condition grid
+        spec = importlib.util.spec_from_file_location(
+            "workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        return tuple(workloads.WORKLOADS["step-lattice"]()["conditions"]["grid"])
+
+    @pytest.mark.parametrize("rule, count", [(SquareStepThreshold(0.05), 0),
+                                             (ProjectedPowerThreshold(0.3), 1332)],
+                             ids=["square-step", "projected"])
+    def test_matches_pairwise_scan_on_lattice_grid(self, step, lattice_grid, rule, count):
+        assert len(lattice_grid) == 2000
+        plan = plan_standard(step, rule, 0.1, lattice_grid)
+        stalls = [w for w in plan.warnings if w.startswith("threshold stalls")]
+        assert len(stalls) == count
+        assert stalls == _stall_warnings_quadratic(plan.table(lattice_grid))
+
+    def test_matches_pairwise_scan_on_default_grid(self, step):
+        plan = plan_default(step, 0.1)
+        stalls = [w for w in plan.warnings if w.startswith("threshold stalls")]
+        assert stalls and stalls == _stall_warnings_quadratic(
+            plan.table(DEFAULT_VALIDATION_GRID))
 
 
 class TestPlanDefault:
