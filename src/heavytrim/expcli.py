@@ -8,13 +8,13 @@ checksum.
 
 Config files are JSON (see ``CONFIG_GRAMMAR`` or the README for the full
 key reference).  ``heavytrim run`` and ``heavytrim check`` exit 1 when a
-pointwise plan hypothesis is violated; an inconclusive limit hypothesis
-only warns, since no finite grid can settle an asymptotic statement.
-Config errors (missing or unknown keys, sections that are not objects,
-malformed or out-of-range values, invalid plans, a condition grid the
-plan cannot be evaluated on) are raised before any artifact is written;
-they and I/O errors exit 2.  Any other exception is an internal failure
-and exits 3.
+pointwise plan hypothesis, the trim floor among them, is violated; an
+inconclusive limit hypothesis only warns, since no finite grid can settle
+an asymptotic statement.  Config errors (missing or unknown keys, sections
+that are not objects, malformed, non-finite or out-of-range values, a plan
+that fails a structural check on the condition grid or cannot be evaluated
+there) are raised before any artifact is written; they and I/O errors exit
+2.  Any other exception is an internal failure and exits 3.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .montecarlo import ExperimentConfig, aggregate, simulate, trace_csv_rows
 from .trimming import (AllowanceTrimRule, ConditionReport, PlanPoint, PowerThreshold,
                        ProjectedPowerThreshold, SquareStepThreshold, StandardTrimRule,
                        SummableFunction, TrimmingError, TrimmingPlan, check_condition,
-                       check_condition_grid, conditions_for_plan,
+                       check_condition_grid, check_plan, conditions_for_plan,
                        format_condition_report, geometric_grid, plan_default,
                        plan_general, plan_standard)
 
@@ -63,7 +63,6 @@ plan:
   trim (general): {rule: "standard" | "proof-variant" | "allowance"}
   summable, summable-alt (general): {family: "power" | "polylog"
                                      | "exponential", param}
-  validate: bool (optional, default true; general plans only)
 experiment:
   checkpoints: strictly increasing integers
   replications: positive integer
@@ -72,7 +71,7 @@ experiment:
 conditions (optional):
   grid: strictly increasing integers, 8+ points spanning 3+ decades
         (default: geometric up to n_max)
-  tolerance: number (default 0.01)
+  tolerance: number > 0 (default 0.01)
 budget (optional):
   eps: relative deviation > 0 for the budget table (default 0.1)
 output (optional):
@@ -123,12 +122,15 @@ def _integers(values, key: str) -> tuple[int, ...]:
 
 
 def _number(value, key: str) -> float:
+    """A finite number: JSON's ``NaN``, ``Infinity`` and ``1e400`` are not."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
-            return float(value)
+            number = float(value)
         except OverflowError:
             raise ConfigError(f"{key}: integer beyond the float range") from None
-    raise ConfigError(f"{key}: expected a number, got {value!r}")
+        if math.isfinite(number):
+            return number
+    raise ConfigError(f"{key}: expected a finite number, got {value!r}")
 
 
 def _string(value, key: str) -> str:
@@ -192,22 +194,19 @@ def _build_summable(value, where: str) -> SummableFunction:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _build_plan(value, dist: Distribution, grid: tuple[int, ...]) -> TrimmingPlan:
+def _build_plan(value, dist: Distribution) -> TrimmingPlan:
     section = _section(value, "plan", ("rule", "epsilon", "threshold", "trim", "summable",
-                                       "summable-alt", "validate"))
+                                       "summable-alt"))
     rule = _need(section, "rule", "plan")
-    validate = section.get("validate", True)
-    if not isinstance(validate, bool):
-        raise ConfigError(f"plan.validate: expected true or false, got {validate!r}")
     try:
         epsilon = _number(_need(section, "epsilon", "plan"), "plan.epsilon")
         if not 0.0 < epsilon < 0.25:
             raise ConfigError(f"plan.epsilon: must lie in (0, 1/4), got {epsilon}")
         if rule == "default":
-            return plan_default(dist, epsilon, grid)
+            return plan_default(dist, epsilon, ())
         if rule == "standard":
             t_rule = _build_threshold_rule(_need(section, "threshold", "plan"), epsilon)
-            return plan_standard(dist, t_rule, epsilon, grid)
+            return plan_standard(dist, t_rule, epsilon, ())
         if rule == "general":
             t_rule = _build_threshold_rule(_need(section, "threshold", "plan"), epsilon)
             summable = _build_summable(_need(section, "summable", "plan"), "plan.summable")
@@ -223,9 +222,8 @@ def _build_plan(value, dist: Distribution, grid: tuple[int, ...]) -> TrimmingPla
                 trim_rule = AllowanceTrimRule(epsilon, summable)
             else:
                 raise ConfigError(f"plan.trim.rule: unknown rule {trim_name!r}")
-            check_grid = grid if validate else ()
             return plan_general(dist, t_rule, trim_rule, epsilon,
-                                summable, summable_alt, check_grid)
+                                summable, summable_alt, ())
     except ConfigError:
         raise
     except ValueError as exc:
@@ -250,7 +248,7 @@ def parse_config(path: str | Path, *,
                  replications: int | None = None,
                  n_max: int | None = None,
                  out_dir: str | Path | None = None) -> RunSpec:
-    """Load, validate and resolve a config file; keyword overrides win.
+    """Load and resolve a config file into objects; keyword overrides win.
 
     Raises :class:`ConfigError` with the offending key path, or with line
     and column information for malformed JSON.
@@ -264,6 +262,8 @@ def parse_config(path: str | Path, *,
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise ConfigError(f"{path}: JSON nested too deeply") from None
     except ValueError as exc:  # not UTF-8, or an integer beyond int's digit limit
         raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
@@ -292,20 +292,17 @@ def parse_config(path: str | Path, *,
     cond = _section(raw.get("conditions", {}), "conditions", ("grid", "tolerance"))
     if "grid" in cond:
         condition_grid = _integers(cond["grid"], "conditions.grid")
-        try:
-            check_condition_grid(condition_grid)
-        except TrimmingError as exc:
-            raise ConfigError(f"conditions.grid: {exc}") from exc
     else:
         top = max(20_000, checkpoints[-1] if checkpoints else 20_000)
         condition_grid = geometric_grid(16, top, 12)
     tolerance = _number(cond.get("tolerance", 1e-2), "conditions.tolerance")
     budget = _section(raw.get("budget", {}), "budget", ("eps",))
     budget_eps = _number(budget.get("eps", 0.1), "budget.eps")
-    if not budget_eps > 0.0:
-        raise ConfigError(f"budget.eps: must be positive, got {budget_eps}")
+    for key, number in (("conditions.tolerance", tolerance), ("budget.eps", budget_eps)):
+        if not number > 0.0:
+            raise ConfigError(f"{key}: must be positive, got {number}")
 
-    plan = _build_plan(_need(raw, "plan", ""), dist, condition_grid)
+    plan = _build_plan(_need(raw, "plan", ""), dist)
 
     try:
         config = ExperimentConfig(
@@ -521,31 +518,37 @@ def _write_csv(path: Path, rows) -> None:
             fh.write("\n")
 
 
-def _condition_reports(spec: RunSpec) -> tuple[tuple[PlanPoint, ...], list[ConditionReport]]:
-    """The plan table on the condition grid, and the reports judged on it.
-
-    A plan that cannot be evaluated on the grid is a config error.
+def _condition_reports(spec: RunSpec) -> tuple[tuple[PlanPoint, ...], tuple[str, ...],
+                                               list[ConditionReport]]:
+    """The plan table on the condition grid, the plan's warnings and the
+    condition reports, all from that one table.  A grid unfit for verdicts,
+    or a plan that cannot be evaluated or fails a check on it, is a config error.
     """
     plan = spec.config.plan
     try:
+        check_condition_grid(spec.condition_grid)
         table = plan.table(spec.condition_grid)
     except (TrimmingError, DistributionError) as exc:
         raise ConfigError(f"conditions.grid: {exc}") from exc
-    return table, [check_condition(plan, cid, table, spec.condition_tolerance)
-                   for cid in conditions_for_plan(plan)]
+    try:
+        warnings = check_plan(plan, table)
+    except (TrimmingError, DistributionError) as exc:
+        raise ConfigError(f"plan: {exc}") from exc
+    return table, warnings, [check_condition(plan, cid, table, spec.condition_tolerance)
+                             for cid in conditions_for_plan(plan)]
 
 
 def run(spec: RunSpec) -> RunManifest:
     """Execute all stages and write artifacts plus the manifest.
 
     Order: condition reports, budget table, traces, aggregate, plots.
-    The plan table on the condition grid serves both the condition
-    reports and the budget; it is built before the output directory, so
-    a grid the plan cannot be evaluated on leaves no directory behind.
+    The plan table on the condition grid is built once, checked, and serves
+    the condition reports and the budget, all before the output directory
+    is made, so a plan that fails there leaves no directory behind.
     ``manifest.failed`` is set when a pointwise hypothesis is violated.
     """
     t0 = time.perf_counter()
-    table, reports = _condition_reports(spec)
+    table, warnings, reports = _condition_reports(spec)
     out = spec.output_dir
     out.mkdir(parents=True, exist_ok=True)
     cfg_bytes = json.dumps(spec.raw, sort_keys=True).encode()
@@ -553,7 +556,7 @@ def run(spec: RunSpec) -> RunManifest:
         config_sha256=hashlib.sha256(cfg_bytes).hexdigest(),
         seed=spec.config.seed,
         version=__version__,
-        plan_warnings=spec.config.plan.warnings,
+        plan_warnings=warnings,
     )
 
     (out / "conditions.txt").write_text(format_condition_report(reports))
@@ -608,7 +611,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    _, reports = _condition_reports(_spec(args))
+    _, _, reports = _condition_reports(_spec(args))
     print(format_condition_report(reports), end="")
     return 1 if any(r.verdict == "violated" for r in reports) else 0
 

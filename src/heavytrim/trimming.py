@@ -3,10 +3,10 @@
 A trimming plan fixes, for every sample size ``n``, a truncation threshold
 ``t(n)``, the expected exceedance counts above it, the deterministic scale
 ``d(n) = n * integral of x dF over [0, t(n)]`` against which the trimmed
-sum is compared, and the trim count ``b(n)``.  The plan constructors
-enforce the structural hypotheses (quantile fixed points, epsilon range,
-pointwise trim floors); the asymptotic hypotheses are turned into grid
-verdicts by :func:`check_condition`.
+sum is compared, and the trim count ``b(n)``.  :func:`check_plan` enforces
+the structural hypotheses (quantile fixed points, monotone thresholds) on
+a plan table; the pointwise trim floors and the asymptotic hypotheses are
+turned into grid verdicts by :func:`check_condition`.
 
 Thresholds are handled in log space throughout: the built-in step law
 produces thresholds like ``2**1369`` that no float can hold, while every
@@ -42,6 +42,7 @@ __all__ = [
     "plan_standard",
     "plan_default",
     "plan_general",
+    "check_plan",
     "check_condition",
     "check_condition_grid",
     "ConditionReport",
@@ -58,7 +59,7 @@ class TrimmingError(ValueError):
 
 
 class PlanError(TrimmingError):
-    """A plan hypothesis failed at construction time."""
+    """A structural plan hypothesis failed on a grid."""
 
 
 # --------------------------------------------------------------------------
@@ -426,14 +427,14 @@ def geometric_grid(start: int = 16, stop: int = 1_000_000, points: int = 10) -> 
 DEFAULT_VALIDATION_GRID = geometric_grid(16, 1_000_000, 10)
 
 
-def _validated(plan: TrimmingPlan, grid: Sequence[int] | None, *,
-               require_trim_floor: bool) -> TrimmingPlan:
-    """Check the structural hypotheses on the increasing ``grid`` (default
-    ``DEFAULT_VALIDATION_GRID``) and attach the advisory warnings to ``plan``."""
-    table = plan.table(DEFAULT_VALIDATION_GRID if grid is None else grid)
-    warnings: list[str] = []
+def check_plan(plan: TrimmingPlan, table: Sequence[PlanPoint]) -> tuple[str, ...]:
+    """Check the structural hypotheses of ``plan`` on ``table`` (an increasing
+    grid's) and return the advisory warnings.  Raises :class:`PlanError` on a
+    threshold off the law's quantile fixed points or decreasing, and on
+    exceedance expectations out of order; the trim floor is not checked here
+    but is the ``trim-floor`` condition of :func:`check_condition`."""
     if not table:
-        return plan
+        return ()
     for p in table:
         if not plan.distribution.is_quantile_fixed_point(p.log_threshold):
             raise PlanError(
@@ -446,6 +447,7 @@ def _validated(plan: TrimmingPlan, grid: Sequence[int] | None, *,
             raise PlanError(f"exceedance expectations out of order at n = {q.n}")
     # divergence heuristics are advisory: slow rules plateau on any desk grid;
     # each point is compared with the first one at least a decade on
+    warnings: list[str] = []
     ns = [p.n for p in table]
     for i, p in enumerate(table):
         j = bisect_left(ns, 10 * p.n, i + 1)
@@ -459,18 +461,13 @@ def _validated(plan: TrimmingPlan, grid: Sequence[int] | None, *,
         warnings.append(
             f"trim fraction does not shrink on this grid "
             f"({ratio_first:.3g} at n = {first.n}, {ratio_last:.3g} at n = {last.n})")
-    if require_trim_floor:
-        for p in table:
-            if p.clamped:
-                # the raw trim formula did not fit inside [0, n]; the floor
-                # hypothesis is void at such transient n
-                warnings.append(f"trim count clamped at n = {p.n}; floor not assessed")
-                continue
-            if p.trim < p.expect_gt + p.allowance_gt:
-                raise PlanError(
-                    f"trim count {p.trim} at n = {p.n} is below the exceedance "
-                    f"floor {p.expect_gt + p.allowance_gt:.3f}")
-    object.__setattr__(plan, "warnings", tuple(dict.fromkeys(warnings)))
+    return tuple(dict.fromkeys(warnings))
+
+
+def _validated(plan: TrimmingPlan, grid: Sequence[int] | None) -> TrimmingPlan:
+    """Attach :func:`check_plan`'s warnings on ``grid`` (default ``DEFAULT_VALIDATION_GRID``)."""
+    table = plan.table(DEFAULT_VALIDATION_GRID if grid is None else grid)
+    object.__setattr__(plan, "warnings", check_plan(plan, table))
     return plan
 
 
@@ -492,7 +489,7 @@ def plan_standard(dist: Distribution, threshold_rule, epsilon: float,
         summable=SummableFunction.power(9.0 / 8.0),
         summable_alt=SummableFunction.power(2.0),
     )
-    return _validated(plan, grid, require_trim_floor=False)
+    return _validated(plan, grid)
 
 
 def plan_default(dist: Distribution, epsilon: float,
@@ -507,13 +504,11 @@ def plan_default(dist: Distribution, epsilon: float,
 def plan_general(dist: Distribution, threshold_rule, trim_rule, epsilon: float,
                  summable: SummableFunction, summable_alt: SummableFunction,
                  grid: Sequence[int] | None = None) -> TrimmingPlan:
-    """Fully caller-specified plan.
+    """Fully caller-specified plan, checked like :func:`plan_standard`.
 
-    Construction verifies the pointwise trim floor
-    ``b(n) >= expect_gt + allowance(expect_gt, n)`` at every grid point,
-    since it is a hypothesis rather than a limit; pass ``grid=()`` to
-    skip validation when deliberately building a failing plan for
-    diagnostics.
+    The pointwise trim floor ``b(n) >= expect_gt + allowance(expect_gt, n)``
+    is the ``trim-floor`` condition, judged on a grid by
+    :func:`check_condition`; a plan that breaks it still builds.
     """
     plan = TrimmingPlan(
         distribution=dist,
@@ -523,7 +518,7 @@ def plan_general(dist: Distribution, threshold_rule, trim_rule, epsilon: float,
         summable=summable,
         summable_alt=summable_alt,
     )
-    return _validated(plan, grid, require_trim_floor=True)
+    return _validated(plan, grid)
 
 
 # --------------------------------------------------------------------------

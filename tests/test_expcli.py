@@ -13,7 +13,7 @@ from heavytrim import expcli
 from heavytrim.distributions import AtomicStep, ParetoTail, Tabulated
 from heavytrim.expcli import (CONFIG_GRAMMAR, ConfigError, main, parse_config,
                               plot, run)
-from heavytrim.trimming import PowerThreshold
+from heavytrim.trimming import PowerThreshold, check_plan
 
 
 def write_config(tmp_path: Path, overrides=None, drop=None) -> Path:
@@ -42,6 +42,16 @@ def write_config(tmp_path: Path, overrides=None, drop=None) -> Path:
     p = tmp_path / "config.json"
     p.write_text(json.dumps(cfg, indent=1))
     return p
+
+
+# a general plan that builds but breaks the pointwise trim floor at small n
+FLOOR_VIOLATION = {
+    "plan": {"rule": "general", "epsilon": 0.05,
+             "threshold": {"rule": "power", "exponent": 0.8},
+             "trim": {"rule": "standard"},
+             "summable": {"family": "power", "param": 4.0},
+             "summable-alt": {"family": "power", "param": 2.0}},
+}
 
 
 class TestParseConfig:
@@ -139,28 +149,9 @@ class TestRun:
         assert first.files == second.files
 
     def test_pointwise_violation_sets_failure(self, tmp_path):
-        p = write_config(tmp_path, {
-            "plan": {"rule": "general", "epsilon": 0.05,
-                     "threshold": {"rule": "power", "exponent": 0.8},
-                     "trim": {"rule": "allowance"},
-                     "summable": {"family": "power", "param": 4.0},
-                     "summable-alt": {"family": "power", "param": 2.0},
-                     "validate": False},
-        })
-        spec = parse_config(p)
-
-        # sabotage after construction: shrink the trim rule below the floor
-        class Meager:
-            name = "meager"
-
-            def raw_count(self, n, expect_gt):
-                return expect_gt + 1.0
-
-        import dataclasses
-        plan = dataclasses.replace(spec.config.plan, trim_rule=Meager())
-        cfg = dataclasses.replace(spec.config, plan=plan)
-        spec = dataclasses.replace(spec, config=cfg)
-        manifest = run(spec)
+        # the standard trim stays below the power(4) allowance's floor
+        p = write_config(tmp_path, FLOOR_VIOLATION, drop=["conditions.grid"])
+        manifest = run(parse_config(p))
         assert manifest.verdicts["trim-floor"] == "violated"
         assert manifest.failed
 
@@ -265,8 +256,14 @@ class TestMain:
         ("budget.eps", "wide"),
         ("budget.eps", 0),
         ("conditions.grid", [1000, 10000, 100000, 1000000]),
+        ("budget.eps", math.inf),
+        ("conditions.tolerance", math.nan),
+        ("conditions.tolerance", -1),
+        ("conditions.tolerance", 0),
+        ("distribution.alpha", math.nan),
     ], ids=["seed", "replications", "checkpoint", "tolerance", "eps-type",
-            "eps-zero", "grid-points"])
+            "eps-zero", "grid-points", "eps-infinite", "tolerance-nan",
+            "tolerance-negative", "tolerance-zero", "alpha-nan"])
     def test_malformed_value_exit_two(self, tmp_path, capsys, key, value):
         p = write_config(tmp_path, {key: value})
         assert main(["run", str(p)]) == 2
@@ -281,8 +278,9 @@ class TestMain:
         ("distribution.scal", 2.0),
         ("experiment.max_samples", 1000000),
         ("budgett", {"eps": 0.1}),
+        ("plan.validate", False),
     ], ids=["experiment-number", "conditions-list", "threshold-number", "tolerance-typo",
-            "scale-typo", "max-samples-typo", "budget-typo"])
+            "scale-typo", "max-samples-typo", "budget-typo", "validate"])
     def test_config_shape_exit_two(self, tmp_path, capsys, key, value):
         # a section that is not an object, or a key no section knows
         p = write_config(tmp_path, {key: value})
@@ -297,7 +295,6 @@ class TestMain:
         ("plan.threshold.coefficient", [1.0]),
         ("plan.summable.param", [2.0]),
         ("plan.summable-alt.param", None),
-        ("plan.validate", "false"),
         ("output.directory", 5),
         ("distribution.alpha", "0.5"),
         ("distribution.scale", "1.0"),
@@ -307,16 +304,16 @@ class TestMain:
         ("distribution.atoms", [["2", 0.5], [8.0, 0.5]]),
         ("distribution.rows", [[1.0, "0", "linear"], [4.0, 1.0, "linear"]]),
         ("distribution.rows", [[1.0, 0.0, "linear"], [4.0, 1.0, 5]]),
-    ], ids=["epsilon", "exponent", "coefficient", "summable", "summable-alt", "validate",
-            "directory", "alpha", "scale", "log-tail-threshold", "max-index-fraction",
-            "max-index-bool", "atom", "row", "row-kind"])
+    ], ids=["epsilon", "exponent", "coefficient", "summable", "summable-alt", "directory",
+            "alpha", "scale", "log-tail-threshold", "max-index-fraction", "max-index-bool",
+            "atom", "row", "row-kind"])
     def test_wrong_type_exit_two(self, tmp_path, capsys, key, value):
-        # a value of the wrong JSON type names its key; "false" is not false
+        # a value of the wrong JSON type names its key
         power = {"family": "power", "param": 2.0}
         family = {"distribution.threshold": "log-tail", "distribution.max-index": "square-step",
                   "distribution.atoms": "atomic-step", "distribution.rows": "tabulated"}
         p = write_config(tmp_path, {
-            "plan": {"rule": "general", "epsilon": 0.05, "validate": False,
+            "plan": {"rule": "general", "epsilon": 0.05,
                      "threshold": {"rule": "power", "exponent": 0.8},
                      "trim": {"rule": "standard"},
                      "summable": power, "summable-alt": dict(power)},
@@ -339,8 +336,9 @@ class TestMain:
                 capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("text", [b'{"a": "\xff"}', b'{"a": 1' + b"0" * 5000 + b"}"],
-                             ids=["not-utf8", "digit-limit"])
+    @pytest.mark.parametrize("text", [b'{"a": "\xff"}', b'{"a": 1' + b"0" * 5000 + b"}",
+                                      b"[" * 100_000 + b"]" * 100_000],
+                             ids=["not-utf8", "digit-limit", "too-deep"])
     def test_unreadable_config_exit_two(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
         bad.write_bytes(text)
@@ -368,10 +366,10 @@ class TestMain:
     @pytest.mark.parametrize("command", ["run", "check"])
     def test_unevaluable_condition_grid_exit_two(self, tmp_path, capsys, command):
         # the polylog(1.5) allowance is undefined at n = 4 (floor(log n) = 1);
-        # without validation the plan parses and only the grid exposes it
+        # the plan parses and only the condition grid exposes it
         polylog = {"family": "polylog", "param": 1.5}
         p = write_config(tmp_path, {
-            "plan": {"rule": "general", "epsilon": 0.05, "validate": False,
+            "plan": {"rule": "general", "epsilon": 0.05,
                      "threshold": {"rule": "power", "exponent": 0.8},
                      "trim": {"rule": "standard"},
                      "summable": polylog, "summable-alt": polylog},
@@ -382,12 +380,12 @@ class TestMain:
         assert not (tmp_path / "out").exists()
 
     def test_decreasing_threshold_exit_two(self, tmp_path, capsys, monkeypatch):
-        # without validation only the checkpoint table meets the rule
+        # the checkpoint table, built while parsing, meets the rule first
         monkeypatch.setattr(PowerThreshold, "log_threshold",
                             lambda rule, dist, n: math.log(1e6 / n))
         power = {"family": "power", "param": 2.0}
         p = write_config(tmp_path, {
-            "plan": {"rule": "general", "epsilon": 0.05, "validate": False,
+            "plan": {"rule": "general", "epsilon": 0.05,
                      "threshold": {"rule": "power", "exponent": 0.8},
                      "trim": {"rule": "standard"},
                      "summable": power, "summable-alt": power},
@@ -395,6 +393,41 @@ class TestMain:
         assert main(["run", str(p)]) == 2
         assert "config error: experiment: threshold decreases" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_floor_violation_exit_one(self, tmp_path, capsys, command):
+        # one judge: a failing trim floor is the trim-floor verdict, not a
+        # config error, whatever the plan rule
+        p = write_config(tmp_path, FLOOR_VIOLATION, drop=["conditions.grid"])
+        assert main([command, str(p)]) == 1
+        outp = capsys.readouterr().out
+        if command == "run":
+            assert "[FAIL] trim-floor: violated" in outp
+            saved = json.loads((tmp_path / "out" / "manifest.json").read_text())
+            assert saved["failed"] and saved["verdicts"]["trim-floor"] == "violated"
+        else:
+            assert "condition trim-floor\n  kind: pointwise\n  quantity: " in outp
+            assert "verdict: violated" in outp
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_structural_plan_failure_exit_two(self, tmp_path, capsys, command):
+        # a power threshold misses the step law's atoms on the condition grid
+        p = write_config(tmp_path, {"distribution": {"family": "square-step"}})
+        assert main([command, str(p)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: plan: threshold at n = 1000 is not a quantile fixed point")
+        assert not (tmp_path / "out").exists()
+
+    def test_plan_warnings_come_from_the_condition_grid(self, tmp_path):
+        p = write_config(tmp_path, {"distribution": {"family": "square-step"},
+                                    "plan": {"rule": "default", "epsilon": 0.1}})
+        spec = parse_config(p)
+        assert spec.config.plan.warnings == ()
+        manifest = run(spec)
+        plan = spec.config.plan
+        assert manifest.plan_warnings == check_plan(plan, plan.table(spec.condition_grid))
+        assert any("stalls" in w for w in manifest.plan_warnings)
 
     def test_cli_overrides(self, tmp_path):
         p = write_config(tmp_path)

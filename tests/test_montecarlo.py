@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heavytrim import montecarlo
-from heavytrim.expcli import parse_config, run
+from heavytrim.expcli import main, parse_config, run
 from heavytrim.montecarlo import (ExperimentConfig, MonteCarloError,
                                   aggregate, exceedance_counts, run_replication,
                                   simulate, trace_csv_rows, trimmed_sum,
@@ -388,17 +388,22 @@ class TestRunReplication:
         assert calls == []
 
     def test_run_evaluates_the_plan_once_per_grid(self, tmp_path, monkeypatch):
-        # the condition-grid table serves all conditions and the budget; the
-        # checkpoint table was built with the config, before the run
+        # parsing builds the checkpoint table; the condition stage builds the
+        # condition-grid table once, and it serves the plan checks, every
+        # condition and the budget.  `check` runs the same two steps.
         monkeypatch.setenv("HEAVYTRIM_WORKERS", "1")
         demo = Path(__file__).resolve().parents[1] / "configs" / "demo.json"
-        spec = parse_config(demo, replications=2, out_dir=tmp_path)
         calls = []
         checkpoint = TrimmingPlan.checkpoint
         monkeypatch.setattr(TrimmingPlan, "checkpoint",
                             lambda plan, n: calls.append(n) or checkpoint(plan, n))
+        spec = parse_config(demo, replications=2, out_dir=tmp_path)
         run(spec)
-        assert len(calls) == len(spec.condition_grid)
+        once = len(spec.config.checkpoints) + len(spec.condition_grid)
+        assert len(calls) == once
+        calls.clear()
+        assert main(["check", str(demo)]) == 0
+        assert len(calls) == once
 
 
 class TestAgainstPrefixOracle:

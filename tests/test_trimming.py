@@ -12,7 +12,7 @@ from heavytrim.trimming import (DEFAULT_VALIDATION_GRID, AllowanceTrimRule, Plan
                                 PowerThreshold, ProjectedPowerThreshold, SquareStepThreshold,
                                 StandardTrimRule, SummableFunction,
                                 TrimmingError, TrimmingPlan,
-                                check_condition, conditions_for_plan,
+                                check_condition, check_plan, conditions_for_plan,
                                 fluctuation_allowance, format_condition_report,
                                 geometric_grid, plan_default, plan_general,
                                 plan_standard, rebase_summable)
@@ -324,17 +324,30 @@ class TestPlanGeneral:
                 cap = 18.0 * max(p.expect_gt ** 0.55 * ll ** 0.45, math.log(p.n))
                 assert p.margin <= cap + 2.0
 
-    def test_floor_violation_fails_construction(self, pareto):
+    def test_floor_violation_is_a_verdict(self, pareto):
+        # the floor is a pointwise hypothesis: the plan builds on the grid
+        # and the trim-floor condition judges it there
         class Meager:
-            name = "meager"
-
             def raw_count(self, n, expect_gt):
                 return expect_gt + 1.0
 
-        with pytest.raises(PlanError, match="below the exceedance floor"):
-            plan_general(pareto, PowerThreshold(0.8), Meager(), 0.05,
-                         SummableFunction.power(9 / 8), SummableFunction.power(2),
-                         geometric_grid(16, 10 ** 5, 8))
+        grid = geometric_grid(16, 10 ** 5, 8)
+        plan = plan_general(pareto, PowerThreshold(0.8), Meager(), 0.05,
+                            SummableFunction.power(9 / 8), SummableFunction.power(2), grid)
+        report = check_condition(plan, "trim-floor", plan.table(grid))
+        assert report.verdict == "violated"
+
+    def test_check_plan_is_the_constructor_check(self, step):
+        # one implementation: construction on a grid attaches what check_plan
+        # returns on that grid's table
+        grid = geometric_grid(16, 10 ** 5, 10)
+        built = plan_default(step, 0.1, grid)
+        bare = plan_default(step, 0.1, ())
+        assert bare.warnings == ()
+        assert built.warnings and check_plan(bare, bare.table(grid)) == built.warnings
+        off_atoms = plan_standard(step, PowerThreshold(0.8), 0.05, ())
+        with pytest.raises(PlanError, match="not a quantile fixed point"):
+            check_plan(off_atoms, off_atoms.table(grid))
 
     def test_empty_grid_skips_validation(self, pareto):
         class Meager:
