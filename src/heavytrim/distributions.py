@@ -615,7 +615,7 @@ class Tabulated(Distribution):
     fs: tuple[float, ...]
     kinds: tuple[str, ...]
     _index: _GuideIndex = field(repr=False, compare=False)
-    _segments: tuple[np.ndarray, ...] = field(repr=False, compare=False)
+    _segments: np.ndarray = field(repr=False, compare=False)  # (K, 4) rows x0, f0, dx, df
 
     def __init__(self, rows: Sequence[tuple[float, float, str]]):
         if not rows:
@@ -652,7 +652,7 @@ class Tabulated(Distribution):
                 if 0 < i < len(xs) and kinds[i] == "linear" and fs[i] != fs[i - 1]
                 else (bounds[i], 0.0, 0.0, 1.0) for i in range(len(bounds))]
         object.__setattr__(self, "_index", _GuideIndex(fs))
-        object.__setattr__(self, "_segments", tuple(np.array(c) for c in zip(*coef)))
+        object.__setattr__(self, "_segments", np.array(coef))
 
     @property
     def total_mass(self) -> float:
@@ -731,13 +731,12 @@ class Tabulated(Distribution):
 
     def sample_array(self, u: np.ndarray) -> np.ndarray:
         _check_uniform(u)
-        x0, f0, dx, df = self._segments
-        i = self._index(u)
+        x0, f0, dx, df = self._segments.take(self._index(u), axis=0).T
         # the scalar quantile's operation order, so draws match it bit for bit
-        out = np.subtract(u, f0[i])
-        out *= dx[i]
-        out /= df[i]
-        out += x0[i]
+        out = np.subtract(u, f0)
+        out *= dx
+        out /= df
+        out += x0
         return out
 
 

@@ -611,8 +611,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    _, _, reports = _condition_reports(_spec(args))
+    _, warnings, reports = _condition_reports(_spec(args))
     print(format_condition_report(reports), end="")
+    for w in warnings:
+        print(f"[warn] plan: {w}")
     return 1 if any(r.verdict == "violated" for r in reports) else 0
 
 

@@ -429,6 +429,18 @@ class TestMain:
         assert manifest.plan_warnings == check_plan(plan, plan.table(spec.condition_grid))
         assert any("stalls" in w for w in manifest.plan_warnings)
 
+    def test_check_prints_the_plan_warnings_of_run(self, tmp_path, capsys):
+        p = write_config(tmp_path, {"distribution": {"family": "square-step"},
+                                    "plan": {"rule": "default", "epsilon": 0.1}})
+        printed = {}
+        for command in ("run", "check"):
+            assert main([command, str(p)]) == 0
+            printed[command] = [line for line in capsys.readouterr().out.splitlines()
+                                if line.startswith("[warn] plan: ")]
+        assert len(printed["run"]) == 5
+        assert all("stalls" in line for line in printed["run"])
+        assert printed["check"] == printed["run"]
+
     def test_cli_overrides(self, tmp_path):
         p = write_config(tmp_path)
         code = main(["run", str(p), "--replications", "2", "--nmax", "2000",

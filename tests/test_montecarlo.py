@@ -193,6 +193,19 @@ class TestExactSum:
         assert np.array_equal(montecarlo._buckets(values), buckets_reference(values))
         assert np.array_equal(values.view(np.uint64), bits)  # input left unchanged
 
+    def test_negated_form_is_the_sign_flipped_form(self):
+        # the top-b pool holds its draws negated: negation flips the sign bit
+        # alone, so the form of -x is that of x with its keys' sign bits flipped
+        bits = np.array([0, 1 << 63, 1, 0x000FFFFFFFFFFFFF, 0x800000000000002A,
+                         0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000000,
+                         0x7FF0000000000001, 0xFFF400000000BEEF, 0x7FFFFFFFFFFFFFFF,
+                         0x3FF0000000000000, 0xC00921FB54442D18], dtype=np.uint64)
+        values = bits.view(np.float64)
+        negated = -values
+        assert np.array_equal(negated.view(np.uint64), bits ^ np.uint64(1 << 63))
+        assert np.array_equal(np.roll(montecarlo._buckets(negated), 2048, axis=1),
+                              montecarlo._buckets(values))
+
     def test_kernel_flushes_exactly(self, monkeypatch):
         # 2**26 offset halves below 2**27 each stay below 2**53, where float
         # sums of integers are exact; a path flushes between whole blocks
@@ -344,7 +357,7 @@ class TestRunReplication:
     @pytest.mark.parametrize("law", ["pareto", "pareto_table", "logtail", "step", "pm"])
     def test_memory_guard_bounds_replication_peak(self, request, pareto_cfg, law):
         # a replication holds a chunk and its two pools, not the path: at
-        # n = 1e6 the tracemalloc peak is 4-10 MB across the built-in laws,
+        # n = 1e6 the tracemalloc peak is 1.1-7 MB across the built-in laws,
         # where holding the path took 20-32 MB
         n = 1_000_000
         plan = (pareto_cfg.plan if law == "pareto"
@@ -439,6 +452,21 @@ class TestAgainstPrefixOracle:
         plan = (pareto_cfg.plan if law == "pareto"
                 else plan_default(request.getfixturevalue(law), 0.05, grid=()))
         self.assert_same(ExperimentConfig(plan, ORACLE_GRID, 2, 31))
+
+    def test_pool_larger_than_a_block(self, pareto_table, monkeypatch):
+        # b(2e5) exceeds a block: whole blocks enter the top-b pool while it
+        # has no floor, the pool is trimmed in place within segments, and the
+        # first checkpoints' trims are cut from a pool holding more draws
+        cfg = ExperimentConfig(plan_default(pareto_table, 0.05, grid=()),
+                               (1000, 10000, 100000, 200000), 2, 31)
+        assert max(p.trim for p in cfg.points) > montecarlo._CHUNK
+        trims, trim = [], montecarlo._trim
+        monkeypatch.setattr(montecarlo, "_trim", lambda top, used, keep, floor:
+                            trims.append(used > keep) or trim(top, used, keep, floor))
+        self.assert_same(cfg)
+        # two replications trim at most once per checkpoint each; the rest
+        # fall within segments
+        assert sum(trims) > 2 * len(cfg.points)
 
     def test_lossy_buckets_are_caught(self, pareto_cfg, monkeypatch):
         cfg = ExperimentConfig(pareto_cfg.plan, (1000,), 1, pareto_cfg.seed)
