@@ -11,8 +11,8 @@ the raw sum does not.
 __version__ = "0.1.0"
 
 from .distributions import (Atom, AtomicStep, Distribution, DistributionError,
-                            LogTail, ParetoTail, QuantileRangeError, Tabulated,
-                            UnboundedQuantileError, point_mass, square_step)
+                            LogTail, ParetoTail, Tabulated, point_mass,
+                            square_step)
 from .trimming import (AllowanceTrimRule, ConditionReport, PlanError,
                        PowerThreshold, ProjectedPowerThreshold,
                        SquareStepThreshold, StandardTrimRule, SummableFunction,

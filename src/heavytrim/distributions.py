@@ -1,17 +1,20 @@
-"""Nonnegative distribution functions with atoms and unbounded first moments.
-
-Every law exposes the exact functionals the trimming machinery consumes:
-the CDF ``F``, its left limit, the generalized inverse
-``quantile(y) = inf{x : F(x) >= y}``, the truncated first moment
-``integral of x dF over [0, t]`` (atoms at ``t`` included), and
-inverse-transform sampling.  Evaluations are closed-form or exact atom
-sums, never interpolated unless the law itself is declared piecewise
-linear.
+"""Nonnegative laws with atoms and unbounded first moments, in log space.
 
 Thresholds produced by trimming rules can exceed the float range (the
-built-in step law has atoms at ``2**(k*k)``), so each law also provides
-log-argument twins (``cdf_at_log``, ``log_truncated_moment``, ...) that
-accept ``log(x)`` instead of ``x``.
+built-in step law has atoms at ``2**(k*k)``), so every law takes its
+argument as ``log(x)`` and implements one contract natively:
+
+- ``survival_at_log`` and ``survival_left_at_log``: P(X > x) and P(X >= x);
+- ``log_truncated_moment``: the log of ``integral of x dF over [0, t]``,
+  atoms at ``t`` included;
+- ``log_fixed_point``: the log of the largest quantile fixed point
+  ``t = inf{x : F(x) >= F(t)}`` at or below ``x``, which projects a
+  threshold target onto the admissible thresholds;
+- ``sample_array``: inverse-transform sampling;
+- ``atoms_persist``: whether atoms sit arbitrarily high.
+
+Evaluations are closed-form or exact atom sums, never interpolated unless
+the law itself is declared piecewise linear.
 
 All distribution objects are immutable and safe to share across threads.
 """
@@ -38,8 +41,6 @@ __all__ = [
     "square_step",
     "point_mass",
     "DistributionError",
-    "QuantileRangeError",
-    "UnboundedQuantileError",
 ]
 
 
@@ -47,12 +48,9 @@ class DistributionError(ValueError):
     """Invalid distribution parameters or evaluation outside the contract."""
 
 
-class QuantileRangeError(DistributionError):
-    """The requested quantile is finite but not representable as a float."""
-
-
-class UnboundedQuantileError(QuantileRangeError):
-    """quantile(1) on a law with unbounded support: the value is infinite."""
+def exp_or_inf(z: float) -> float:
+    """exp(z), or inf where it exceeds the float range."""
+    return math.exp(z) if z <= LOG_FLOAT_MAX else math.inf
 
 
 _EULER_GAMMA = 0.5772156649015329
@@ -124,110 +122,44 @@ class _GuideIndex:
 
 
 class Distribution:
-    """Base class; subclasses implement the exact functionals for one family."""
+    """Base class: the log-space contract each family implements natively."""
 
-    def cdf(self, x: float) -> float:
-        """Right-continuous F(x) = P(X <= x)."""
+    # true when atoms sit arbitrarily high, so the law is never eventually
+    # continuous
+    atoms_persist = False
+
+    def survival_at_log(self, log_x: float) -> float:
+        """P(X > exp(log_x)), computed without cancellation where a closed form exists."""
         raise NotImplementedError
 
-    def cdf_left(self, x: float) -> float:
-        """Left-sided limit of F at x; differs from cdf(x) by the atom mass at x."""
+    def survival_left_at_log(self, log_x: float) -> float:
+        """P(X >= exp(log_x)); exceeds survival_at_log by the atom mass there."""
         raise NotImplementedError
 
-    def survival(self, x: float) -> float:
-        """1 - F(x), computed without cancellation where a closed form exists."""
-        return 1.0 - self.cdf(x)
+    def log_truncated_moment(self, log_t: float) -> float:
+        """log of the integral of x dF(x) over [0, exp(log_t)]; -inf when it is zero.
 
-    def survival_left(self, x: float) -> float:
-        """1 - cdf_left(x)."""
-        return 1.0 - self.cdf_left(x)
-
-    def quantile(self, y: float) -> float:
-        """Generalized inverse inf{x : F(x) >= y} for y in [0, 1].
-
-        Raises
-        ------
-        UnboundedQuantileError
-            y = 1 and the support is unbounded.
-        QuantileRangeError
-            The quantile exists but exceeds the float range.
-        """
-        raise NotImplementedError
-
-    def truncated_moment(self, t: float) -> float:
-        """integral of x dF(x) over the closed interval [0, t].
-
-        Atoms located exactly at ``t`` are included, matching the
+        Atoms located exactly at the end point are included, matching the
         non-strict indicator used by truncated sums.
         """
         raise NotImplementedError
 
-    def sample(self, u: float) -> float:
-        """Inverse-transform draw from a uniform(0,1) variate.
-
-        Deterministic given ``u``.  A draw whose true value exceeds the
-        float range is reported as ``inf`` rather than raising, so that
-        long simulations on extremely heavy tails can proceed; any
-        positive trim or truncation removes such entries again.
-        """
-        if not 0.0 < u < 1.0:
-            raise DistributionError(f"uniform variate must lie in (0,1), got {u!r}")
-        try:
-            return self.quantile(u)
-        except QuantileRangeError:
-            return math.inf
-
-    def sample_array(self, u: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`sample`; the canonical stream for simulations.
-
-        Deterministic given ``u``.  Atomic and tabulated laws agree with
-        the scalar path exactly; closed-form laws may differ from it in
-        the last ulp where the vector math library rounds differently.
-        Like :meth:`sample`, raises :class:`DistributionError` unless every
-        variate lies in (0, 1); the input array is left unchanged.
-        """
+    def log_fixed_point(self, z: float) -> float:
+        """log of the largest quantile fixed point at or below exp(z), or of
+        the support minimum when z lies below the support."""
         raise NotImplementedError
 
-    # log-argument twins -------------------------------------------------
+    def sample_array(self, u: np.ndarray) -> np.ndarray:
+        """Inverse-transform draws inf{x : F(x) >= u}; the canonical stream
+        for simulations.
 
-    def cdf_at_log(self, log_x: float) -> float:
-        """F(exp(log_x)); overridden where exp would overflow."""
-        if log_x > LOG_FLOAT_MAX:
-            raise DistributionError("cdf_at_log beyond float range for this family")
-        return self.cdf(math.exp(log_x))
-
-    def survival_at_log(self, log_x: float) -> float:
-        if log_x > LOG_FLOAT_MAX:
-            raise DistributionError("survival_at_log beyond float range for this family")
-        return self.survival(math.exp(log_x))
-
-    def survival_left_at_log(self, log_x: float) -> float:
-        if log_x > LOG_FLOAT_MAX:
-            raise DistributionError("survival_left_at_log beyond float range")
-        return self.survival_left(math.exp(log_x))
-
-    def log_truncated_moment(self, log_t: float) -> float:
-        """log of truncated_moment(exp(log_t)); -inf when the moment is zero."""
-        if log_t > LOG_FLOAT_MAX:
-            raise DistributionError("log_truncated_moment beyond float range")
-        m = self.truncated_moment(math.exp(log_t))
-        return math.log(m) if m > 0.0 else -math.inf
-
-    def is_quantile_fixed_point(self, log_t: float) -> bool:
-        """Whether t = exp(log_t) satisfies quantile(cdf(t)) == t."""
-        if log_t > LOG_FLOAT_MAX:
-            raise DistributionError("fixed-point check beyond float range")
-        t = math.exp(log_t)
-        try:
-            q = self.quantile(self.cdf(t))
-        except QuantileRangeError:
-            return False
-        return math.isclose(q, t, rel_tol=1e-12, abs_tol=0.0)
-
-    # diagnostics --------------------------------------------------------
-
-    def atom_free_tail_start(self) -> float | None:
-        """Smallest kappa with no atoms on [kappa, inf), or None if atoms persist."""
+        Deterministic given ``u``, which is left unchanged.  Raises
+        :class:`DistributionError` unless every variate lies in (0, 1).  A
+        draw beyond the float range, or above the mass a partial table
+        covers, is ``inf`` rather than an error, so that long simulations on
+        extremely heavy tails can proceed; any positive trim or truncation
+        removes such entries again.
+        """
         raise NotImplementedError
 
 
@@ -237,7 +169,7 @@ class Atom:
 
     Carries the location both as a float (``inf`` when not representable)
     and in log space, so that laws whose locations outgrow float64 remain
-    exactly addressable by the log-argument functionals.
+    exactly addressable by the log-space contract.
     """
 
     log_x: float
@@ -260,7 +192,7 @@ class Atom:
         """
         log_x = float(log_x)
         if x is None:
-            x = math.exp(log_x) if log_x <= LOG_FLOAT_MAX else math.inf
+            x = exp_or_inf(log_x)
         elif math.isfinite(x) and not math.isclose(math.log(x), log_x, rel_tol=1e-9, abs_tol=1e-9):
             raise DistributionError(f"location {x!r} inconsistent with log {log_x!r}")
         return cls(log_x, float(x), float(mass))
@@ -273,17 +205,15 @@ class AtomicStep(Distribution):
     Entries are ``(location, mass)`` pairs or :class:`Atom` objects.
     Masses must be positive and sum to at most 1.  A table whose masses
     sum to less than 1 is treated as the representable prefix of a law
-    with further mass beyond the last atom: quantiles above the covered
-    level raise :class:`QuantileRangeError` instead of fabricating
-    locations.
+    with further mass beyond the last atom: draws above the covered level
+    are ``inf`` instead of fabricated locations.
 
     Atoms may sit beyond the float range (see :meth:`Atom.at_log`); the
-    log-argument functionals still address them exactly.
+    contract addresses them by their stored ``log_x``, exactly.
     """
 
     atoms: tuple[Atom, ...]
     _cum: tuple[float, ...] = field(repr=False)
-    _xs: tuple[float, ...] = field(repr=False)
     _logs: tuple[float, ...] = field(repr=False)
     _index: _GuideIndex = field(repr=False, compare=False)
     _locations: np.ndarray = field(repr=False, compare=False)
@@ -311,72 +241,32 @@ class AtomicStep(Distribution):
             raise DistributionError(f"atom masses sum to {cum[-1]} > 1")
         object.__setattr__(self, "atoms", tuple(built))
         object.__setattr__(self, "_cum", tuple(min(c, 1.0) for c in cum))
-        object.__setattr__(self, "_xs", tuple(a.x for a in built))
         object.__setattr__(self, "_logs", tuple(a.log_x for a in built))
         object.__setattr__(self, "_index", _GuideIndex(self._cum))
-        object.__setattr__(self, "_locations", np.array(self._xs + (math.inf,)))
+        object.__setattr__(self, "_locations", np.array([a.x for a in built] + [math.inf]))
 
     @property
     def total_mass(self) -> float:
         return self._cum[-1]
 
-    def atom_free_tail_start(self) -> float | None:
-        if self.total_mass >= 1.0:
-            return math.nextafter(self.atoms[-1].x, math.inf)
-        return None
+    @property
+    def atoms_persist(self) -> bool:
+        return self.total_mass < 1.0
 
-    def _count_le_log(self, log_x: float) -> int:
-        return bisect.bisect_right(self._logs, log_x)
-
-    def cdf(self, x: float) -> float:
-        i = bisect.bisect_right(self._xs, x)
-        return self._cum[i - 1] if i else 0.0
-
-    def cdf_left(self, x: float) -> float:
-        i = bisect.bisect_left(self._xs, x)
-        return self._cum[i - 1] if i else 0.0
-
-    def cdf_at_log(self, log_x: float) -> float:
-        i = self._count_le_log(log_x)
+    def _level(self, i: int) -> float:
+        """The mass of the first ``i`` atoms."""
         return self._cum[i - 1] if i else 0.0
 
     def survival_at_log(self, log_x: float) -> float:
-        return 1.0 - self.cdf_at_log(log_x)
+        return 1.0 - self._level(bisect.bisect_right(self._logs, log_x))
 
     def survival_left_at_log(self, log_x: float) -> float:
-        i = bisect.bisect_left(self._logs, log_x)
-        return 1.0 - (self._cum[i - 1] if i else 0.0)
+        return 1.0 - self._level(bisect.bisect_left(self._logs, log_x))
 
-    def _quantile_index(self, y: float) -> int:
-        if not 0.0 <= y <= 1.0:
-            raise DistributionError(f"quantile level must lie in [0,1], got {y!r}")
-        if y <= self._cum[0]:
-            return 0
-        if y > self.total_mass:
-            if y >= 1.0 and self.total_mass < 1.0:
-                raise UnboundedQuantileError(
-                    "quantile(1) lies beyond the representable atom table")
-            raise QuantileRangeError(
-                f"level {y} exceeds the tabulated mass {self.total_mass}")
-        return bisect.bisect_left(self._cum, y)
-
-    def quantile(self, y: float) -> float:
-        a = self.atoms[self._quantile_index(y)]
-        if not math.isfinite(a.x):
-            raise QuantileRangeError(
-                f"quantile({y}) sits at exp({a.log_x:.1f}), beyond the float range")
-        return a.x
-
-    def is_quantile_fixed_point(self, log_t: float) -> bool:
-        # every atom location is first to attain its level, so fixed points
-        # are exactly the atom locations
-        i = self._count_le_log(log_t)
-        return i > 0 and self.atoms[i - 1].log_x == log_t
-
-    def truncated_moment(self, t: float) -> float:
-        if t < 0.0:
-            raise DistributionError("truncation point must be nonnegative")
-        return math.fsum(a.x * a.mass for a in self.atoms if a.x <= t)
+    def log_fixed_point(self, z: float) -> float:
+        # every atom is the first location to attain its level, so the fixed
+        # points are exactly the atoms
+        return self._logs[max(bisect.bisect_right(self._logs, z) - 1, 0)]
 
     def log_truncated_moment(self, log_t: float) -> float:
         terms = [a.log_x + math.log(a.mass)
@@ -385,8 +275,7 @@ class AtomicStep(Distribution):
 
     def sample_array(self, u: np.ndarray) -> np.ndarray:
         _check_uniform(u)
-        # the index is the scalar bisect_left; levels beyond the table, like
-        # atoms beyond the float range, draw inf, as sample() does
+        # levels beyond the table, like atoms beyond the float range, draw inf
         return self._locations[self._index(u)]
 
 
@@ -402,11 +291,12 @@ def square_step(max_index: int = 128) -> AtomicStep:
     """Built-in step law with atoms at 2**(k*k) of mass 1/k**2 - 1/(k+1)**2.
 
     The CDF is constant 1 - 1/j**2 on [2**((j-1)**2), 2**(j**2)), all mass
-    sits on the squares-of-two lattice and the first moment diverges.
-    Locations up to k = 31 are exact float powers of two; beyond that they
-    overflow float64 and the table carries them in log space only, so plan
-    evaluation can reach them while float-valued quantiles and samples
-    above the covered level report inf.
+    sits on the squares-of-two lattice and the first moment diverges.  The
+    table holds k = 1..max_index.  Each atom is stored at the log location
+    ``(k*k) * ln 2``, which the log-space contract reads exactly at every
+    k.  Float locations are exact powers of two up to k = 31 and inf beyond
+    that; only sampling reads them, so draws of those atoms, and of levels
+    above the table, are inf.
     """
     if max_index < 2:
         raise DistributionError("max_index must be at least 2")
@@ -431,56 +321,16 @@ class ParetoTail(Distribution):
         if not self.scale > 0.0:
             raise DistributionError(f"scale must be positive, got {self.scale}")
 
-    def atom_free_tail_start(self) -> float | None:
-        return self.scale
-
     @property
     def _log_scale(self) -> float:
         return math.log(self.scale)
-
-    def cdf(self, x: float) -> float:
-        if x < self.scale:
-            return 0.0
-        return -math.expm1(-self.alpha * (math.log(x) - self._log_scale))
-
-    cdf_left = cdf  # continuous
-
-    def survival(self, x: float) -> float:
-        if x < self.scale:
-            return 1.0
-        return math.exp(-self.alpha * (math.log(x) - self._log_scale))
-
-    survival_left = survival
-
-    def cdf_at_log(self, log_x: float) -> float:
-        if log_x < self._log_scale:
-            return 0.0
-        return -math.expm1(-self.alpha * (log_x - self._log_scale))
 
     def survival_at_log(self, log_x: float) -> float:
         if log_x < self._log_scale:
             return 1.0
         return math.exp(-self.alpha * (log_x - self._log_scale))
 
-    survival_left_at_log = survival_at_log
-
-    def quantile(self, y: float) -> float:
-        if not 0.0 <= y <= 1.0:
-            raise DistributionError(f"quantile level must lie in [0,1], got {y!r}")
-        if y >= 1.0:
-            raise UnboundedQuantileError("quantile(1) is infinite for a Pareto tail")
-        q = self.scale * (1.0 - y) ** (-1.0 / self.alpha)
-        if math.isinf(q):
-            raise QuantileRangeError(f"quantile({y}) exceeds the float range")
-        return q
-
-    def truncated_moment(self, t: float) -> float:
-        if t < 0.0:
-            raise DistributionError("truncation point must be nonnegative")
-        if t < self.scale:
-            return 0.0
-        g = self.alpha / (1.0 - self.alpha)
-        return g * self.scale * math.expm1((1.0 - self.alpha) * (math.log(t) - self._log_scale))
+    survival_left_at_log = survival_at_log  # continuous
 
     def log_truncated_moment(self, log_t: float) -> float:
         if log_t < self._log_scale:
@@ -491,8 +341,9 @@ class ParetoTail(Distribution):
             return g + z + math.log1p(-math.exp(-z))
         return g + math.log(math.expm1(z)) if z > 0.0 else -math.inf
 
-    def is_quantile_fixed_point(self, log_t: float) -> bool:
-        return log_t >= self._log_scale
+    def log_fixed_point(self, z: float) -> float:
+        # F is strictly increasing on the support
+        return max(z, self._log_scale)
 
     def sample_array(self, u: np.ndarray) -> np.ndarray:
         _check_uniform(u)
@@ -522,33 +373,9 @@ class LogTail(Distribution):
             raise DistributionError(
                 f"threshold must be at least e = {math.e:.6f}, got {self.threshold}")
 
-    def atom_free_tail_start(self) -> float | None:
-        return math.nextafter(self.threshold, math.inf)
-
-    def cdf(self, x: float) -> float:
-        if x < self.threshold:
-            return 0.0
-        return 1.0 - 1.0 / math.log(x)
-
-    def cdf_left(self, x: float) -> float:
-        if x <= self.threshold:
-            return 0.0
-        return self.cdf(x)
-
-    def survival(self, x: float) -> float:
-        if x < self.threshold:
-            return 1.0
-        return 1.0 / math.log(x)
-
-    def survival_left(self, x: float) -> float:
-        if x <= self.threshold:
-            return 1.0
-        return 1.0 / math.log(x)
-
-    def cdf_at_log(self, log_x: float) -> float:
-        if log_x < math.log(self.threshold):
-            return 0.0
-        return 1.0 - 1.0 / log_x
+    @property
+    def _atom_mass(self) -> float:
+        return 1.0 - 1.0 / math.log(self.threshold)
 
     def survival_at_log(self, log_x: float) -> float:
         if log_x < math.log(self.threshold):
@@ -560,39 +387,30 @@ class LogTail(Distribution):
             return 1.0
         return 1.0 / log_x
 
-    def quantile(self, y: float) -> float:
-        if not 0.0 <= y <= 1.0:
-            raise DistributionError(f"quantile level must lie in [0,1], got {y!r}")
-        if y >= 1.0:
-            raise UnboundedQuantileError("quantile(1) is infinite for a log tail")
-        if y <= self.cdf(self.threshold):
-            return self.threshold
-        e = 1.0 / (1.0 - y)
-        if e > LOG_FLOAT_MAX:
-            raise QuantileRangeError(f"quantile({y}) = exp({e:.3g}) exceeds the float range")
-        return math.exp(e)
-
-    def truncated_moment(self, t: float) -> float:
-        if t < 0.0:
-            raise DistributionError("truncation point must be nonnegative")
-        if t < self.threshold:
-            return 0.0
-        atom = self.threshold * self.cdf(self.threshold)
-        return atom + self._tail_integral(t) - self._tail_integral(self.threshold)
+    def log_truncated_moment(self, log_t: float) -> float:
+        if log_t > LOG_FLOAT_MAX:
+            raise DistributionError("log_truncated_moment beyond float range for a log tail")
+        # compared in log space, as the survival functions do: exp(log_t) may
+        # round below a threshold that log_t reaches
+        if log_t < math.log(self.threshold):
+            return -math.inf
+        atom = self.threshold * self._atom_mass
+        m = atom + self._tail_integral(math.exp(log_t)) - self._tail_integral(self.threshold)
+        return math.log(m) if m > 0.0 else -math.inf
 
     def _tail_integral(self, x: float) -> float:
         # antiderivative of 1/log(x)**2: li(x) - x/log(x), with li(x) = Ei(log x)
         lx = math.log(x)
         return _ei(lx) - x / lx
 
-    def is_quantile_fixed_point(self, log_t: float) -> bool:
-        return log_t >= math.log(self.threshold)
+    def log_fixed_point(self, z: float) -> float:
+        # F is strictly increasing above the threshold
+        return max(z, math.log(self.threshold))
 
     def sample_array(self, u: np.ndarray) -> np.ndarray:
         _check_uniform(u)
-        lo = self.cdf(self.threshold)
         with np.errstate(over="ignore"):
-            out = np.where(u <= lo, self.threshold, np.exp(1.0 / (1.0 - u)))
+            out = np.where(u <= self._atom_mass, self.threshold, np.exp(1.0 / (1.0 - u)))
         return out
 
 
@@ -608,7 +426,11 @@ class Tabulated(Distribution):
     "linear" interpolates F linearly from the previous breakpoint, which
     requires the first row to carry F = 0.  Beyond the last breakpoint F
     stays constant; a table ending below 1 leaves the remaining mass
-    unresolved and quantiles above the last level raise.
+    unresolved and draws above the last level are ``inf``.
+
+    The rows are floats, so the contract evaluates F, its generalized
+    inverse and the truncated moment at ``exp(log_x)`` with private float
+    helpers (``inf`` beyond the float range, past every row).
     """
 
     xs: tuple[float, ...]
@@ -658,19 +480,28 @@ class Tabulated(Distribution):
     def total_mass(self) -> float:
         return self.fs[-1]
 
-    def atom_free_tail_start(self) -> float | None:
-        if self.total_mass < 1.0:
-            return None
-        kappa = self.xs[0]
-        for x, kind in zip(self.xs, self.kinds):
-            if kind == "jump":
-                kappa = math.nextafter(x, math.inf)
-        return kappa
+    @property
+    def atoms_persist(self) -> bool:
+        return self.total_mass < 1.0
+
+    def survival_at_log(self, log_x: float) -> float:
+        return 1.0 - self._cdf(exp_or_inf(log_x))
+
+    def survival_left_at_log(self, log_x: float) -> float:
+        return 1.0 - self._cdf_left(exp_or_inf(log_x))
+
+    def log_truncated_moment(self, log_t: float) -> float:
+        m = self._truncated_moment(exp_or_inf(log_t))
+        return math.log(m) if m > 0.0 else -math.inf
+
+    def log_fixed_point(self, z: float) -> float:
+        # quantile(F(x)) is the left end of the level set of F through x
+        return math.log(self._quantile(self._cdf(exp_or_inf(z))))
 
     def _left_value(self, i: int) -> float:
         return self.fs[i - 1] if i else 0.0
 
-    def cdf(self, x: float) -> float:
+    def _cdf(self, x: float) -> float:
         if x < self.xs[0]:
             return 0.0
         i = bisect.bisect_right(self.xs, x)
@@ -680,25 +511,19 @@ class Tabulated(Distribution):
             return self.fs[i - 1]
         x0, x1 = self.xs[i - 1], self.xs[i]
         f0, f1 = self.fs[i - 1], self.fs[i]
-        return f0 + (f1 - f0) * (x - x0) / (x1 - x0)
+        # just below x1 the interpolation can round above f1
+        return min(f0 + (f1 - f0) * (x - x0) / (x1 - x0), f1)
 
-    def cdf_left(self, x: float) -> float:
+    def _cdf_left(self, x: float) -> float:
         i = bisect.bisect_left(self.xs, x)
         if i < len(self.xs) and self.xs[i] == x:
             if self.kinds[i] == "jump":
                 return self._left_value(i)
             return self.fs[i]
-        return self.cdf(x) if x > self.xs[0] else 0.0
+        return self._cdf(x) if x > self.xs[0] else 0.0
 
-    def quantile(self, y: float) -> float:
-        if not 0.0 <= y <= 1.0:
-            raise DistributionError(f"quantile level must lie in [0,1], got {y!r}")
-        if y > self.total_mass:
-            if y >= 1.0:
-                raise UnboundedQuantileError(
-                    "quantile(1) lies beyond the tabulated range")
-            raise QuantileRangeError(
-                f"level {y} exceeds the tabulated mass {self.total_mass}")
+    def _quantile(self, y: float) -> float:
+        """inf{x : F(x) >= y} for a level y that F attains."""
         if y <= self.fs[0]:
             return self.xs[0]
         # fs[i - 1] < y <= fs[i], so a linear segment here is not flat
@@ -709,9 +534,7 @@ class Tabulated(Distribution):
         f0, f1 = self.fs[i - 1], self.fs[i]
         return x0 + (y - f0) * (x1 - x0) / (f1 - f0)
 
-    def truncated_moment(self, t: float) -> float:
-        if t < 0.0:
-            raise DistributionError("truncation point must be nonnegative")
+    def _truncated_moment(self, t: float) -> float:
         terms = []
         for i, (x, kind) in enumerate(zip(self.xs, self.kinds)):
             f0 = self._left_value(i)
@@ -732,7 +555,7 @@ class Tabulated(Distribution):
     def sample_array(self, u: np.ndarray) -> np.ndarray:
         _check_uniform(u)
         x0, f0, dx, df = self._segments.take(self._index(u), axis=0).T
-        # the scalar quantile's operation order, so draws match it bit for bit
+        # the reference quantile's operation order, so draws match it bit for bit
         out = np.subtract(u, f0)
         out *= dx
         out /= df

@@ -288,9 +288,8 @@ def run_replication(config: ExperimentConfig, replication: int) -> ConvergenceTr
     for p in config.points:
         t = p.threshold
         if t > last:  # thresholds never decrease (ExperimentConfig)
-            at_least = over[over >= t]
-            over = at_least[at_least > t]
-            ties, last = len(at_least) - len(over), t
+            ties, last = np.count_nonzero(over == t), t
+            over = over[over > t]
         parts = [over]
         for i in range(start, p.n, _CHUNK):
             x = config.distribution.sample_array(rng.random(min(_CHUNK, p.n - i)))
@@ -299,9 +298,8 @@ def run_replication(config: ExperimentConfig, replication: int) -> ConvergenceTr
             _accumulate(acc, x)
             # both pools draw from `high`; a draw at the floor joins neither
             high = x[np.flatnonzero(x > floor if floor < t else x >= t)]
-            at_least = high[high >= t]
-            parts.append(at_least[at_least > t])
-            ties += len(at_least) - len(parts[-1])
+            ties += np.count_nonzero(high == t)
+            parts.append(high[high > t])
             if floor >= t:
                 high = high[high > floor]
             if len(high) > keep:  # only its `keep` largest can be kept
@@ -322,7 +320,7 @@ def run_replication(config: ExperimentConfig, replication: int) -> ConvergenceTr
         # `top` holds the draws negated; rolling the keys by half flips each sign bit back
         trimmed = _rounded(path - np.roll(_buckets(top[:p.trim]), _KEYS // 2, axis=1))
         rows.append(TraceRow(p.n, _rounded(path), trimmed, truncated, len(over),
-                             len(over) + ties, trimmed / p.scale, truncated / p.scale))
+                             len(over) + int(ties), trimmed / p.scale, truncated / p.scale))
     return ConvergenceTrace(replication=replication, config=config, rows=tuple(rows))
 
 

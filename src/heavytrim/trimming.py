@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import Distribution, LOG_FLOAT_MAX
+from .distributions import Distribution, Tabulated, exp_or_inf
 
 _LN2 = math.log(2.0)
 
@@ -266,8 +266,9 @@ class SquareStepThreshold:
 
 @dataclass(frozen=True)
 class ProjectedPowerThreshold:
-    """t(n) = quantile(cdf(n**exponent)): the power target projected onto
-    the set of quantile fixed points of the law, hence always admissible."""
+    """t(n) = the largest quantile fixed point of the law at or below
+    n**exponent: the power target projected, in log space, onto the
+    admissible thresholds."""
 
     exponent: float
 
@@ -276,11 +277,7 @@ class ProjectedPowerThreshold:
             raise TrimmingError(f"exponent must be positive, got {self.exponent}")
 
     def log_threshold(self, dist: Distribution, n: int) -> float:
-        z = self.exponent * math.log(n)
-        if z > LOG_FLOAT_MAX:
-            raise TrimmingError(f"power target overflows at n = {n}")
-        t = dist.quantile(dist.cdf(math.exp(z)))
-        return math.log(t)
+        return dist.log_fixed_point(self.exponent * math.log(n))
 
 
 # --------------------------------------------------------------------------
@@ -346,12 +343,6 @@ class PlanPoint:
     excess: float             # trim - expect_gt
 
 
-def _safe_exp(z: float) -> float:
-    if z == -math.inf:
-        return 0.0
-    return math.exp(z) if z <= LOG_FLOAT_MAX else math.inf
-
-
 @dataclass(frozen=True)
 class TrimmingPlan:
     """Threshold rule, trim rule and weight functions bound to one law.
@@ -394,11 +385,11 @@ class TrimmingPlan:
         return PlanPoint(
             n=n,
             log_threshold=log_t,
-            threshold=_safe_exp(log_t),
+            threshold=exp_or_inf(log_t),
             expect_gt=expect_gt,
             expect_ge=expect_ge,
             log_scale=log_scale,
-            scale=_safe_exp(log_scale),
+            scale=exp_or_inf(log_scale),
             trim=trim,
             clamped=clamped,
             allowance_gt=allow_gt,
@@ -435,8 +426,11 @@ def check_plan(plan: TrimmingPlan, table: Sequence[PlanPoint]) -> tuple[str, ...
     but is the ``trim-floor`` condition of :func:`check_condition`."""
     if not table:
         return ()
+    # a table's rows are floats, so its projection holds to rounding only
+    tol = 1e-12 if isinstance(plan.distribution, Tabulated) else 0.0
     for p in table:
-        if not plan.distribution.is_quantile_fixed_point(p.log_threshold):
+        fixed = plan.distribution.log_fixed_point(p.log_threshold)
+        if not math.isclose(fixed, p.log_threshold, rel_tol=0.0, abs_tol=tol):
             raise PlanError(
                 f"threshold at n = {p.n} is not a quantile fixed point of the law; "
                 f"rule {plan.threshold_rule!r} is inadmissible there")
@@ -527,7 +521,7 @@ def plan_general(dist: Distribution, threshold_rule, trim_rule, epsilon: float,
 
 def _ratio(point: PlanPoint) -> float:
     """threshold / scale, finite even when both overflow floats."""
-    return _safe_exp(point.log_threshold - point.log_scale)
+    return exp_or_inf(point.log_threshold - point.log_scale)
 
 
 def _value_standard_limit(plan: TrimmingPlan, p: PlanPoint) -> float:
@@ -694,7 +688,7 @@ def conditions_for_plan(plan: TrimmingPlan) -> tuple[str, ...]:
     disabled for laws whose atoms persist arbitrarily high.
     """
     base = ("standard-limit", "trim-floor", "margin-limit", "truncation-limit")
-    if plan.distribution.atom_free_tail_start() is not None:
+    if not plan.distribution.atoms_persist:
         return base + ("excess-floor", "excess-limit")
     return base
 

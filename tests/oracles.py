@@ -10,14 +10,20 @@ without touching the oracle.
 ``max_deviation_tail_exact`` gives maximal-deviation probabilities of small
 lattice laws in exact rational arithmetic, for checking that the bounds
 dominate truth.
+``reference_quantile`` is the scalar generalized inverse that each law's
+``sample_array`` vectorizes.
 """
 
+import bisect
+import math
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from heavytrim.bounds import BoundsError
+from heavytrim.distributions import (LOG_FLOAT_MAX, AtomicStep, Distribution,
+                                     LogTail, ParetoTail)
 from heavytrim.montecarlo import (ConvergenceTrace, ExperimentConfig, TraceRow,
                                   _largest, _rounded)
 
@@ -107,3 +113,34 @@ def max_deviation_tail_exact(support: Sequence, probs: Sequence, n: int,
         alive = nxt
     return absorbed
 
+
+
+def reference_quantile(dist: Distribution, u: float) -> float:
+    """inf{x : F(x) >= u} for one variate u in (0, 1), in Python floats.
+
+    A value beyond the float range, or a level above the mass a partial
+    table covers, gives ``inf``, as ``sample_array`` draws it.
+    """
+    if isinstance(dist, ParetoTail):
+        try:
+            return dist.scale * (1.0 - u) ** (-1.0 / dist.alpha)
+        except OverflowError:
+            return math.inf
+    if isinstance(dist, LogTail):
+        if u <= 1.0 - 1.0 / math.log(dist.threshold):
+            return dist.threshold
+        e = 1.0 / (1.0 - u)
+        return math.exp(e) if e <= LOG_FLOAT_MAX else math.inf
+    if isinstance(dist, AtomicStep):
+        i = bisect.bisect_left(dist._cum, u)
+        return dist.atoms[i].x if i < len(dist.atoms) else math.inf
+    xs, fs = dist.xs, dist.fs  # a Tabulated law
+    if u > fs[-1]:
+        return math.inf
+    if u <= fs[0]:
+        return xs[0]
+    # fs[i - 1] < u <= fs[i], so a linear segment here is not flat
+    i = bisect.bisect_left(fs, u)
+    if dist.kinds[i] == "jump":
+        return xs[i]
+    return xs[i - 1] + (u - fs[i - 1]) * (xs[i] - xs[i - 1]) / (fs[i] - fs[i - 1])

@@ -8,132 +8,166 @@ from scipy import integrate
 
 from heavytrim import distributions, montecarlo
 from heavytrim.distributions import (Atom, AtomicStep, DistributionError, _ei,
-                                     LogTail, ParetoTail, QuantileRangeError,
-                                     Tabulated, UnboundedQuantileError,
+                                     LogTail, ParetoTail, Tabulated,
                                      point_mass, square_step)
 
 from conftest import scan_cdf, scan_quantile, step_atoms_exact
+from oracles import reference_quantile
 
 LN2 = math.log(2.0)
 
 
+def _log(x: int) -> float:
+    """log x, read as the step law stores its atoms (m ln 2) when x = 2**m."""
+    m = x.bit_length() - 1
+    return m * LN2 if x == 1 << m else math.log(x)
+
+
+def _moment(d, t: float) -> float:
+    return math.exp(d.log_truncated_moment(math.log(t)))
+
+
 class TestStepCdf:
-    """CDF of the built-in step law against a rational atom-scan oracle."""
+    """Survival of the built-in step law against a rational atom-scan oracle."""
 
     def test_value_at_first_atom(self, step):
-        assert step.cdf(2.0) == 0.75
+        assert step.survival_at_log(LN2) == 0.25
 
     def test_below_support(self, step):
-        assert step.cdf(1.5) == 0.0
-        assert step.cdf(0.0) == 0.0
+        assert step.survival_at_log(math.log(1.5)) == 1.0
+        assert step.survival_at_log(-math.inf) == 1.0
 
     def test_matches_scan_oracle_on_grid(self, step):
         atoms = step_atoms_exact(6)
         for x in [1, 2, 3, 15, 16, 17, 511, 512, 513, 65535, 65536, 70000]:
-            assert step.cdf(float(x)) == pytest.approx(float(scan_cdf(atoms, x)), rel=1e-15)
+            assert 1.0 - step.survival_at_log(_log(x)) == pytest.approx(
+                float(scan_cdf(atoms, x)), rel=1e-15)
 
     def test_left_limits(self, step):
-        assert step.cdf_left(2.0) == 0.0
-        assert step.cdf_left(16.0) == 0.75
-        assert step.cdf_left(3.0) == step.cdf(3.0)  # no atom at 3
+        assert step.survival_left_at_log(LN2) == 1.0
+        assert step.survival_left_at_log(4 * LN2) == 0.25
+        no_atom = math.log(3.0)
+        assert step.survival_left_at_log(no_atom) == step.survival_at_log(no_atom)
 
     def test_left_limit_drops_exactly_the_atom(self, step):
-        atoms = step_atoms_exact(4)
-        for loc, mass in atoms[:4]:
-            x = float(loc)
-            assert step.cdf(x) - step.cdf_left(x) == pytest.approx(float(mass), rel=1e-15)
+        for loc, mass in step_atoms_exact(4):
+            z = _log(int(loc))
+            assert step.survival_left_at_log(z) - step.survival_at_log(z) == pytest.approx(
+                float(mass), rel=1e-15)
 
 
 class TestParetoForms:
     def test_cdf_closed_form(self, pareto):
-        assert pareto.cdf(4.0) == pytest.approx(0.5, rel=1e-15)
-        assert pareto.cdf(0.5) == 0.0
+        assert pareto.survival_at_log(math.log(4.0)) == pytest.approx(0.5, rel=1e-15)
+        assert pareto.survival_at_log(math.log(0.5)) == 1.0
 
     def test_quantile_inverts_survival(self, pareto):
-        assert pareto.quantile(0.75) == pytest.approx(16.0, rel=1e-14)
-        assert pareto.quantile(0.0) == pareto.scale
+        # every point of the support is a fixed point: the level 1 - 16**-1/2
+        # is attained first at 16
+        z = math.log(16.0)
+        assert pareto.log_fixed_point(z) == z
+        assert pareto.survival_at_log(pareto.log_fixed_point(z)) == pytest.approx(0.25, rel=1e-14)
+        assert pareto.log_fixed_point(math.log(0.5)) == math.log(pareto.scale)
 
     def test_truncated_moment_closed_form_vs_quadrature(self, pareto):
         for t in [2.0, 4.0, 16.0, 100.0]:
             expected, err = integrate.quad(lambda x: x * 0.5 * x ** -1.5, 1.0, t)
             assert err < 1e-6
-            assert pareto.truncated_moment(t) == pytest.approx(expected, rel=1e-9)
-        assert pareto.truncated_moment(4.0) == pytest.approx(1.0, rel=1e-12)
+            assert _moment(pareto, t) == pytest.approx(expected, rel=1e-9)
+        assert _moment(pareto, 4.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_moment_below_support_is_zero(self, pareto):
-        assert pareto.truncated_moment(0.5) == 0.0
+        assert pareto.log_truncated_moment(math.log(0.5)) == -math.inf
 
 
 class TestQuantiles:
+    """``log_fixed_point``: the largest quantile fixed point at or below a level."""
+
     def test_step_against_scan_oracle(self, step):
         atoms = step_atoms_exact(6)
-        for y in [Fraction(1, 10), Fraction(3, 4), Fraction(7, 8),
-                  Fraction(8, 9), Fraction(9, 10), Fraction(35, 36)]:
-            assert step.quantile(float(y)) == float(scan_quantile(atoms, y))
+        for x in [1, 2, 3, 15, 16, 17, 511, 512, 513, 65535, 65536, 70000]:
+            expected = scan_quantile(atoms, scan_cdf(atoms, x))  # quantile(F(x))
+            assert step.log_fixed_point(_log(x)) == _log(int(expected))
 
-    def test_step_level_zero_is_support_min(self, step):
-        assert step.quantile(0.0) == 2.0
+    def test_step_level_zero_is_support_min(self, step, pareto, logtail):
+        assert step.log_fixed_point(-math.inf) == LN2
+        assert step.log_fixed_point(math.log(1.5)) == LN2
+        assert pareto.log_fixed_point(-1.0) == 0.0
+        assert logtail.log_fixed_point(0.5) == 1.0
 
     def test_step_fixed_points(self, step):
         for n in range(1, 6):
-            s = 2.0 ** (n * n)
-            assert step.quantile(step.cdf(s)) == s
+            z = n * n * LN2
+            assert step.log_fixed_point(z) == z
+            assert step.survival_at_log(z) == pytest.approx(1.0 / (n + 1) ** 2, rel=1e-14)
 
-    def test_unbounded_level_raises(self, step, pareto, logtail):
-        for d in (step, pareto, logtail):
-            with pytest.raises(UnboundedQuantileError):
-                d.quantile(1.0)
+    def test_unbounded_laws_project_beyond_float_range(self, step, pareto, logtail):
+        # no level of an unbounded law reaches 1, and far targets stay exact
+        for d in (pareto, logtail):
+            assert d.log_fixed_point(1e6) == 1e6
+        assert step.log_fixed_point(1e9) == step.atoms[-1].log_x
 
-    def test_step_level_beyond_table_raises(self):
+    def test_step_level_beyond_table_is_last_atom(self):
         small = square_step(max_index=4)
-        with pytest.raises(QuantileRangeError):
-            small.quantile(1.0 - 1.0 / 26.0 ** 2)
+        assert small.log_fixed_point(25 * 25 * LN2) == 16 * LN2
+        assert small.survival_at_log(25 * 25 * LN2) == pytest.approx(1.0 / 25.0, rel=1e-14)
 
-    def test_step_atom_beyond_float_range_raises(self, step):
-        # the level is covered by the table but the atom is not a float
-        level = step.cdf_at_log(33 * 33 * LN2)
-        with pytest.raises(QuantileRangeError):
-            step.quantile(level)
+    def test_step_atom_beyond_float_range_is_exact(self, step):
+        # atom 33 sits at 2**1089, beyond float64; the contract reads its log
+        atom = step.atoms[32]
+        assert atom.x == math.inf
+        assert step.log_fixed_point(atom.log_x) == atom.log_x
+        assert step.log_fixed_point(atom.log_x + 1.0) == atom.log_x
+        gap = step.survival_left_at_log(atom.log_x) - step.survival_at_log(atom.log_x)
+        assert gap == pytest.approx(atom.mass, rel=1e-9)
+
+    def test_step_projection_keeps_the_stored_atom_log(self, step):
+        # math.log(2.0**81) differs from the stored 81 ln 2 in the last bits,
+        # so a projection through float locations misses atom 9
+        assert math.log(2.0 ** 81) != 81 * LN2
+        assert step.log_fixed_point(81 * LN2 + 1e-9) == step.atoms[8].log_x
 
 
 class TestTruncatedMoments:
     def test_step_closed_form(self, step):
         # sum of (1/k^2 - 1/(k+1)^2) * 2^(k^2) over k <= 2
-        assert step.truncated_moment(16.0) == pytest.approx(67.0 / 18.0, rel=1e-15)
-        assert step.truncated_moment(1.0) == 0.0
+        assert math.exp(step.log_truncated_moment(4 * LN2)) == pytest.approx(67.0 / 18.0, rel=1e-15)
+        assert step.log_truncated_moment(0.0) == -math.inf
 
     def test_step_against_fraction_oracle(self, step):
         atoms = step_atoms_exact(5)
         for t in [2, 16, 512, 65536]:
             exact = sum((loc * m for loc, m in atoms if loc <= t), Fraction(0))
-            assert step.truncated_moment(float(t)) == pytest.approx(float(exact), rel=1e-14)
+            got = math.exp(step.log_truncated_moment(_log(t)))
+            assert got == pytest.approx(float(exact), rel=1e-14)
 
     def test_additive_over_atom_partition(self, step):
         atoms = step_atoms_exact(5)
-        a, b = 4.0, 70000.0
+        a, b = 4, 70000
         gap = sum((loc * m for loc, m in atoms if a < loc <= b), Fraction(0))
-        got = step.truncated_moment(b) - step.truncated_moment(a)
+        got = _moment(step, b) - _moment(step, a)
         assert got == pytest.approx(float(gap), rel=1e-14)
 
     def test_nondecreasing(self, step, pareto, logtail, mixed_table):
         for d in (step, pareto, logtail, mixed_table):
-            grid = np.geomspace(1.0, 1e6, 40)
-            vals = [d.truncated_moment(float(t)) for t in grid]
+            vals = [d.log_truncated_moment(z) for z in np.linspace(0.0, math.log(1e6), 40)]
             assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_logtail_matches_quadrature(self, logtail):
         for t in [10.0, 100.0, 1e4, 1e8]:
             expected, err = integrate.quad(
                 lambda x: 1.0 / math.log(x) ** 2, math.e, t, limit=200)
-            assert logtail.truncated_moment(t) == pytest.approx(expected, rel=1e-9)
+            assert _moment(logtail, t) == pytest.approx(expected, rel=1e-9)
 
     def test_logtail_atom_at_threshold(self):
-        d = LogTail(threshold=10.0)
-        # jump of size F(10) at the threshold contributes 10 * F(10)
-        base = 10.0 * (1.0 - 1.0 / math.log(10.0))
-        assert d.truncated_moment(10.0) == pytest.approx(base, rel=1e-12)
-        tail, _ = integrate.quad(lambda x: 1.0 / math.log(x) ** 2, 10.0, 50.0)
-        assert d.truncated_moment(50.0) == pytest.approx(base + tail, rel=1e-9)
+        # exp(log 5) rounds below 5, yet log 5 reaches the atom there
+        for threshold in (10.0, 5.0):
+            d = LogTail(threshold=threshold)
+            # the jump of size F(threshold) there contributes threshold * F(threshold)
+            base = threshold * (1.0 - 1.0 / math.log(threshold))
+            assert _moment(d, threshold) == pytest.approx(base, rel=1e-12)
+            tail, _ = integrate.quad(lambda x: 1.0 / math.log(x) ** 2, threshold, 50.0)
+            assert _moment(d, 50.0) == pytest.approx(base + tail, rel=1e-9)
 
     def test_ei_matches_mpmath(self):
         # both branches of the series and the switch at 50, up to the
@@ -148,29 +182,40 @@ class TestTruncatedMoments:
 class TestTabulated:
     def test_cdf_values(self, mixed_table):
         t = mixed_table
-        assert t.cdf(0.5) == 0.0
-        assert t.cdf(1.0) == 0.2
-        assert t.cdf(2.5) == pytest.approx(0.2 + 0.3 * 1.5 / 3.0)
-        assert t.cdf(5.0) == 0.5          # flat before the jump at 8
-        assert t.cdf(8.0) == 0.75
-        assert t.cdf_left(8.0) == 0.5
-        assert t.cdf(12.0) == pytest.approx(0.75 + 0.25 * 0.5)
-        assert t.cdf(100.0) == 1.0
+
+        def cdf(x):
+            return 1.0 - t.survival_at_log(math.log(x))
+
+        assert cdf(0.5) == 0.0
+        assert cdf(1.0) == pytest.approx(0.2, abs=1e-15)
+        assert cdf(2.5) == pytest.approx(0.2 + 0.3 * 1.5 / 3.0)
+        assert cdf(5.0) == 0.5          # flat before the jump at 8
+        assert cdf(12.0) == pytest.approx(0.75 + 0.25 * 0.5)
+        assert cdf(100.0) == 1.0
+        assert t.survival_left_at_log(math.log(12.0)) == t.survival_at_log(math.log(12.0))
+        assert t.survival_at_log(1000.0) == 0.0  # beyond the float range, past every row
 
     def test_quantile_inverts(self, mixed_table):
         t = mixed_table
-        assert t.quantile(0.1) == 1.0
-        assert t.quantile(0.35) == pytest.approx(2.5)
-        assert t.quantile(0.6) == 8.0     # inside the jump
-        assert t.quantile(1.0) == 16.0
+        assert t.log_fixed_point(math.log(0.5)) == 0.0  # the support minimum, 1
+        assert t.log_fixed_point(0.0) == 0.0            # the atom at 1
+        assert t.log_fixed_point(math.log(2.5)) == pytest.approx(math.log(2.5), abs=1e-12)
+        assert t.log_fixed_point(math.log(6.0)) == pytest.approx(math.log(4.0), abs=1e-12)
+        assert t.log_fixed_point(math.log(100.0)) == pytest.approx(math.log(16.0), abs=1e-12)
+        assert t.log_fixed_point(1000.0) == pytest.approx(math.log(16.0), abs=1e-12)
+        # F interpolated just below the last row used to round above its level 1
+        edge = Tabulated([(1.073, 0.079, "jump"), (5.465, 1.0, "linear")])
+        z = 1.6983641216285017
+        assert edge.survival_at_log(z) == 0.0
+        assert edge.log_fixed_point(z) == pytest.approx(math.log(5.465), abs=1e-12)
 
     def test_truncated_moment_vs_hand_integral(self, mixed_table):
         t = mixed_table
         # atom 1*0.2 + ramp slope 0.1 over [1,4] + atom 8*0.25 + ramp over [8,16]
         ramp1 = 0.1 * (4.0 ** 2 - 1.0) / 2.0
         ramp2 = (0.25 / 8.0) * (16.0 ** 2 - 8.0 ** 2) / 2.0
-        assert t.truncated_moment(20.0) == pytest.approx(0.2 + ramp1 + 2.0 + ramp2, rel=1e-14)
-        assert t.truncated_moment(2.0) == pytest.approx(0.2 + 0.1 * (4.0 - 1.0) / 2.0, rel=1e-14)
+        assert _moment(t, 20.0) == pytest.approx(0.2 + ramp1 + 2.0 + ramp2, rel=1e-14)
+        assert _moment(t, 2.0) == pytest.approx(0.2 + 0.1 * (4.0 - 1.0) / 2.0, rel=1e-14)
 
     def test_rejects_bad_tables(self):
         with pytest.raises(DistributionError):
@@ -185,11 +230,11 @@ class TestTabulated:
             Tabulated([(1.0, 0.5, "wiggly")])
 
     def test_point_mass(self, pm):
-        assert pm.cdf(1.0) == 1.0
-        assert pm.cdf_left(1.0) == 0.0
-        assert pm.quantile(0.5) == 1.0
-        assert pm.truncated_moment(1.0) == 1.0
-        assert pm.sample(0.99) == 1.0
+        assert pm.survival_at_log(0.0) == 0.0
+        assert pm.survival_left_at_log(0.0) == 1.0
+        assert pm.log_fixed_point(5.0) == 0.0
+        assert pm.log_truncated_moment(0.0) == 0.0
+        assert pm.sample_array(np.array([0.99])).tolist() == [1.0]
 
 
 # laws whose levels sit on guide-table bucket edges or crowd into one bucket
@@ -218,18 +263,25 @@ def _edge_variates(levels):
     return u[(u > 0.0) & (u < 1.0)]
 
 
+def _reference(d, u):
+    return np.array([reference_quantile(d, float(v)) for v in u])
+
+
 class TestSampling:
     def test_scalar_examples(self, step, pareto):
-        assert step.sample(0.5) == 2.0
-        assert pareto.sample(0.75) == pytest.approx(16.0, rel=1e-14)
+        assert step.sample_array(np.array([0.5])).tolist() == [2.0]
+        assert pareto.sample_array(np.array([0.75]))[0] == pytest.approx(16.0, rel=1e-14)
 
     def test_sample_is_quantile(self, pareto, logtail, mixed_table):
+        # a draw x is the quantile of u: F(x-) <= u <= F(x), up to rounding
         cases = [(pareto, [0.01, 0.3, 0.5, 0.77, 0.9, 0.999]),
                  (logtail, [0.01, 0.3, 0.5, 0.77, 0.9, 0.99]),
                  (mixed_table, [0.01, 0.3, 0.5, 0.77, 0.9, 0.999])]
         for d, us in cases:
-            for u in us:
-                assert d.sample(u) == d.quantile(u)
+            for u, x in zip(us, d.sample_array(np.array(us))):
+                z = math.log(x)
+                assert 1.0 - d.survival_at_log(z) >= u - 1e-12
+                assert 1.0 - d.survival_left_at_log(z) <= u + 1e-12
 
     def test_vector_matches_scalar(self, step, pareto, logtail, mixed_table):
         rng = np.random.default_rng(7)
@@ -237,11 +289,9 @@ class TestSampling:
         # atomic and tabulated laws look values up: exact; closed-form laws
         # may differ from the scalar libm path in the last ulp
         for d in (step, mixed_table):
-            assert np.array_equal(d.sample_array(u), np.array([d.sample(float(v)) for v in u]))
+            assert np.array_equal(d.sample_array(u), _reference(d, u))
         for d in (pareto, logtail):
-            vec = d.sample_array(u)
-            scalar = np.array([d.sample(float(v)) for v in u])
-            np.testing.assert_allclose(vec, scalar, rtol=1e-15)
+            np.testing.assert_allclose(d.sample_array(u), _reference(d, u), rtol=1e-15)
 
     def test_vector_path_is_deterministic(self, pareto):
         u = np.random.Generator(np.random.Philox(key=[5, 5])).random(10_000)
@@ -251,7 +301,7 @@ class TestSampling:
 
     def test_beyond_range_draw_is_inf(self, logtail):
         u = 1.0 - 2.0 ** -53
-        assert logtail.sample(u) == math.inf
+        assert reference_quantile(logtail, u) == math.inf
         assert logtail.sample_array(np.array([0.5, u])).tolist()[1] == math.inf
 
     def test_dkw_band_continuous(self, pareto, logtail):
@@ -261,7 +311,7 @@ class TestSampling:
         for j, d in enumerate((pareto, logtail)):
             u = np.random.Generator(np.random.Philox(key=[2026, j])).random(n)
             x = np.sort(d.sample_array(u))
-            fx = np.array([d.cdf(float(v)) for v in x])
+            fx = np.array([1.0 - d.survival_at_log(math.log(v)) for v in x])
             i = np.arange(1, n + 1)
             gap = np.maximum(np.abs(i / n - fx), np.abs((i - 1) / n - fx))
             assert float(gap.max()) < eps
@@ -280,22 +330,22 @@ class TestSampling:
             ecdf = np.searchsorted(x, a.x, side="right") / n
             ecdf_left = np.searchsorted(x, a.x, side="left") / n
             worst = max(worst,
-                        abs(ecdf - d.cdf(a.x)),
-                        abs(ecdf_left - d.cdf_left(a.x)))
+                        abs(ecdf - (1.0 - d.survival_at_log(a.log_x))),
+                        abs(ecdf_left - (1.0 - d.survival_left_at_log(a.log_x))))
         assert worst < eps
 
     def test_uniform_domain_enforced(self, pareto):
         with pytest.raises(DistributionError):
-            pareto.sample(0.0)
+            pareto.sample_array(np.array([0.0]))
         with pytest.raises(DistributionError):
-            pareto.sample(1.0)
+            pareto.sample_array(np.array([1.0]))
 
     @pytest.mark.parametrize("law", _LOOKUP_LAWS)
     def test_tabulated_vector_is_scalar_bit_for_bit(self, request, law):
         # tabulated and atomic laws alike
         d, levels = _law_and_levels(request, law)
         u = _edge_variates(levels)
-        scalar = np.array([d.sample(float(v)) for v in u])
+        scalar = _reference(d, u)
         assert np.isinf(scalar).any() == (d.total_mass < 1.0)
         assert np.array_equal(d.sample_array(u).view(np.uint64), scalar.view(np.uint64))
 
@@ -315,7 +365,7 @@ class TestSampling:
     @pytest.mark.parametrize("law", ["pareto", "logtail", "step"])
     @pytest.mark.parametrize("bad", [0.0, 1.0, math.nan, -0.5, 1.5])
     def test_vector_domain_enforced(self, request, law, bad):
-        # u = 0.0 used to draw the support minimum, where sample() raises
+        # u = 0.0 used to draw the support minimum, outside the open interval
         with pytest.raises(DistributionError):
             request.getfixturevalue(law).sample_array(np.array([0.5, bad, 0.25]))
 
@@ -335,61 +385,91 @@ class TestSampling:
                               expected.view(np.uint64))
 
 
+def _assert_projection(d, z):
+    """The defining properties of ``log_fixed_point`` at the level z."""
+    fixed = d.log_fixed_point(z)
+    bottom = d.log_fixed_point(-math.inf)  # the support minimum
+    assert d.log_fixed_point(fixed) == fixed
+    if z < bottom:
+        assert fixed == bottom
+    else:
+        # at or below z, with no mass in between
+        assert fixed <= z
+        assert d.survival_at_log(fixed) == d.survival_at_log(z)
+
+
+_STEP = square_step()
+
+
 class TestOrderProperties:
-    @given(x=st.floats(0.0, 1e9), y=st.floats(0.0, 1e9))
+    @given(x=st.floats(-10.0, 25.0), y=st.floats(-10.0, 25.0))
     @settings(max_examples=200, deadline=None)
     def test_cdf_monotone_step(self, x, y):
         d = square_step(max_index=8)
         lo, hi = sorted((x, y))
-        assert d.cdf(lo) <= d.cdf(hi)
+        assert d.survival_at_log(lo) >= d.survival_at_log(hi)
+        assert d.survival_left_at_log(lo) >= d.survival_left_at_log(hi)
 
-    @given(y=st.floats(0.001, 0.997))
+    @given(z=st.floats(-50.0, 5000.0), alpha=st.sampled_from([0.3, 0.5]),
+           scale=st.sampled_from([1.0, 3.0]))
     @settings(max_examples=200, deadline=None)
-    def test_galois_pareto(self, y):
-        # exact in the reals; floats may round the boundary by an ulp
-        d = ParetoTail(0.5, 1.0)
-        q = d.quantile(y)
-        assert d.cdf(q) >= y - 1e-12
-        below = q * (1.0 - 1e-9)
-        if below < q:
-            assert d.cdf(below) < y or below < d.quantile(0.0)
+    def test_galois_pareto(self, z, alpha, scale):
+        # exact for the continuous families, the log tail as much as Pareto
+        _assert_projection(ParetoTail(alpha, scale), z)
+        _assert_projection(LogTail(threshold=scale + math.e), z)
 
-    def test_galois_on_step_atoms(self, step):
-        atoms = step_atoms_exact(5)
-        levels = [float(scan_cdf(atoms, loc)) for loc, _ in atoms]
-        for y in levels:
-            q = step.quantile(y)
-            for loc, _ in atoms:
-                x = float(loc)
-                assert (step.cdf(x) >= y) == (x >= q)
+    @given(z=st.one_of(st.floats(-10.0, 12000.0), st.sampled_from(_STEP._logs)))
+    @settings(max_examples=300, deadline=None)
+    def test_galois_on_step_atoms(self, z):
+        _assert_projection(_STEP, z)
+        assert _STEP.log_fixed_point(z) in _STEP._logs
 
     def test_cdf_left_below_cdf_iff_atom(self, step, pareto, mixed_table):
-        assert step.cdf_left(2.0) < step.cdf(2.0)
-        assert mixed_table.cdf_left(8.0) < mixed_table.cdf(8.0)
+        assert step.survival_left_at_log(LN2) > step.survival_at_log(LN2)
+        assert mixed_table.survival_left_at_log(0.0) > mixed_table.survival_at_log(0.0)
         for x in [3.0, 100.0, 1e5]:
-            assert step.cdf_left(x) == step.cdf(x)
-            assert pareto.cdf_left(x) == pareto.cdf(x)
-        assert mixed_table.cdf_left(2.0) == mixed_table.cdf(2.0)
+            z = math.log(x)
+            assert step.survival_left_at_log(z) == step.survival_at_log(z)
+            assert pareto.survival_left_at_log(z) == pareto.survival_at_log(z)
+        z = math.log(2.0)
+        assert mixed_table.survival_left_at_log(z) == mixed_table.survival_at_log(z)
 
     def test_quantile_of_cdf_at_continuity_points(self, pareto, logtail):
         for d, xs in ((pareto, [1.0, 2.0, 31.4, 1e6]), (logtail, [3.0, 10.0, 1e5])):
             for x in xs:
-                assert d.quantile(d.cdf(x)) == pytest.approx(x, rel=1e-12)
+                assert d.log_fixed_point(math.log(x)) == math.log(x)
 
 
 class TestLogTwins:
+    """The log-space contract inside and beyond the float range."""
+
     def test_cdf_at_log_matches_float_path(self, step, pareto, logtail, mixed_table):
-        for d in (step, pareto, logtail, mixed_table):
-            for x in [1.0, 2.0, 3.7, 16.0, 512.0, 1e5, 1e8]:
-                assert d.cdf_at_log(math.log(x)) == pytest.approx(d.cdf(x), abs=1e-15)
+        # against each law's CDF evaluated in floats from its closed form
+        atoms = step_atoms_exact(6)
+        closed = [
+            (step, lambda x: float(scan_cdf(atoms, Fraction(x)))),
+            (pareto, lambda x: 1.0 - x ** -0.5 if x >= 1.0 else 0.0),
+            (logtail, lambda x: 1.0 - 1.0 / math.log(x) if x >= math.e else 0.0),
+            (mixed_table, lambda x: (min(0.2 + 0.1 * (x - 1.0), 0.5) if x < 8.0
+                                     else min(0.75 + (x - 8.0) / 32.0, 1.0))),
+        ]
+        for d, cdf in closed:
+            for x in [1.0, 2.0, 3.7, 6.0, 12.0, 16.0, 512.0, 1e5, 1e8]:
+                assert 1.0 - d.survival_at_log(math.log(x)) == pytest.approx(cdf(x), abs=1e-15)
 
     def test_survival_twins(self, step, pareto, logtail):
-        for d in (step, pareto, logtail):
-            for x in [2.0, 16.0, 1e4]:
-                assert d.survival_at_log(math.log(x)) == pytest.approx(
-                    1.0 - d.cdf(x), abs=1e-12)
-                assert d.survival_left_at_log(math.log(x)) == pytest.approx(
-                    1.0 - d.cdf_left(x), abs=1e-12)
+        atoms = step_atoms_exact(6)
+        for x in [2, 16, 10 ** 4]:
+            z = _log(x)
+            assert step.survival_at_log(z) == pytest.approx(
+                float(1 - scan_cdf(atoms, x)), abs=1e-15)
+            assert step.survival_left_at_log(z) == pytest.approx(
+                float(1 - scan_cdf(atoms, x - Fraction(1, 2))), abs=1e-15)
+            for d in (pareto, logtail):
+                assert d.survival_at_log(z) == d.survival_left_at_log(z)
+            assert pareto.survival_at_log(z) == pytest.approx(x ** -0.5, rel=1e-14)
+            expected = 1.0 / math.log(x) if x >= math.e else 1.0
+            assert logtail.survival_at_log(z) == pytest.approx(expected, rel=1e-14)
 
     def test_pareto_survival_precise_in_far_tail(self, pareto):
         # 1 - cdf cancels catastrophically out here; the closed form must not
@@ -398,11 +478,15 @@ class TestLogTwins:
             math.exp(-50.0), rel=1e-12)
 
     def test_log_moment_matches_float_range(self, step, pareto, logtail):
-        for d in (step, pareto, logtail):
-            for x in [4.0, 16.0, 1e5]:
-                m = d.truncated_moment(x)
-                assert d.log_truncated_moment(math.log(x)) == pytest.approx(
-                    math.log(m), rel=1e-12)
+        atoms = step_atoms_exact(6)
+        for x in [4, 16, 10 ** 5]:
+            z = _log(x)
+            exact = sum((loc * m for loc, m in atoms if loc <= x), Fraction(0))
+            assert step.log_truncated_moment(z) == pytest.approx(math.log(exact), rel=1e-12)
+            assert pareto.log_truncated_moment(z) == pytest.approx(
+                math.log(math.sqrt(x) - 1.0), rel=1e-12)
+            quad, _ = integrate.quad(lambda v: 1.0 / math.log(v) ** 2, math.e, x, limit=200)
+            assert logtail.log_truncated_moment(z) == pytest.approx(math.log(quad), rel=1e-9)
 
     def test_step_log_moment_beyond_float_range_vs_mpmath(self, step):
         mp = pytest.importorskip("mpmath")
@@ -421,12 +505,12 @@ class TestLogTwins:
         assert pareto.log_truncated_moment(log_t) == pytest.approx(2000.0, rel=1e-12)
 
     def test_fixed_point_probes(self, step, pareto, logtail):
-        assert step.is_quantile_fixed_point(169 * LN2)
-        assert step.is_quantile_fixed_point(1369 * LN2)
-        assert not step.is_quantile_fixed_point(math.log(3.0))
-        assert pareto.is_quantile_fixed_point(math.log(2.0))
-        assert not pareto.is_quantile_fixed_point(math.log(0.5))
-        assert logtail.is_quantile_fixed_point(math.log(5.0))
+        assert step.log_fixed_point(169 * LN2) == 169 * LN2
+        assert step.log_fixed_point(1369 * LN2) == 1369 * LN2
+        assert step.log_fixed_point(math.log(3.0)) == LN2  # 3 is no atom
+        assert pareto.log_fixed_point(math.log(2.0)) == math.log(2.0)
+        assert pareto.log_fixed_point(math.log(0.5)) == 0.0  # below the scale
+        assert logtail.log_fixed_point(math.log(5.0)) == math.log(5.0)
 
 
 class TestConstruction:
@@ -453,10 +537,15 @@ class TestConstruction:
             square_step(max_index=1)
 
     def test_grid_validation_passes(self, step, pareto, logtail, mixed_table):
-        # F is nondecreasing, within [0, 1] and at least its left limit on a grid
-        xs = np.geomspace(0.5, 1e8, 60)
+        # survival is nonincreasing, within [0, 1] and at most its left limit on a grid
+        zs = np.log(np.geomspace(0.5, 1e8, 60))
         for d in (step, pareto, logtail, mixed_table):
-            values = [d.cdf(x) for x in xs]
+            values = [d.survival_at_log(z) for z in zs]
             assert all(0.0 <= v <= 1.0 for v in values)
-            assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
-            assert all(d.cdf_left(x) <= v + 1e-15 for x, v in zip(xs, values))
+            assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
+            assert all(d.survival_left_at_log(z) >= v - 1e-15 for z, v in zip(zs, values))
+
+    def test_atoms_persist(self, step, pareto, logtail, mixed_table, partial_table):
+        # a table covering less than mass 1 has atoms beyond its last row
+        assert step.atoms_persist and partial_table.atoms_persist
+        assert not any(d.atoms_persist for d in (pareto, logtail, mixed_table, point_mass()))

@@ -286,6 +286,19 @@ class TestPlanDefault:
             for n in (16, 100, 10 ** 4, 10 ** 6):
                 assert math.exp(plan.log_threshold(n)) <= n ** (0.5 - 0.16) + 1e-9
 
+    @pytest.mark.parametrize("law", ["step", "pareto"])
+    def test_far_grid_thresholds_are_admissible(self, request, law):
+        # projected in log space: through float locations the step law missed
+        # atom 9 (log(2.0**81) is not 81 ln 2) and Pareto's cdf rounded to 1
+        grid = geometric_grid(1000, 1e100, 40)
+        assert all(type(n) is int for n in grid)
+        plan = plan_default(request.getfixturevalue(law), 0.05)
+        table = plan.table(grid)
+        check_plan(plan, table)
+        if law == "step":
+            verdicts = {check_condition(plan, c, table).verdict for c in conditions_for_plan(plan)}
+            assert verdicts == {"satisfied"}
+
     def test_empty_tail_reduces_trim_to_iterated_log(self, pm):
         # no expected exceedances at all: the slack term alone sets the trim
         plan = plan_default(pm, 0.05, grid=())
