@@ -18,10 +18,10 @@ from .trimming import (AllowanceTrimRule, ConditionReport, PlanError,
                        SquareStepThreshold, StandardTrimRule, SummableFunction,
                        TrimmingError, TrimmingPlan, check_condition,
                        fluctuation_allowance, format_condition_report,
-                       geometric_grid, plan_default, plan_general,
-                       plan_standard, rebase_summable)
-from .bounds import (BoundsError, ProbabilityBound, bernstein_max_tail,
-                     bernstein_relative, borel_cantelli_budget)
+                       geometric_grid, plan_default, plan_standard,
+                       rebase_summable)
+from .bounds import (BoundsError, ProbabilityBound, bernstein_relative,
+                     borel_cantelli_budget)
 from .montecarlo import (ConvergenceTrace, ExperimentConfig, MonteCarloError,
                          aggregate, exceedance_counts, run_replication, simulate,
                          trimmed_sum, truncated_sum)

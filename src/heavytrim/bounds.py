@@ -1,8 +1,7 @@
 """Concentration bounds for bounded sums and the summable deviation budget.
 
-The two Bernstein-type bounds are evaluated in log space so that
-exponents in the tens of thousands survive; reports carry log10 of the
-bound.
+The relative Bernstein bound is evaluated in log space so that exponents
+in the tens of thousands survive; reports carry log10 of the bound.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from .trimming import PlanPoint
 
 __all__ = [
     "ProbabilityBound",
-    "bernstein_max_tail",
     "bernstein_relative",
     "BudgetRow",
     "BudgetTable",
@@ -49,24 +47,6 @@ class ProbabilityBound:
         return self.log_value / _LN10
 
 
-def bernstein_max_tail(deviation: float, variance: float,
-                       amplitude: float) -> ProbabilityBound:
-    """Bound on P(max over prefixes of |sum - mean| >= deviation).
-
-    Evaluates ``2 exp(-t**2 / (2 V + (2/3) M t))`` for independent
-    summands with variance total V, each within M of its mean, at
-    deviation t.
-    """
-    if not deviation > 0.0:
-        raise BoundsError(f"deviation must be positive, got {deviation}")
-    if variance < 0.0:
-        raise BoundsError(f"variance must be nonnegative, got {variance}")
-    if not amplitude > 0.0:
-        raise BoundsError(f"amplitude must be positive, got {amplitude}")
-    denom = 2.0 * variance + (2.0 / 3.0) * amplitude * deviation
-    return ProbabilityBound(math.log(2.0) - deviation * deviation / denom)
-
-
 def _relative_rate(kappa: float) -> float:
     """``3 kappa**2 / (6 + 2 kappa)``: the Bernstein exponent per unit of
     mean_total / upper at relative deviation kappa."""
@@ -79,9 +59,10 @@ def bernstein_relative(kappa: float, mean_total: float, upper: float) -> Probabi
     """Bound on P(max over prefixes of |sum - mean| >= kappa * mean_total)
     for i.i.d. nonnegative summands bounded by ``upper``.
 
-    Evaluates ``2 exp(-(3 kappa**2 / (6 + 2 kappa)) * mean_total / upper)``;
-    equal to :func:`bernstein_max_tail` at deviation kappa * mean_total
-    with variance upper * mean_total.
+    Evaluates ``2 exp(-(3 kappa**2 / (6 + 2 kappa)) * mean_total / upper)``:
+    Bernstein's maximal inequality ``2 exp(-t**2 / (2 V + (2/3) M t))`` at
+    deviation ``t = kappa * mean_total``, variance total
+    ``V = upper * mean_total`` and amplitude ``M = upper``.
     """
     coef = _relative_rate(kappa)
     if not mean_total > 0.0:

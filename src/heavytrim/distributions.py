@@ -429,13 +429,14 @@ class Tabulated(Distribution):
     unresolved and draws above the last level are ``inf``.
 
     The rows are floats, so the contract evaluates F, its generalized
-    inverse and the truncated moment at ``exp(log_x)`` with private float
-    helpers (``inf`` beyond the float range, past every row).
+    inverse and the truncated moment with private float helpers at the
+    float a log level stands for (see :meth:`_at`).
     """
 
     xs: tuple[float, ...]
     fs: tuple[float, ...]
     kinds: tuple[str, ...]
+    _logs: tuple[float, ...] = field(repr=False, compare=False)  # math.log of each x
     _index: _GuideIndex = field(repr=False, compare=False)
     _segments: np.ndarray = field(repr=False, compare=False)  # (K, 4) rows x0, f0, dx, df
 
@@ -463,6 +464,7 @@ class Tabulated(Distribution):
         object.__setattr__(self, "xs", tuple(xs))
         object.__setattr__(self, "fs", tuple(fs))
         object.__setattr__(self, "kinds", tuple(kinds))
+        object.__setattr__(self, "_logs", tuple(math.log(x) for x in xs))
         # sampling segment i holds the levels in (fs[i-1], fs[i]]; segment 0
         # those up to fs[0] and the last one those beyond the table.  Each
         # draws x0 + (u - f0) * dx / df: a linear segment that is not flat
@@ -485,18 +487,27 @@ class Tabulated(Distribution):
         return self.total_mass < 1.0
 
     def survival_at_log(self, log_x: float) -> float:
-        return 1.0 - self._cdf(exp_or_inf(log_x))
+        return 1.0 - self._cdf(self._at(log_x))
 
     def survival_left_at_log(self, log_x: float) -> float:
-        return 1.0 - self._cdf_left(exp_or_inf(log_x))
+        return 1.0 - self._cdf_left(self._at(log_x))
 
     def log_truncated_moment(self, log_t: float) -> float:
-        m = self._truncated_moment(exp_or_inf(log_t))
+        m = self._truncated_moment(self._at(log_t))
         return math.log(m) if m > 0.0 else -math.inf
 
     def log_fixed_point(self, z: float) -> float:
         # quantile(F(x)) is the left end of the level set of F through x
-        return math.log(self._quantile(self._cdf(exp_or_inf(z))))
+        return math.log(self._quantile(self._cdf(self._at(z))))
+
+    def _at(self, log_x: float) -> float:
+        """The row ``x`` whose stored log is ``log_x``, else ``exp(log_x)``
+        (``inf`` beyond the float range): ``exp(log x)`` can round below x,
+        and an atom at x would then be missed."""
+        i = bisect.bisect_left(self._logs, log_x)
+        if i < len(self._logs) and self._logs[i] == log_x:
+            return self.xs[i]
+        return exp_or_inf(log_x)
 
     def _left_value(self, i: int) -> float:
         return self.fs[i - 1] if i else 0.0

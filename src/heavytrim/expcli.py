@@ -39,7 +39,7 @@ from .trimming import (AllowanceTrimRule, ConditionReport, PlanPoint, PowerThres
                        SummableFunction, TrimmingError, TrimmingPlan, check_condition,
                        check_condition_grid, check_plan, conditions_for_plan,
                        format_condition_report, geometric_grid, plan_default,
-                       plan_general, plan_standard)
+                       plan_standard)
 
 __all__ = ["parse_config", "run", "plot", "main", "RunManifest", "ConfigError",
            "CONFIG_GRAMMAR"]
@@ -203,10 +203,10 @@ def _build_plan(value, dist: Distribution) -> TrimmingPlan:
         if not 0.0 < epsilon < 0.25:
             raise ConfigError(f"plan.epsilon: must lie in (0, 1/4), got {epsilon}")
         if rule == "default":
-            return plan_default(dist, epsilon, ())
+            return plan_default(dist, epsilon)
         if rule == "standard":
             t_rule = _build_threshold_rule(_need(section, "threshold", "plan"), epsilon)
-            return plan_standard(dist, t_rule, epsilon, ())
+            return plan_standard(dist, t_rule, epsilon)
         if rule == "general":
             t_rule = _build_threshold_rule(_need(section, "threshold", "plan"), epsilon)
             summable = _build_summable(_need(section, "summable", "plan"), "plan.summable")
@@ -222,8 +222,7 @@ def _build_plan(value, dist: Distribution) -> TrimmingPlan:
                 trim_rule = AllowanceTrimRule(epsilon, summable)
             else:
                 raise ConfigError(f"plan.trim.rule: unknown rule {trim_name!r}")
-            return plan_general(dist, t_rule, trim_rule, epsilon,
-                                summable, summable_alt, ())
+            return TrimmingPlan(dist, epsilon, t_rule, trim_rule, summable, summable_alt)
     except ConfigError:
         raise
     except ValueError as exc:

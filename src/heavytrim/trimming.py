@@ -3,10 +3,11 @@
 A trimming plan fixes, for every sample size ``n``, a truncation threshold
 ``t(n)``, the expected exceedance counts above it, the deterministic scale
 ``d(n) = n * integral of x dF over [0, t(n)]`` against which the trimmed
-sum is compared, and the trim count ``b(n)``.  :func:`check_plan` enforces
-the structural hypotheses (quantile fixed points, monotone thresholds) on
-a plan table; the pointwise trim floors and the asymptotic hypotheses are
-turned into grid verdicts by :func:`check_condition`.
+sum is compared, and the trim count ``b(n)``.  A plan is a value: building
+it evaluates nothing.  :func:`check_plan` on a plan table is the one place
+its structural hypotheses (quantile fixed points, monotone thresholds) are
+judged; the pointwise trim floors and the asymptotic hypotheses are turned
+into grid verdicts by :func:`check_condition`.
 
 Thresholds are handled in log space throughout: the built-in step law
 produces thresholds like ``2**1369`` that no float can hold, while every
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,7 +42,6 @@ __all__ = [
     "PlanPoint",
     "plan_standard",
     "plan_default",
-    "plan_general",
     "check_plan",
     "check_condition",
     "check_condition_grid",
@@ -107,18 +107,6 @@ class SummableFunction:
     def exponential(cls, base: float) -> "SummableFunction":
         return cls("exponential", float(base))
 
-    def __call__(self, n: int | float) -> float:
-        if n < 1:
-            raise TrimmingError(f"argument must be at least 1, got {n}")
-        if self.family == "power":
-            return float(n) ** self.param
-        if self.family == "polylog":
-            return float(n) * math.log(n + 1.0) ** self.param
-        try:
-            return self.param ** float(n)
-        except OverflowError:
-            return math.inf
-
     def log_value(self, n: int | float) -> float:
         """log u(n), stable for arguments where u itself would overflow."""
         if n < 1:
@@ -129,17 +117,6 @@ class SummableFunction:
             return math.log(n) + self.param * math.log(math.log(n + 1.0))
         return float(n) * math.log(self.param)
 
-    def values(self, ns: np.ndarray) -> np.ndarray:
-        ns = np.asarray(ns, dtype=np.float64)
-        if np.any(ns < 1):
-            raise TrimmingError("arguments must be at least 1")
-        if self.family == "power":
-            return ns ** self.param
-        if self.family == "polylog":
-            return ns * np.log(ns + 1.0) ** self.param
-        with np.errstate(over="ignore"):
-            return self.param ** ns
-
 
 @dataclass(frozen=True)
 class RebasedSummable:
@@ -149,27 +126,21 @@ class RebasedSummable:
     with ``span = ceil(log_a(b))``.  The construction guarantees
     ``rebased(floor(log_b(m))) <= base(floor(log_a(m)))`` for every m with
     ``floor(log_b m) >= 1``, and keeps the reciprocal sum convergent.
-    Indices below 1 are clamped to 1.
+    Indices below 1 are clamped to 1.  Like the base, it is evaluated in log
+    space only; log is monotone, so the minimum commutes with it and the
+    inequality holds exactly between the logs.
     """
 
     base: SummableFunction
     log_ratio: float          # log_a(b)
     span: int
 
-    def __call__(self, n: int | float) -> float:
+    def log_value(self, n: int | float) -> float:
+        """log rebased(n)."""
         if n < 1:
             raise TrimmingError(f"argument must be at least 1, got {n}")
         anchor = math.floor(n * self.log_ratio)
-        return min(self.base(max(1, anchor + j)) for j in range(self.span + 1))
-
-    def values(self, ns: np.ndarray) -> np.ndarray:
-        ns = np.asarray(ns, dtype=np.float64)
-        if np.any(ns < 1):
-            raise TrimmingError("arguments must be at least 1")
-        anchor = np.floor(ns * self.log_ratio)
-        stack = [self.base.values(np.maximum(1.0, anchor + j))
-                 for j in range(self.span + 1)]
-        return np.minimum.reduce(stack)
+        return min(self.base.log_value(max(1, anchor + j)) for j in range(self.span + 1))
 
 
 def rebase_summable(base: SummableFunction, a: float, b: float) -> RebasedSummable:
@@ -347,9 +318,10 @@ class PlanPoint:
 class TrimmingPlan:
     """Threshold rule, trim rule and weight functions bound to one law.
 
-    Immutable; every evaluator is a pure function of ``n``.  Construct via
-    :func:`plan_standard`, :func:`plan_default` or :func:`plan_general`,
-    which also validate the structural hypotheses on a grid.
+    Immutable; every evaluator is a pure function of ``n``, and construction
+    evaluates none of them.  :func:`plan_standard` and :func:`plan_default`
+    fill in the standard trim rule and weights; the structural hypotheses are
+    judged by :func:`check_plan` on a table, never here.
     """
 
     distribution: Distribution
@@ -358,7 +330,6 @@ class TrimmingPlan:
     trim_rule: object
     summable: SummableFunction
     summable_alt: SummableFunction
-    warnings: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 0.25:
@@ -402,7 +373,7 @@ class TrimmingPlan:
         return tuple(self.checkpoint(int(n)) for n in grid)
 
 
-def geometric_grid(start: int = 16, stop: int = 1_000_000, points: int = 10) -> tuple[int, ...]:
+def geometric_grid(start: int, stop: int, points: int) -> tuple[int, ...]:
     """Strictly increasing integer grid, geometrically spaced."""
     if start < 3 or stop <= start or points < 2:
         raise TrimmingError("need 3 <= start < stop and at least 2 points")
@@ -413,9 +384,6 @@ def geometric_grid(start: int = 16, stop: int = 1_000_000, points: int = 10) -> 
         if not out or n > out[-1]:
             out.append(n)
     return tuple(out)
-
-
-DEFAULT_VALIDATION_GRID = geometric_grid(16, 1_000_000, 10)
 
 
 def check_plan(plan: TrimmingPlan, table: Sequence[PlanPoint]) -> tuple[str, ...]:
@@ -458,61 +426,29 @@ def check_plan(plan: TrimmingPlan, table: Sequence[PlanPoint]) -> tuple[str, ...
     return tuple(dict.fromkeys(warnings))
 
 
-def _validated(plan: TrimmingPlan, grid: Sequence[int] | None) -> TrimmingPlan:
-    """Attach :func:`check_plan`'s warnings on ``grid`` (default ``DEFAULT_VALIDATION_GRID``)."""
-    table = plan.table(DEFAULT_VALIDATION_GRID if grid is None else grid)
-    object.__setattr__(plan, "warnings", check_plan(plan, table))
-    return plan
-
-
-def plan_standard(dist: Distribution, threshold_rule, epsilon: float,
-                  grid: Sequence[int] | None = None, *,
-                  trim_rule=None) -> TrimmingPlan:
+def plan_standard(dist: Distribution, threshold_rule, epsilon: float) -> TrimmingPlan:
     """Plan with the explicit ceiling trim formula and fixed internal weights.
 
     The weight functions are pinned to power(9/8) for the allowance and
     power(2) for the limit cap; the caller chooses only the threshold rule
-    and epsilon.  Thresholds must be quantile fixed points of the law at
-    every grid point, otherwise construction fails naming the offending n.
+    and epsilon.  Thresholds off the law's quantile fixed points still
+    build; :func:`check_plan` rejects them on a table, naming the offending n.
     """
-    plan = TrimmingPlan(
+    return TrimmingPlan(
         distribution=dist,
         epsilon=epsilon,
         threshold_rule=threshold_rule,
-        trim_rule=trim_rule or StandardTrimRule(epsilon),
+        trim_rule=StandardTrimRule(epsilon),
         summable=SummableFunction.power(9.0 / 8.0),
         summable_alt=SummableFunction.power(2.0),
     )
-    return _validated(plan, grid)
 
 
-def plan_default(dist: Distribution, epsilon: float,
-                 grid: Sequence[int] | None = None) -> TrimmingPlan:
+def plan_default(dist: Distribution, epsilon: float) -> TrimmingPlan:
     """Plan whose threshold projects n**(1/2 - 2 epsilon) onto the quantile
     fixed points of the law, so the fixed-point hypothesis holds by
     construction for any law."""
-    rule = ProjectedPowerThreshold(0.5 - 2.0 * epsilon)
-    return plan_standard(dist, rule, epsilon, grid)
-
-
-def plan_general(dist: Distribution, threshold_rule, trim_rule, epsilon: float,
-                 summable: SummableFunction, summable_alt: SummableFunction,
-                 grid: Sequence[int] | None = None) -> TrimmingPlan:
-    """Fully caller-specified plan, checked like :func:`plan_standard`.
-
-    The pointwise trim floor ``b(n) >= expect_gt + allowance(expect_gt, n)``
-    is the ``trim-floor`` condition, judged on a grid by
-    :func:`check_condition`; a plan that breaks it still builds.
-    """
-    plan = TrimmingPlan(
-        distribution=dist,
-        epsilon=epsilon,
-        threshold_rule=threshold_rule,
-        trim_rule=trim_rule,
-        summable=summable,
-        summable_alt=summable_alt,
-    )
-    return _validated(plan, grid)
+    return plan_standard(dist, ProjectedPowerThreshold(0.5 - 2.0 * epsilon), epsilon)
 
 
 # --------------------------------------------------------------------------

@@ -12,6 +12,8 @@ lattice laws in exact rational arithmetic, for checking that the bounds
 dominate truth.
 ``reference_quantile`` is the scalar generalized inverse that each law's
 ``sample_array`` vectorizes.
+``bernstein_max_tail`` is Bernstein's maximal inequality in its general
+form, of which ``bounds.bernstein_relative`` is the bounded nonnegative case.
 """
 
 import bisect
@@ -21,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from heavytrim.bounds import BoundsError
+from heavytrim.bounds import BoundsError, ProbabilityBound
 from heavytrim.distributions import (LOG_FLOAT_MAX, AtomicStep, Distribution,
                                      LogTail, ParetoTail)
 from heavytrim.montecarlo import (ConvergenceTrace, ExperimentConfig, TraceRow,
@@ -144,3 +146,21 @@ def reference_quantile(dist: Distribution, u: float) -> float:
     if dist.kinds[i] == "jump":
         return xs[i]
     return xs[i - 1] + (u - fs[i - 1]) * (xs[i] - xs[i - 1]) / (fs[i] - fs[i - 1])
+
+
+def bernstein_max_tail(deviation: float, variance: float,
+                       amplitude: float) -> ProbabilityBound:
+    """Bound on P(max over prefixes of |sum - mean| >= deviation).
+
+    Evaluates ``2 exp(-t**2 / (2 V + (2/3) M t))`` for independent
+    summands with variance total V, each within M of its mean, at
+    deviation t.
+    """
+    if not deviation > 0.0:
+        raise BoundsError(f"deviation must be positive, got {deviation}")
+    if variance < 0.0:
+        raise BoundsError(f"variance must be nonnegative, got {variance}")
+    if not amplitude > 0.0:
+        raise BoundsError(f"amplitude must be positive, got {amplitude}")
+    denom = 2.0 * variance + (2.0 / 3.0) * amplitude * deviation
+    return ProbabilityBound(math.log(2.0) - deviation * deviation / denom)

@@ -6,12 +6,12 @@ from typing import Sequence
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heavytrim.bounds import (BoundsError, ProbabilityBound, bernstein_max_tail,
-                              bernstein_relative, borel_cantelli_budget)
+from heavytrim.bounds import (BoundsError, ProbabilityBound, bernstein_relative,
+                              borel_cantelli_budget)
 from heavytrim.distributions import ParetoTail
 from heavytrim.trimming import (PowerThreshold, SummableFunction,
                                 geometric_grid, plan_standard)
-from oracles import _as_fractions, max_deviation_tail_exact
+from oracles import _as_fractions, bernstein_max_tail, max_deviation_tail_exact
 
 
 def max_deviation_tail_enumerate(support: Sequence, probs: Sequence, n: int,

@@ -217,6 +217,17 @@ class TestTabulated:
         assert _moment(t, 20.0) == pytest.approx(0.2 + ramp1 + 2.0 + ramp2, rel=1e-14)
         assert _moment(t, 2.0) == pytest.approx(0.2 + 0.1 * (4.0 - 1.0) / 2.0, rel=1e-14)
 
+    def test_jump_row_read_at_its_own_log(self, mixed_table):
+        # exp(log 8) is 7.999999999999998: a level that is a row's log reads as
+        # that row, so the atom at 8 counts in all four contract methods
+        t = mixed_table
+        z = math.log(8.0)
+        assert t.survival_at_log(z) == 0.25
+        assert t.survival_left_at_log(z) == 0.5
+        assert t.log_fixed_point(z) == z
+        assert _moment(t, 8.0) == pytest.approx(0.2 + 0.1 * (4.0 ** 2 - 1.0) / 2.0 + 2.0,
+                                                rel=1e-14)
+
     def test_rejects_bad_tables(self):
         with pytest.raises(DistributionError):
             Tabulated([])

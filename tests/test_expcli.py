@@ -13,7 +13,8 @@ from heavytrim import expcli
 from heavytrim.distributions import AtomicStep, ParetoTail, Tabulated
 from heavytrim.expcli import (CONFIG_GRAMMAR, ConfigError, main, parse_config,
                               plot, run)
-from heavytrim.trimming import PowerThreshold, check_plan
+from heavytrim.trimming import (AllowanceTrimRule, PowerThreshold, StandardTrimRule,
+                                SummableFunction, check_plan)
 
 
 def write_config(tmp_path: Path, overrides=None, drop=None) -> Path:
@@ -84,6 +85,19 @@ class TestParseConfig:
             "plan": {"rule": "default", "epsilon": 0.05},
         })
         assert isinstance(parse_config(p2).config.distribution, AtomicStep)
+
+    @pytest.mark.parametrize("family, param", [("polylog", 2.0), ("exponential", 1.5)])
+    @pytest.mark.parametrize("trim", ["standard", "proof-variant", "allowance"])
+    def test_general_trim_rules(self, tmp_path, trim, family, param):
+        p = write_config(tmp_path, {"plan": {**FLOOR_VIOLATION["plan"], "trim": {"rule": trim},
+                                             "summable": {"family": family, "param": param}}})
+        plan = parse_config(p).config.plan
+        summable = SummableFunction(family, param)
+        assert plan.summable == summable
+        assert plan.summable_alt == SummableFunction.power(2.0)
+        assert plan.trim_rule == {"standard": StandardTrimRule(0.05),
+                                  "proof-variant": StandardTrimRule(0.05, log_floor=True),
+                                  "allowance": AllowanceTrimRule(0.05, summable)}[trim]
 
     def test_missing_seed_rejected(self, tmp_path):
         p = write_config(tmp_path, drop=["experiment.seed"])
@@ -423,7 +437,6 @@ class TestMain:
         p = write_config(tmp_path, {"distribution": {"family": "square-step"},
                                     "plan": {"rule": "default", "epsilon": 0.1}})
         spec = parse_config(p)
-        assert spec.config.plan.warnings == ()
         manifest = run(spec)
         plan = spec.config.plan
         assert manifest.plan_warnings == check_plan(plan, plan.table(spec.condition_grid))

@@ -21,7 +21,7 @@ from heavytrim.distributions import Tabulated
 from heavytrim.trimming import (PowerThreshold, StandardTrimRule,
                                 SummableFunction, TrimmingPlan,
                                 fluctuation_allowance, plan_default,
-                                plan_general, plan_standard)
+                                plan_standard)
 from oracles import buckets_reference, run_replication_prefix
 
 
@@ -39,7 +39,7 @@ def pareto_traces(pareto_cfg):
 
 @pytest.fixture(scope="module")
 def pm_cfg(pm):
-    plan = plan_default(pm, 0.05, grid=())
+    plan = plan_default(pm, 0.05)
     return ExperimentConfig(plan, (100, 1000, 10000), 3, 7)
 
 
@@ -56,8 +56,8 @@ class _Falling:
 
 
 def _plan_with(dist, threshold_rule):
-    return plan_general(dist, threshold_rule, StandardTrimRule(0.05), 0.05,
-                        SummableFunction.power(9 / 8), SummableFunction.power(2.0), ())
+    return TrimmingPlan(dist, 0.05, threshold_rule, StandardTrimRule(0.05),
+                        SummableFunction.power(9 / 8), SummableFunction.power(2.0))
 
 
 # checkpoints 17 draws past one block and 5 past four: the last segment
@@ -325,7 +325,7 @@ class TestRunReplication:
     def test_inf_draws_match_scalar_recomputation(self, logtail):
         # a 1/log tail draws inf about once per 710 samples: the raw sum is
         # inf, the trim drops every inf, the counts include them
-        cfg = ExperimentConfig(plan_default(logtail, 0.05, grid=()),
+        cfg = ExperimentConfig(plan_default(logtail, 0.05),
                                (1000, 3162, 10000), 1, 99)
         trace = run_replication(cfg, 0)
         rng = np.random.Generator(np.random.Philox(key=[cfg.seed, 0]))
@@ -344,7 +344,7 @@ class TestRunReplication:
     def test_inf_draws_beside_finite_overflow(self, logtail):
         # by n = 1e6 the finite draws of this path sum past the float range;
         # the inf draws still make S_n inf, and the trim drops all of them
-        cfg = ExperimentConfig(plan_default(logtail, 0.05, grid=()), (1_000_000,), 1, 0)
+        cfg = ExperimentConfig(plan_default(logtail, 0.05), (1_000_000,), 1, 0)
         rng = np.random.Generator(np.random.Philox(key=[cfg.seed, 0]))
         x = cfg.distribution.sample_array(rng.random(cfg.n_max))
         with pytest.raises(OverflowError):
@@ -361,7 +361,7 @@ class TestRunReplication:
         # where holding the path took 20-32 MB
         n = 1_000_000
         plan = (pareto_cfg.plan if law == "pareto"
-                else plan_default(request.getfixturevalue(law), 0.05, grid=()))
+                else plan_default(request.getfixturevalue(law), 0.05))
         cfg = ExperimentConfig(plan, (1000, 3162, 10000, 31623, 100000, n),
                                1, pareto_cfg.seed)
         tracemalloc.start()
@@ -432,7 +432,7 @@ class TestAgainstPrefixOracle:
                                      "pm", "mixed_table"])
     def test_builtin_laws(self, request, pareto_cfg, law):
         plan = (pareto_cfg.plan if law == "pareto"
-                else plan_default(request.getfixturevalue(law), 0.05, grid=()))
+                else plan_default(request.getfixturevalue(law), 0.05))
         self.assert_same(ExperimentConfig(plan, ORACLE_GRID, 2, 31))
 
     def test_thresholds_on_atoms(self):
@@ -450,14 +450,14 @@ class TestAgainstPrefixOracle:
         # ORACLE_GRID's last segment spans three blocks: one flush inside it
         monkeypatch.setattr(montecarlo, "_FLUSH", 2 * montecarlo._CHUNK)
         plan = (pareto_cfg.plan if law == "pareto"
-                else plan_default(request.getfixturevalue(law), 0.05, grid=()))
+                else plan_default(request.getfixturevalue(law), 0.05))
         self.assert_same(ExperimentConfig(plan, ORACLE_GRID, 2, 31))
 
     def test_pool_larger_than_a_block(self, pareto_table, monkeypatch):
         # b(2e5) exceeds a block: whole blocks enter the top-b pool while it
         # has no floor, the pool is trimmed in place within segments, and the
         # first checkpoints' trims are cut from a pool holding more draws
-        cfg = ExperimentConfig(plan_default(pareto_table, 0.05, grid=()),
+        cfg = ExperimentConfig(plan_default(pareto_table, 0.05),
                                (1000, 10000, 100000, 200000), 2, 31)
         assert max(p.trim for p in cfg.points) > montecarlo._CHUNK
         trims, trim = [], montecarlo._trim

@@ -3,35 +3,36 @@ import math
 from pathlib import Path
 
 import mpmath as mp
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from heavytrim.distributions import ParetoTail, point_mass, square_step
-from heavytrim.trimming import (DEFAULT_VALIDATION_GRID, AllowanceTrimRule, PlanError,
-                                PowerThreshold, ProjectedPowerThreshold, SquareStepThreshold,
-                                StandardTrimRule, SummableFunction,
+from heavytrim.trimming import (PlanError, PowerThreshold, ProjectedPowerThreshold,
+                                SquareStepThreshold, StandardTrimRule, SummableFunction,
                                 TrimmingError, TrimmingPlan,
                                 check_condition, check_plan, conditions_for_plan,
                                 fluctuation_allowance, format_condition_report,
-                                geometric_grid, plan_default, plan_general,
-                                plan_standard, rebase_summable)
+                                geometric_grid, plan_default, plan_standard,
+                                rebase_summable)
 
 LN2 = math.log(2.0)
 GRID_1E7 = geometric_grid(1000, 10_000_000, 9)
+GRID_1E6 = geometric_grid(16, 1_000_000, 10)
 
 
 class TestSummableFunction:
     def test_family_values(self):
-        assert SummableFunction.power(2)(5) == 25.0
-        assert SummableFunction.polylog(2)(4) == pytest.approx(4 * math.log(5) ** 2)
-        assert SummableFunction.exponential(2)(10) == 1024.0
+        assert SummableFunction.power(2).log_value(5) == pytest.approx(math.log(25.0))
+        assert SummableFunction.polylog(2).log_value(4) == pytest.approx(
+            math.log(4 * math.log(5) ** 2))
+        assert SummableFunction.exponential(2).log_value(10) == pytest.approx(math.log(1024.0))
 
     def test_log_values_match(self):
-        for fn in (SummableFunction.power(1.5), SummableFunction.polylog(2),
-                   SummableFunction.exponential(1.5)):
+        for fn, value in ((SummableFunction.power(1.5), lambda n: n ** 1.5),
+                          (SummableFunction.polylog(2), lambda n: n * math.log(n + 1) ** 2),
+                          (SummableFunction.exponential(1.5), lambda n: 1.5 ** n)):
             for n in (1, 2, 7, 100):
-                assert fn.log_value(n) == pytest.approx(math.log(fn(n)), rel=1e-12)
+                assert fn.log_value(n) == pytest.approx(math.log(value(n)), rel=1e-12)
 
     def test_log_value_survives_overflow(self):
         fn = SummableFunction.exponential(2)
@@ -49,14 +50,9 @@ class TestSummableFunction:
         # last decade contributes a vanishing share of the partial sum
         for fn in (SummableFunction.power(1.2), SummableFunction.polylog(1.5),
                    SummableFunction.exponential(1.1)):
-            upto = lambda m: math.fsum(1.0 / fn(k) for k in range(1, m))
+            upto = lambda m: math.fsum(math.exp(-fn.log_value(k)) for k in range(1, m))
             total = upto(100_000)
             assert total - upto(10_000) < 0.10 * total
-
-    def test_vectorized_values(self):
-        ns = np.array([1.0, 2.0, 10.0, 100.0])
-        fn = SummableFunction.power(2)
-        assert np.array_equal(fn.values(ns), ns ** 2)
 
 
 class TestFluctuationAllowance:
@@ -111,31 +107,33 @@ class TestRebasedSummable:
     def test_worked_example(self):
         w = rebase_summable(SummableFunction.power(2), math.e, 2.0)
         # floor(10 * log 2) = 6, window {0, 1}: min(36, 49)
-        assert w(10) == 36.0
+        assert w.log_value(10) == pytest.approx(math.log(36.0))
 
     def test_equal_bases_take_adjacent_minimum(self):
         w = rebase_summable(SummableFunction.power(2), 2.0, 2.0)
-        assert w(5) == 25.0
-        assert w(3) == 9.0
+        assert w.log_value(5) == pytest.approx(math.log(25.0))
+        assert w.log_value(3) == pytest.approx(math.log(9.0))
 
     def test_domination_inequality_smoke(self):
         # the full range is exercised in the acceptance suite
         base = SummableFunction.power(2)
         w = rebase_summable(base, math.e, 2.0)
-        m = np.arange(8, 10_001)
-        lhs = w.values(np.floor(np.log2(m)))
-        rhs = base.values(np.floor(np.log(m)))
-        assert np.all(lhs <= rhs)
+        for m in range(8, 10_001):
+            assert w.log_value(math.floor(math.log2(m))) <= base.log_value(
+                math.floor(math.log(m)))
 
-    def test_vector_matches_scalar(self):
+    def test_log_value_matches_window_definition(self):
+        # min over j in 0..span of base(max(1, floor(n * log_a b) + j)),
+        # the clamp at index 1 included
         w = rebase_summable(SummableFunction.power(2), math.e, 2.0)
-        ns = np.arange(1, 200)
-        assert np.array_equal(w.values(ns.astype(float)),
-                              np.array([w(int(n)) for n in ns]))
+        for n in range(1, 200):
+            anchor = math.floor(n * math.log(2.0))
+            hand = min(max(1, anchor + j) ** 2 for j in range(w.span + 1))
+            assert w.log_value(n) == pytest.approx(math.log(hand), rel=1e-15)
 
     def test_reciprocal_sum_flattens(self):
         w = rebase_summable(SummableFunction.power(2), math.e, 2.0)
-        upto = lambda m: math.fsum(1.0 / w(k) for k in range(1, m))
+        upto = lambda m: math.fsum(math.exp(-w.log_value(k)) for k in range(1, m))
         total = upto(100_000)
         assert total - upto(10_000) < 0.01 * total
 
@@ -177,8 +175,9 @@ class TestPlanStandardPareto:
         assert p.trim <= math.ceil(9.0 * math.log(math.log(10 ** 6))) + 1
 
     def test_proof_variant_uses_log_slot(self, pareto):
-        plan = plan_standard(pareto, PowerThreshold(0.8), 0.05,
-                             trim_rule=StandardTrimRule(0.05, log_floor=True))
+        plan = TrimmingPlan(pareto, 0.05, PowerThreshold(0.8),
+                            StandardTrimRule(0.05, log_floor=True),
+                            SummableFunction.power(9 / 8), SummableFunction.power(2))
         n = 1000
         p = plan.checkpoint(n)
         ll = math.log(math.log(n))
@@ -214,16 +213,18 @@ class TestPlanStandardStep:
             assert p.log_scale == pytest.approx(float(mp.log(n * exact)), rel=1e-12)
 
     def test_power_rule_rejected_off_the_atoms(self, step):
+        plan = plan_standard(step, PowerThreshold(0.8), 0.05)
         with pytest.raises(PlanError, match="n = "):
-            plan_standard(step, PowerThreshold(0.8), 0.05)
+            check_plan(plan, plan.table(GRID_1E6))
 
     def test_duck_typed_rule_named_off_the_atoms(self, step):
         class Custom:
             def log_threshold(self, dist, n):
                 return math.log(3.0)
 
+        plan = plan_standard(step, Custom(), 0.05)
         with pytest.raises(PlanError, match="rule <.*Custom object"):
-            plan_standard(step, Custom(), 0.05, geometric_grid(1000, 10 ** 6, 8))
+            check_plan(plan, plan.table(geometric_grid(1000, 10 ** 6, 8)))
 
 
 def _stall_warnings_quadratic(table):
@@ -255,16 +256,17 @@ class TestStallScan:
                              ids=["square-step", "projected"])
     def test_matches_pairwise_scan_on_lattice_grid(self, step, lattice_grid, rule, count):
         assert len(lattice_grid) == 2000
-        plan = plan_standard(step, rule, 0.1, lattice_grid)
-        stalls = [w for w in plan.warnings if w.startswith("threshold stalls")]
+        plan = plan_standard(step, rule, 0.1)
+        table = plan.table(lattice_grid)
+        stalls = [w for w in check_plan(plan, table) if w.startswith("threshold stalls")]
         assert len(stalls) == count
-        assert stalls == _stall_warnings_quadratic(plan.table(lattice_grid))
+        assert stalls == _stall_warnings_quadratic(table)
 
     def test_matches_pairwise_scan_on_default_grid(self, step):
         plan = plan_default(step, 0.1)
-        stalls = [w for w in plan.warnings if w.startswith("threshold stalls")]
-        assert stalls and stalls == _stall_warnings_quadratic(
-            plan.table(DEFAULT_VALIDATION_GRID))
+        table = plan.table(GRID_1E6)
+        stalls = [w for w in check_plan(plan, table) if w.startswith("threshold stalls")]
+        assert stalls and stalls == _stall_warnings_quadratic(table)
 
 
 class TestPlanDefault:
@@ -275,14 +277,15 @@ class TestPlanDefault:
                 n ** 0.4, rel=1e-12)
 
     def test_step_law_projects_to_an_atom(self, step):
-        plan = plan_default(step, 0.1, grid=geometric_grid(16, 10 ** 5, 10))
+        plan = plan_default(step, 0.1)
         # n = 100: target 100**0.3 ~ 3.98, projected to the atom at 2
         assert math.exp(plan.log_threshold(100)) == 2.0
-        assert any("stalls" in w for w in plan.warnings)
+        warnings = check_plan(plan, plan.table(geometric_grid(16, 10 ** 5, 10)))
+        assert any("stalls" in w for w in warnings)
 
     def test_threshold_never_exceeds_target(self, step, pareto):
         for d in (step, pareto):
-            plan = plan_default(d, 0.08, grid=())
+            plan = plan_default(d, 0.08)
             for n in (16, 100, 10 ** 4, 10 ** 6):
                 assert math.exp(plan.log_threshold(n)) <= n ** (0.5 - 0.16) + 1e-9
 
@@ -301,18 +304,18 @@ class TestPlanDefault:
 
     def test_empty_tail_reduces_trim_to_iterated_log(self, pm):
         # no expected exceedances at all: the slack term alone sets the trim
-        plan = plan_default(pm, 0.05, grid=())
+        plan = plan_default(pm, 0.05)
         p = plan.checkpoint(100)
         assert p.expect_gt == 0.0
         assert p.trim == math.ceil(9.0 * math.log(math.log(100)))
 
 
 class TestPlanGeneral:
-    def build(self, dist, eps=0.05, rule=None, grid=None):
-        return plan_general(
-            dist, rule or PowerThreshold(0.8), StandardTrimRule(eps), eps,
-            SummableFunction.power(9 / 8), SummableFunction.power(2),
-            grid if grid is not None else geometric_grid(16, 10 ** 6, 10))
+    def build(self, dist, eps=0.05):
+        plan = TrimmingPlan(dist, eps, PowerThreshold(0.8), StandardTrimRule(eps),
+                            SummableFunction.power(9 / 8), SummableFunction.power(2))
+        check_plan(plan, plan.table(GRID_1E6))
+        return plan
 
     def test_continuous_law_collapses_the_counts(self, pareto):
         plan = self.build(pareto)
@@ -338,41 +341,58 @@ class TestPlanGeneral:
                 assert p.margin <= cap + 2.0
 
     def test_floor_violation_is_a_verdict(self, pareto):
-        # the floor is a pointwise hypothesis: the plan builds on the grid
-        # and the trim-floor condition judges it there
+        # the floor is a pointwise hypothesis: the plan passes check_plan on
+        # the grid and the trim-floor condition judges it there
         class Meager:
             def raw_count(self, n, expect_gt):
                 return expect_gt + 1.0
 
-        grid = geometric_grid(16, 10 ** 5, 8)
-        plan = plan_general(pareto, PowerThreshold(0.8), Meager(), 0.05,
-                            SummableFunction.power(9 / 8), SummableFunction.power(2), grid)
-        report = check_condition(plan, "trim-floor", plan.table(grid))
-        assert report.verdict == "violated"
+        plan = TrimmingPlan(pareto, 0.05, PowerThreshold(0.8), Meager(),
+                            SummableFunction.power(9 / 8), SummableFunction.power(2))
+        assert plan.checkpoint(1000).trim > 0
+        table = plan.table(geometric_grid(16, 10 ** 5, 8))
+        check_plan(plan, table)
+        assert check_condition(plan, "trim-floor", table).verdict == "violated"
+
+    def test_construction_evaluates_nothing(self, step):
+        # a plan is a value: building it calls no rule, and check_plan on a
+        # table is where its thresholds are judged
+        class Unreachable(Exception):
+            pass
+
+        class Exploding:
+            def log_threshold(self, dist, n):
+                raise Unreachable(n)
+
+        grid = geometric_grid(16, 10 ** 5, 10)
+        for plan in (plan_standard(step, Exploding(), 0.05),
+                     TrimmingPlan(step, 0.05, Exploding(), StandardTrimRule(0.05),
+                                  SummableFunction.power(9 / 8), SummableFunction.power(2))):
+            with pytest.raises(Unreachable):
+                check_plan(plan, plan.table(grid))
 
     def test_check_plan_is_the_constructor_check(self, step):
-        # one implementation: construction on a grid attaches what check_plan
-        # returns on that grid's table
+        # one implementation: construction checks nothing, and check_plan on
+        # a grid's table returns the same warnings however often it is asked
         grid = geometric_grid(16, 10 ** 5, 10)
-        built = plan_default(step, 0.1, grid)
-        bare = plan_default(step, 0.1, ())
-        assert bare.warnings == ()
-        assert built.warnings and check_plan(bare, bare.table(grid)) == built.warnings
-        off_atoms = plan_standard(step, PowerThreshold(0.8), 0.05, ())
+        plan = plan_default(step, 0.1)
+        warnings = check_plan(plan, plan.table(grid))
+        assert warnings and check_plan(plan, plan.table(grid)) == warnings
+        off_atoms = plan_standard(step, PowerThreshold(0.8), 0.05)
         with pytest.raises(PlanError, match="not a quantile fixed point"):
             check_plan(off_atoms, off_atoms.table(grid))
 
-    def test_empty_grid_skips_validation(self, pareto):
+    def test_empty_grid_skips_validation(self, pareto, step):
         class Meager:
-            name = "meager"
-
             def raw_count(self, n, expect_gt):
                 return expect_gt + 1.0
 
-        plan = plan_general(pareto, PowerThreshold(0.8), Meager(), 0.05,
-                            SummableFunction.power(9 / 8),
-                            SummableFunction.power(2), ())
+        plan = TrimmingPlan(pareto, 0.05, PowerThreshold(0.8), Meager(),
+                            SummableFunction.power(9 / 8), SummableFunction.power(2))
         assert plan.checkpoint(1000).trim > 0
+        assert check_plan(plan, ()) == ()
+        off_atoms = plan_standard(step, PowerThreshold(0.8), 0.05)
+        assert check_plan(off_atoms, ()) == ()
 
     def test_epsilon_domain(self, pareto):
         with pytest.raises(PlanError):
@@ -458,9 +478,8 @@ class TestConditionChecker:
             def raw_count(self, n, expect_gt):
                 return expect_gt + 1.0
 
-        bad = plan_general(pareto, PowerThreshold(0.8), Meager(), 0.05,
-                           SummableFunction.power(9 / 8),
-                           SummableFunction.power(2), ())
+        bad = TrimmingPlan(pareto, 0.05, PowerThreshold(0.8), Meager(),
+                           SummableFunction.power(9 / 8), SummableFunction.power(2))
         rep = check_condition(bad, "trim-floor", bad.table(GRID_1E7))
         assert rep.verdict == "violated"
         assert any("floor fails" in note for note in rep.notes)
