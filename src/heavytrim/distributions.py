@@ -215,6 +215,7 @@ class AtomicStep(Distribution):
     atoms: tuple[Atom, ...]
     _cum: tuple[float, ...] = field(repr=False)
     _logs: tuple[float, ...] = field(repr=False)
+    _moments: tuple[float, ...] = field(repr=False, compare=False)
     _index: _GuideIndex = field(repr=False, compare=False)
     _locations: np.ndarray = field(repr=False, compare=False)
 
@@ -242,6 +243,10 @@ class AtomicStep(Distribution):
         object.__setattr__(self, "atoms", tuple(built))
         object.__setattr__(self, "_cum", tuple(min(c, 1.0) for c in cum))
         object.__setattr__(self, "_logs", tuple(a.log_x for a in built))
+        # log_truncated_moment of each atom prefix, summed as one call would
+        terms = [a.log_x + math.log(a.mass) for a in built]
+        object.__setattr__(self, "_moments", tuple(_logsumexp(terms[:i])
+                                                   for i in range(len(terms) + 1)))
         object.__setattr__(self, "_index", _GuideIndex(self._cum))
         object.__setattr__(self, "_locations", np.array([a.x for a in built] + [math.inf]))
 
@@ -269,9 +274,7 @@ class AtomicStep(Distribution):
         return self._logs[max(bisect.bisect_right(self._logs, z) - 1, 0)]
 
     def log_truncated_moment(self, log_t: float) -> float:
-        terms = [a.log_x + math.log(a.mass)
-                 for a in self.atoms if a.log_x <= log_t]
-        return _logsumexp(terms)
+        return self._moments[bisect.bisect_right(self._logs, log_t)]
 
     def sample_array(self, u: np.ndarray) -> np.ndarray:
         _check_uniform(u)

@@ -372,6 +372,11 @@ class _Frame:
         return (f'<polyline fill="none" stroke="{color}" '
                 f'stroke-width="{width}"{extra} points="{pts}"/>')
 
+    def off_scale(self, xs, color):
+        """Upward triangles on the frame's top edge at ``xs``: values of inf."""
+        marks = " ".join(f"M{_fmt(self.x(a))},{_MT} l-5,9 h10 z" for a in xs)
+        return f'<path fill="{color}" stroke="none" d="{marks}"><title>inf</title></path>'
+
     def band(self, xs, lo, hi, color):
         pts = self.points(xs, lo) + self.points(reversed(xs), reversed(hi))
         return (f'<polygon fill="{color}" fill-opacity="0.25" stroke="none" '
@@ -480,6 +485,9 @@ def plot(aggregate_csv: str | Path, out_dir: str | Path) -> list[Path]:
     if not single:
         body2.append(frame2.band(xs, rm_lo_l, rm_hi_l, "#8f6db0"))
     body2.append(frame2.polyline(xs, rm_med_l, "#5e3d8f", 2.0))
+    off = [a for a, v in zip(xs, rm_med_l) if v == math.inf]
+    if off:  # a median of inf has no place on the axis: mark it above the frame's data
+        body2.append(frame2.off_scale(off, "#5e3d8f"))
     runmax_path = out_dir / "dichotomy.svg"
     runmax_path.write_text(_svg_doc(
         "running max of raw sum over scale",

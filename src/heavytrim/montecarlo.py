@@ -5,14 +5,16 @@ keyed by (seed, replication index) and evaluates it at every checkpoint,
 preserving the almost-sure coupling the limit statements are about; fresh
 samples per checkpoint would only ever probe the weak law.  The path is
 drawn in chunks ending at checkpoints and never held whole.  Sums are
-exact: entries are accumulated as integers per float exponent and the
-total is rounded once, so every sum equals ``math.fsum`` of the same
-entries bit for bit wherever fsum returns.  S_n's integer form adds each
-chunk's form once; the truncated and the trimmed sum are S_n's form minus
-that of one of two small pools: the draws above the current threshold,
-and the ``max b(n)`` largest draws, held negated in one buffer of
-``2 max b(n)`` floats and trimmed by partitioning it in place.  At n = 1e6
-a replication peaks at 1.1-7 MB (tracemalloc) across the built-in laws.
+exact: a block's bulk is summed by error-free extraction and the rest as
+integers per float exponent, into one integer rounded once, so every sum
+equals ``math.fsum`` of the same entries bit for bit wherever fsum
+returns.  S_n's form adds each block's form once; the truncated and the
+trimmed sum are S_n's form minus those of two slices of one pool: the
+draws above a floor, held negated in a buffer of ``2 max b(n)`` floats
+and trimmed by partitioning it in place, so that it keeps the ``max
+b(n)`` largest draws and every draw above the current threshold; it grows
+only when those outnumber it.  At n = 1e6 a replication peaks at 0.6-6 MB
+(tracemalloc) across the built-in laws.
 
 Plan values (``t(n)``, ``d(n)``, ``b(n)``, the expected exceedances and
 their allowance) depend on n alone, so they live once per experiment in
@@ -30,10 +32,11 @@ affected on such paths.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,20 +74,46 @@ _HIGH26 = np.uint64(((1 << 26) - 1) << 26)
 _OFFSET = np.float64(2.0 ** 26).view(np.uint64)
 # bincount sums float weights exactly while each bucket stays below 2**53;
 # an offset half is below 2**27, so a float64 accumulator is exact for
-# _FLUSH = 2**26 entries.  A path's accumulator is flushed into its int64
+# _FLUSH = 2**26 entries.  A path's accumulator is flushed into its
 # form at each checkpoint and every _FLUSH draws (whole blocks) between.
-# Arrays are bucketed, and paths drawn, in blocks of _CHUNK so that a
+# Arrays are summed, and paths drawn, in blocks of _CHUNK so that a
 # block's temporaries stay in L2; a sampler sees one block at a time.  On a
 # 2-core shared host with 2 MiB of L2 per core, a 2**16-draw Pareto-1/2
 # chunk bucket-sums at ~18 ns/draw in 2**16 blocks, ~10 ns in 2**15 or
 # 2**14, ~12 ns in 2**13 and ~16 ns in 2**12; whole runs were fastest with
 # 2**14 or 2**15 and used least memory with 2**13.
 _FLUSH, _CHUNK = 1 << 26, 1 << 14
+# Extraction sums a block's entries below 2**(e_lo + _BAND), 2**e_lo <= its
+# least entry; the buckets sum the rest.
+_BAND = 40
+
+
+class _Form(NamedTuple):
+    """An exact sum: the finite entries as an integer in units of 2**-1074,
+    the entries of exponent 2047 (inf or nan) of each sign, the fraction
+    bits of those (nonzero when a nan is among them) and the entry count.
+    Forms add and subtract as integers; negation is the negated entries'."""
+
+    total: int = 0
+    pinf: int = 0
+    ninf: int = 0
+    nan: int = 0
+    count: int = 0
+
+    def __add__(self, other: _Form) -> _Form:
+        return _Form(*map(operator.add, self, other))
+
+    def __sub__(self, other: _Form) -> _Form:
+        return _Form(*map(operator.sub, self, other))
+
+    def __neg__(self) -> _Form:
+        return _Form(-self.total, self.ninf, self.pinf, self.nan, self.count)
 
 
 def _accumulate(acc: np.ndarray, values: np.ndarray) -> None:
-    """Add ``values`` into a float64 (3, 4096) accumulator of :func:`_buckets`
-    rows, whose fraction halves carry 2**26 each; exact up to ``_FLUSH`` entries."""
+    """Add ``values`` into a float64 (3, 4096) accumulator: per key, the entry
+    count and the sums of the high and of the low 26 fraction bits, each
+    half offset by 2**26; exact up to ``_FLUSH`` entries."""
     bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
     halves = np.empty(min(len(bits), _CHUNK), dtype=np.uint64)
     for start in range(0, len(bits), _CHUNK):
@@ -101,28 +130,79 @@ def _accumulate(acc: np.ndarray, values: np.ndarray) -> None:
         acc[2] += np.bincount(key, half.view(np.float64), _KEYS)
 
 
-def _flushed(acc: np.ndarray) -> np.ndarray:
-    """The int64 form an accumulator stands for; the accumulator is zeroed."""
-    form = acc.astype(np.int64)
-    form[1:] -= form[0] << 26  # each entry added 2**26 to both of its halves
+def _flushed(acc: np.ndarray) -> _Form:
+    """The form an accumulator stands for; the accumulator is zeroed."""
+    total, infs, nan = 0, [0, 0], 0
+    keys = np.flatnonzero(acc[0])
+    for key, n, hi, lo in zip(keys.tolist(), *acc[:, keys].astype(np.int64).tolist()):
+        fraction = ((hi - (n << 26)) << 26) + lo - (n << 26)
+        exponent, sign = key & 2047, key >> 11
+        if exponent == 2047:
+            infs[sign] += n
+            nan += fraction
+        else:  # normal numbers carry the implicit leading bit
+            mantissa = (fraction + (n << 52)) << (exponent - 1) if exponent else fraction
+            total += -mantissa if sign else mantissa
+    form = _Form(total, *infs, nan, int(acc[0].sum()))
     acc[:] = 0.0
     return form
 
 
-def _buckets(values: np.ndarray) -> np.ndarray:
-    """Exact integer form of the sum of a float64 array, shape (3, 4096): per
-    sign-and-exponent key, the entry count and the sums of the high and of
-    the low 26 fraction bits.  Forms add, so a prefix is accumulated segment
-    by segment and a subset is subtracted exactly."""
-    acc, form = np.zeros((3, _KEYS)), np.zeros((3, _KEYS), dtype=np.int64)
-    for start in range(0, len(values), _FLUSH):
-        _accumulate(acc, values[start:start + _FLUSH])
-        form += _flushed(acc)
-    return form
+def _block(acc: np.ndarray, x: np.ndarray, writable: bool = False) -> _Form:
+    """The form of 1 to ``_CHUNK`` entries, less those added into the
+    bucket accumulator ``acc``.  Extraction sums a block of positive finite
+    entries, except those out of band; any other block goes to the buckets
+    whole.  Extraction overwrites ``x`` if ``writable``, else a copy."""
+    lo, hi = float(x.min()), float(x.max())
+    # ExtractVector (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31(1),
+    # 2008).  A level with bound e (|p| < 2**e) splits each p into q =
+    # (p + sigma) - sigma and p - q, sigma = 2**(e + k), k = bit_length(2n),
+    # both exact: every q is a multiple of 2**(e + k - 53) and n of them sum
+    # to at most sigma, so their float sum is exact, and each residual is
+    # below 2**(e + k - 52).  In-band entries, and so all residuals, are
+    # multiples of 2**(e_lo - 52), so the level with e + k <= e_lo leaves
+    # none: 2-3 levels for a 40-binade band and n = 2**14.  That last
+    # level's q are the residuals themselves, so it sums them directly.
+    k, e_lo = (2 * len(x)).bit_length(), math.frexp(lo)[1] - 1
+    levels = [min(math.frexp(hi)[1], e_lo + _BAND)]
+    while levels[-1] + k > e_lo:
+        levels.append(levels[-1] + k - 52)
+    if not (lo > 0.0 and hi < math.inf) or levels[0] + k > 1023 or levels[-1] + k - 53 < -1022:
+        _accumulate(acc, x)  # zeros, negatives, nan or inf, or sigma beyond the normal range
+        return _Form()
+    p = x if writable else x.copy()
+    cut, count = math.ldexp(1.0, levels[0]), len(p)
+    if hi >= cut:
+        out = p >= cut
+        _accumulate(acc, p[out])
+        p[out] = 0.0
+        count -= int(np.count_nonzero(out))
+    q, sums, total = np.empty_like(p), [], 0
+    for e in levels[:-1]:
+        sigma = math.ldexp(1.0, e + k)
+        np.add(p, sigma, out=q)
+        q -= sigma
+        sums.append(q.sum())
+        p -= q
+    sums.append(p.sum())  # the last level would extract every residual whole
+    for s in sums:
+        num, den = float(s).as_integer_ratio()  # den is a power of two
+        total += num << (1075 - den.bit_length())
+    return _Form(total=total, count=count)
 
 
-def _rounded(form: np.ndarray) -> float:
-    """The sum a :func:`_buckets` form stands for, rounded once.
+def _exact(values: np.ndarray) -> _Form:
+    """The form of a float64 array, which is left unchanged."""
+    acc, form = np.zeros((3, _KEYS)), _Form()
+    for start in range(0, len(values), _CHUNK):
+        if start and start % _FLUSH == 0:
+            form += _flushed(acc)
+        form += _block(acc, values[start:start + _CHUNK])
+    return form + _flushed(acc)
+
+
+def _rounded(form: _Form) -> float:
+    """The sum a form stands for, rounded once.
 
     Non-finite entries decide first: any nan gives nan, inf + -inf raises
     ValueError, and an inf gives that inf whatever the finite entries sum
@@ -132,24 +212,15 @@ def _rounded(form: np.ndarray) -> float:
     on an overflow of its partial sums (finite entries between two infs in
     its input order, or mixed signs) that the exact sum never meets.
     """
-    count, high, low = form
-    if count[2047] or count[4095]:
-        if high[2047] or low[2047] or high[4095] or low[4095]:
-            return math.nan
-        if count[2047] and count[4095]:
-            raise ValueError("-inf + inf in exact sum")
-        return math.inf if count[2047] else -math.inf
-    total = 0  # in units of 2**-1074, the smallest subnormal
-    keys = np.flatnonzero(count)
-    for key, n, hi, lo in zip(keys.tolist(), *form[:, keys].tolist()):
-        exponent = key & 2047
-        mantissa = (hi << 26) + lo
-        if exponent:  # normal numbers carry the implicit leading bit
-            mantissa = (mantissa + (n << 52)) << (exponent - 1)
-        total += -mantissa if key >> 11 else mantissa
+    if form.nan:
+        return math.nan
+    if form.pinf and form.ninf:
+        raise ValueError("-inf + inf in exact sum")
+    if form.pinf or form.ninf:
+        return math.inf if form.pinf else -math.inf
     # int true division is correctly rounded and raises OverflowError
     # when the quotient rounds beyond the float range
-    return total / (1 << 1074)
+    return form.total / (1 << 1074)
 
 
 def _largest(values: np.ndarray, k: int) -> np.ndarray:
@@ -169,7 +240,7 @@ def trimmed_sum(values: np.ndarray, trim: int) -> float:
     n = len(values)
     if not 0 <= trim <= n:
         raise MonteCarloError(f"trim count {trim} outside [0, {n}]")
-    return _rounded(_buckets(values) - _buckets(_largest(values, trim)))
+    return _rounded(_exact(values) - _exact(_largest(values, trim)))
 
 
 def truncated_sum(values: np.ndarray, cutoff: float) -> float:
@@ -177,7 +248,7 @@ def truncated_sum(values: np.ndarray, cutoff: float) -> float:
     if cutoff < 0.0:
         raise MonteCarloError(f"cutoff must be nonnegative, got {cutoff}")
     values = np.asarray(values, dtype=np.float64)
-    return _rounded(_buckets(values[values <= cutoff]))
+    return _rounded(_exact(values[values <= cutoff]))
 
 
 def exceedance_counts(values: np.ndarray, cutoff: float) -> tuple[int, int]:
@@ -279,48 +350,51 @@ def run_replication(config: ExperimentConfig, replication: int) -> ConvergenceTr
     """
     rng = np.random.Generator(np.random.Philox(key=[config.seed, replication]))
     keep = max(p.trim for p in config.points)
-    path = np.zeros((3, _KEYS), dtype=np.int64)  # form of the draws up to the last flush
-    acc = np.zeros((3, _KEYS))  # accumulator of the draws since then
-    over, ties, last = np.empty(0), 0, -math.inf  # the draws above `last`; those at it
-    # the pool: the `keep` largest draws, negated, then candidates above `floor`
+    path, acc = _Form(), np.zeros((3, _KEYS))  # the draws' form to the last flush; buckets since
+    # the pool: draws above `floor`, negated, holding the `keep` largest and
+    # every draw above the threshold; `ties` counts the draws at the
+    # threshold `last`, which may be an atom that carries most of the path
     top, used, floor = np.empty(2 * keep), 0, -math.inf
-    start, rows = 0, []
+    ties, last, start, rows = 0, -math.inf, 0, []
     for p in config.points:
         t = p.threshold
-        if t > last:  # thresholds never decrease (ExperimentConfig)
-            ties, last = np.count_nonzero(over == t), t
-            over = over[over > t]
-        parts = [over]
+        if t > last:  # thresholds never decrease (ExperimentConfig); the pool holds these ties
+            ties, last = int(np.count_nonzero(top[:used] == -t)), t
         for i in range(start, p.n, _CHUNK):
             x = config.distribution.sample_array(rng.random(min(_CHUNK, p.n - i)))
-            if i > start and (i - start) % _FLUSH == 0:
-                path += _flushed(acc)
-            _accumulate(acc, x)
-            # both pools draw from `high`; a draw at the floor joins neither
-            high = x[np.flatnonzero(x > floor if floor < t else x >= t)]
-            ties += np.count_nonzero(high == t)
-            parts.append(high[high > t])
-            if floor >= t:
-                high = high[high > floor]
-            if len(high) > keep:  # only its `keep` largest can be kept
-                high = _largest(high, keep)
-            if used + len(high) > len(top):  # a trim costs ~2 `keep` and frees `keep`
-                floor, used = _trim(top, used, keep, floor)
+            high = x[np.flatnonzero(x > floor)]
+            ties += int(np.count_nonzero((high if floor < t else x) == t))
+            k = max(keep, int(np.count_nonzero(high > t)))  # the most of `high` that can stay
+            if k < len(high):
+                high = _largest(high, k)
+            if used + len(high) > len(top):  # trim to `keep` or the draws above t, else grow
+                floor, used = _trim(top, used,
+                                    max(keep, int(np.count_nonzero(top[:used] < -t))), floor)
+                if used + len(high) > len(top):
+                    top = np.concatenate((top[:used], np.empty((used + 3 * len(high)) // 2)))
             np.negative(high, out=top[used:used + len(high)])
             used += len(high)
-        start, over = p.n, np.concatenate(parts)
-        floor, used = _trim(top, used, keep, floor)
-        if p.trim < used:
-            top[:used].partition(p.trim)
+            if i > start and (i - start) % _FLUSH == 0:
+                path += _flushed(acc)
+            path += _block(acc, x, writable=True)  # overwrites x
+        start = p.n
         path += _flushed(acc)
-        if path[0].sum() != p.n:
-            raise MonteCarloError(f"the path form counts {path[0].sum()} draws at "
+        if path.count != p.n:
+            raise MonteCarloError(f"the path form counts {path.count} draws at "
                                   f"n = {p.n}; this is a bug, not randomness")
-        truncated = _rounded(path - _buckets(over))
-        # `top` holds the draws negated; rolling the keys by half flips each sign bit back
-        trimmed = _rounded(path - np.roll(_buckets(top[:p.trim]), _KEYS // 2, axis=1))
-        rows.append(TraceRow(p.n, _rounded(path), trimmed, truncated, len(over),
-                             len(over) + int(ties), trimmed / p.scale, truncated / p.scale))
+        # top[:lo] and top[:hi] get the min and the max of the count_gt and
+        # the b(n) largest draws: the truncated and the trimmed sum drop those
+        count_gt = int(np.count_nonzero(top[:used] < -t))
+        lo, hi = sorted((count_gt, p.trim))
+        if hi < used:
+            top[:used].partition(hi)
+        if 0 < lo < hi:
+            top[:hi].partition(lo)
+        cut = path - -_exact(top[:lo])  # the pool's form is that of the negated draws
+        both = cut - -_exact(top[lo:hi])
+        trimmed, truncated = map(_rounded, (both, cut) if count_gt <= p.trim else (cut, both))
+        rows.append(TraceRow(p.n, _rounded(path), trimmed, truncated, count_gt,
+                             count_gt + ties, trimmed / p.scale, truncated / p.scale))
     return ConvergenceTrace(replication=replication, config=config, rows=tuple(rows))
 
 

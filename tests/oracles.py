@@ -1,10 +1,12 @@
 """Slow, independent reference implementations that tests compare against.
 
-``buckets_reference`` is the exact-sum kernel that ``montecarlo._buckets``
-speeds up: it converts each fraction half to float before summing it.
+``buckets_reference`` is the exponent-bucket kernel that
+``montecarlo._accumulate`` speeds up: it converts each fraction half to
+float before summing it.  ``form_reference`` reads its buckets as the
+exact-sum form that ``montecarlo._exact`` computes in two tiers.
 ``run_replication_prefix`` is the prefix engine that ``run_replication``
 streams: it holds the whole path and rescans each prefix at every
-checkpoint.  It sums with ``buckets_reference`` and binds the other
+checkpoint.  It sums with ``form_reference`` and binds the other
 primitives at import, so a test may patch them in ``heavytrim.montecarlo``
 without touching the oracle.
 ``max_deviation_tail_exact`` gives maximal-deviation probabilities of small
@@ -27,7 +29,7 @@ from heavytrim.bounds import BoundsError, ProbabilityBound
 from heavytrim.distributions import (LOG_FLOAT_MAX, AtomicStep, Distribution,
                                      LogTail, ParetoTail)
 from heavytrim.montecarlo import (ConvergenceTrace, ExperimentConfig, TraceRow,
-                                  _largest, _rounded)
+                                  _Form, _largest, _rounded)
 
 _KEYS = 4096
 _LOW26 = np.uint64((1 << 26) - 1)
@@ -35,8 +37,9 @@ _BLOCK = 1 << 16  # bincount stays exact up to 2**27 entries per call
 
 
 def buckets_reference(values: np.ndarray) -> np.ndarray:
-    """``montecarlo._buckets``'s (3, 4096) integer form, computed through
-    ``uint64 -> float64`` conversions of the fraction halves."""
+    """The (3, 4096) integer form of a sum: per sign-and-exponent key, the
+    entry count and the sums of the high and of the low 26 fraction bits,
+    computed through ``uint64 -> float64`` conversions of the halves."""
     bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
     out = np.zeros((3, _KEYS), dtype=np.int64)
     for start in range(0, len(bits), _BLOCK):
@@ -49,6 +52,24 @@ def buckets_reference(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def form_reference(values: np.ndarray) -> _Form:
+    """The exact sum of a float64 array as a ``montecarlo._Form``, read off
+    ``buckets_reference``."""
+    total, infs, nan = 0, [0, 0], 0
+    count, high, low = buckets_reference(values)
+    for key in np.flatnonzero(count).tolist():
+        n, fraction = int(count[key]), (int(high[key]) << 26) + int(low[key])
+        exponent, sign = key & 2047, key >> 11
+        if exponent == 2047:  # inf, or nan with fraction bits
+            infs[sign] += n
+            nan += fraction
+            continue
+        if exponent:  # normal numbers carry the implicit leading bit
+            fraction = (fraction + (n << 52)) << (exponent - 1)
+        total += -fraction if sign else fraction
+    return _Form(total, *infs, nan, int(count.sum()))
+
+
 def run_replication_prefix(config: ExperimentConfig, replication: int) -> ConvergenceTrace:
     """``run_replication`` computed on the held path, prefix by prefix."""
     rng = np.random.Generator(np.random.Philox(key=[config.seed, replication]))
@@ -57,9 +78,9 @@ def run_replication_prefix(config: ExperimentConfig, replication: int) -> Conver
     for p in config.points:
         prefix = x[: p.n]
         over_mask = prefix > p.threshold
-        path = buckets_reference(prefix)
-        truncated = _rounded(buckets_reference(prefix[~over_mask]))
-        trimmed = _rounded(path - buckets_reference(_largest(prefix, p.trim)))
+        path = form_reference(prefix)
+        truncated = _rounded(form_reference(prefix[~over_mask]))
+        trimmed = _rounded(path - form_reference(_largest(prefix, p.trim)))
         rows.append(TraceRow(
             n=p.n,
             untrimmed=_rounded(path),

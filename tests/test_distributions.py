@@ -134,6 +134,17 @@ class TestTruncatedMoments:
         assert math.exp(step.log_truncated_moment(4 * LN2)) == pytest.approx(67.0 / 18.0, rel=1e-15)
         assert step.log_truncated_moment(0.0) == -math.inf
 
+    def test_step_table_is_the_per_call_sum(self, step):
+        # the prefix table holds, bit for bit, what summing the atoms at or
+        # below t on each call gives: at every atom, between atoms, and
+        # beyond either end
+        for law in (step, AtomicStep([(1.0, 1.0)]),
+                    AtomicStep([(0.5, 0.25), (3.0, 0.5), (1e300, 0.125)])):
+            logs = [a.log_x for a in law.atoms]
+            for z in logs + [v + d for v in logs for d in (-1e-9, 1e-9)] + [-math.inf, math.inf]:
+                terms = [a.log_x + math.log(a.mass) for a in law.atoms if a.log_x <= z]
+                assert law.log_truncated_moment(z) == distributions._logsumexp(terms)
+
     def test_step_against_fraction_oracle(self, step):
         atoms = step_atoms_exact(5)
         for t in [2, 16, 512, 65536]:

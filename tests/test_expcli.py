@@ -213,6 +213,18 @@ class TestPlot:
             for attr in re.findall(r'\b(?:points|x|y)="([^"]*)"', svg):
                 assert all(math.isfinite(float(v)) for v in re.split(r"[ ,]", attr) if v)
 
+    def test_infinite_running_max_is_marked_off_scale(self, tmp_path):
+        # a median running max of inf gets a marker on the frame's top edge
+        # at its checkpoint; the finite median keeps its line
+        csv = tmp_path / "aggregate.csv"
+        csv.write_text("n,replications,trimmed_q05,trimmed_q50,trimmed_q95,truncated_q50,"
+                       "untrimmed_runmax_q05,untrimmed_runmax_q50,untrimmed_runmax_q95\n"
+                       "1000,3,1,1,1,1,2,5,inf\n10000,3,1,1,1,1,3,inf,inf\n"
+                       "100000,3,1,1,1,1,inf,inf,inf\n")
+        svg = plot(csv, tmp_path / "plots")[1].read_text()
+        marks = re.findall(r'd="([^"]*)"><title>inf</title>', svg)
+        assert marks == ["M384,28 l-5,9 h10 z M704,28 l-5,9 h10 z"]  # log10 n = 4 and 5
+
     def test_malformed_csv_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("n\n")

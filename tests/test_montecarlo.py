@@ -22,7 +22,7 @@ from heavytrim.trimming import (PowerThreshold, StandardTrimRule,
                                 SummableFunction, TrimmingPlan,
                                 fluctuation_allowance, plan_default,
                                 plan_standard)
-from oracles import buckets_reference, run_replication_prefix
+from oracles import form_reference, run_replication_prefix
 
 
 @pytest.fixture(scope="module")
@@ -190,12 +190,83 @@ class TestExactSum:
         bits = np.random.default_rng(length).integers(0, 2 ** 64, length, np.uint64)
         bits[::5] = np.resize(edges, len(bits[::5]))
         values = bits.copy().view(np.float64)
-        assert np.array_equal(montecarlo._buckets(values), buckets_reference(values))
+        assert montecarlo._exact(values) == form_reference(values)
         assert np.array_equal(values.view(np.uint64), bits)  # input left unchanged
 
+    @pytest.mark.parametrize("length", [0, 1, montecarlo._CHUNK - 1, montecarlo._CHUNK,
+                                        3 * montecarlo._CHUNK + 17])
+    @pytest.mark.parametrize("binades", [1, 30, 60, 2000])
+    def test_extraction_matches_reference_and_fsum(self, length, binades):
+        # random positive finite bit patterns whose exponents span `binades`
+        # binades from a random base: within one band, across its edge, and
+        # over the whole range, where blocks leave the normal range for sigma
+        rng = np.random.default_rng(length + binades)
+        base = int(rng.integers(1, 2046 - min(binades, 2045)))
+        exponents = base + rng.integers(0, min(binades, 2046 - base), length, dtype=np.uint64)
+        bits = (exponents << np.uint64(52)) | rng.integers(0, 2 ** 52, length, np.uint64)
+        values = bits.view(np.float64)
+        form = montecarlo._exact(values)
+        assert form == form_reference(values)
+        assert np.array_equal(values.view(np.uint64), bits)  # input left unchanged
+        try:
+            expected = math.fsum(values.tolist())
+        except OverflowError:  # fsum's partial sums overflow; the exact sum may too
+            exact = sum(map(Fraction, values.tolist()), Fraction(0))
+            with pytest.raises(OverflowError):
+                float(exact)
+            with pytest.raises(OverflowError):
+                montecarlo._rounded(form)
+            return
+        assert montecarlo._rounded(form).hex() == expected.hex()
+
+    def test_band_edge(self):
+        # 2**(e_lo + 40) is out of band and goes to the buckets; the float
+        # just below it is extracted
+        lo = 1.5 * 2.0 ** -7
+        cut = 2.0 ** (-7 + montecarlo._BAND)
+        values = np.array([lo, cut, np.nextafter(cut, 0.0), cut * 3.0, lo * 5.0])
+        acc = np.zeros((3, montecarlo._KEYS))
+        form = montecarlo._block(acc, values)
+        assert form.count == 3 and acc[0].sum() == 2
+        assert form + montecarlo._flushed(acc) == form_reference(values)
+        assert montecarlo._rounded(form_reference(values)) == math.fsum(values.tolist())
+
+    def test_full_level_count(self):
+        # full 52-bit fractions from 1 to just below 2**40 in a whole block:
+        # three levels, each extracting bits the others miss
+        n = montecarlo._CHUNK
+        rng = np.random.default_rng(11)
+        exponents = np.uint64(1023) + rng.integers(0, 40, n, dtype=np.uint64)
+        bits = (exponents << np.uint64(52)) | rng.integers(0, 2 ** 52, n, np.uint64)
+        values = bits.view(np.float64)
+        values[:2] = np.nextafter(1.0, 2.0), np.nextafter(2.0 ** 40, 0.0)
+        # and residuals of one sign, so that no cancellation hides a missed
+        # level: with a top entry below 2**30 the first level rounds to
+        # multiples of 2**-6, and 1 + 2**-7 - 3 * 2**-52 sits just below a
+        # midpoint
+        ones = np.full(n, 1.0 + 2.0 ** -7 - 3 * 2.0 ** -52)
+        ones[0] = 2.0 ** 29 + 0.5
+        for block in (values, ones):
+            acc = np.zeros((3, montecarlo._KEYS))
+            form = montecarlo._block(acc, block.copy(), writable=True)
+            assert form.count == n and not acc.any()
+            assert form == form_reference(block)
+            assert montecarlo._rounded(form) == math.fsum(block.tolist())
+
+    @pytest.mark.parametrize("odd", [0.0, -1.0, 5e-324, 2.0 ** -1040, math.inf, -math.inf,
+                                     math.nan])
+    def test_blocks_outside_extraction_go_to_the_buckets_whole(self, odd):
+        # zeros, negatives, subnormals, +-inf and nan: the whole block is
+        # bucketed, and only the buckets count its entries
+        values = np.concatenate([np.linspace(1.0, 100.0, 1000), [odd]])
+        acc = np.zeros((3, montecarlo._KEYS))
+        assert montecarlo._block(acc, values) == montecarlo._Form()
+        assert acc[0].sum() == len(values)
+        assert montecarlo._flushed(acc) == form_reference(values)
+
     def test_negated_form_is_the_sign_flipped_form(self):
-        # the top-b pool holds its draws negated: negation flips the sign bit
-        # alone, so the form of -x is that of x with its keys' sign bits flipped
+        # the pool holds its draws negated: negation flips the sign bit
+        # alone, so the form of -x is that of x negated
         bits = np.array([0, 1 << 63, 1, 0x000FFFFFFFFFFFFF, 0x800000000000002A,
                          0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000000,
                          0x7FF0000000000001, 0xFFF400000000BEEF, 0x7FFFFFFFFFFFFFFF,
@@ -203,17 +274,18 @@ class TestExactSum:
         values = bits.view(np.float64)
         negated = -values
         assert np.array_equal(negated.view(np.uint64), bits ^ np.uint64(1 << 63))
-        assert np.array_equal(np.roll(montecarlo._buckets(negated), 2048, axis=1),
-                              montecarlo._buckets(values))
+        assert -montecarlo._exact(negated) == montecarlo._exact(values)
 
     def test_kernel_flushes_exactly(self, monkeypatch):
         # 2**26 offset halves below 2**27 each stay below 2**53, where float
-        # sums of integers are exact; a path flushes between whole blocks
+        # sums of integers are exact; a path flushes between whole blocks.
+        # These draws span more binades than a block's band, so both tiers
+        # see entries of each full block
         assert montecarlo._FLUSH * 2 ** 27 <= 2 ** 53
         assert montecarlo._FLUSH % montecarlo._CHUNK == 0
         values = np.random.default_rng(3).pareto(0.5, 3 * montecarlo._CHUNK + 17)
-        monkeypatch.setattr(montecarlo, "_FLUSH", 1000)
-        assert np.array_equal(montecarlo._buckets(values), buckets_reference(values))
+        monkeypatch.setattr(montecarlo, "_FLUSH", montecarlo._CHUNK)
+        assert montecarlo._exact(values) == form_reference(values)
 
     def test_overflow_raises_like_fsum(self):
         values = [1.7976931348623157e308] * 2
@@ -356,8 +428,8 @@ class TestRunReplication:
 
     @pytest.mark.parametrize("law", ["pareto", "pareto_table", "logtail", "step", "pm"])
     def test_memory_guard_bounds_replication_peak(self, request, pareto_cfg, law):
-        # a replication holds a chunk and its two pools, not the path: at
-        # n = 1e6 the tracemalloc peak is 1.1-7 MB across the built-in laws,
+        # a replication holds a chunk and its pool, not the path: at
+        # n = 1e6 the tracemalloc peak is 0.6-6 MB across the built-in laws,
         # where holding the path took 20-32 MB
         n = 1_000_000
         plan = (pareto_cfg.plan if law == "pareto"
@@ -468,28 +540,41 @@ class TestAgainstPrefixOracle:
         # fall within segments
         assert sum(trims) > 2 * len(cfg.points)
 
+    def test_pool_grows_below_the_trim_floor(self, pareto):
+        # a trim of a tenth of the expected exceedances: the draws above t
+        # outnumber 2 max b(n), so the pool must grow to hold them
+        class Tenth:
+            def raw_count(self, n, expect_gt):
+                return expect_gt / 10
+
+        plan = TrimmingPlan(pareto, 0.05, PowerThreshold(0.8), Tenth(),
+                            SummableFunction.power(9 / 8), SummableFunction.power(2.0))
+        cfg = ExperimentConfig(plan, ORACLE_GRID, 2, 31)
+        assert run_replication(cfg, 0).rows[-1].count_gt > 2 * max(p.trim for p in cfg.points)
+        self.assert_same(cfg)
+
     def test_lossy_buckets_are_caught(self, pareto_cfg, monkeypatch):
         cfg = ExperimentConfig(pareto_cfg.plan, (1000,), 1, pareto_cfg.seed)
         t = cfg.points[0].threshold
-        # with an exceedance on the path, the "> t" selection is the only
-        # argument of the primitive that holds no entry at or below t; the
-        # oracle keeps the intact primitive
+        # with an exceedance on the path, the pool's slice of the draws above
+        # t is the only argument of the block primitive that holds no entry
+        # at or below t (negated: above -t); the oracle keeps the intact one
         assert run_replication(cfg, 0).rows[0].count_gt > 0
-        accumulate = montecarlo._accumulate
+        block = montecarlo._block
 
-        def lossy(acc, values):
-            if len(values) > 1 and values.min() > t:
+        def lossy(acc, values, writable=False):
+            if len(values) > 1 and values.max() < -t:
                 values = values[1:]
-            accumulate(acc, values)
+            return block(acc, values, writable)
 
-        monkeypatch.setattr(montecarlo, "_accumulate", lossy)
+        monkeypatch.setattr(montecarlo, "_block", lossy)
         assert run_replication(cfg, 0) != run_replication_prefix(cfg, 0)
 
     def test_count_check_fires(self, pareto_cfg, monkeypatch):
         cfg = ExperimentConfig(pareto_cfg.plan, (1000,), 1, pareto_cfg.seed)
-        accumulate = montecarlo._accumulate
-        monkeypatch.setattr(montecarlo, "_accumulate",
-                            lambda acc, values: accumulate(acc, values[1:]))
+        block = montecarlo._block
+        monkeypatch.setattr(montecarlo, "_block",
+                            lambda acc, values, writable=False: block(acc, values[1:], writable))
         with pytest.raises(MonteCarloError, match="path form counts 999 draws at n = 1000"):
             run_replication(cfg, 0)
 
