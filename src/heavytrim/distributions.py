@@ -183,17 +183,16 @@ class Atom:
         return cls(math.log(x), float(x), float(mass))
 
     @classmethod
-    def at_log(cls, log_x: float, mass: float, *, x: float | None = None) -> "Atom":
-        """Atom addressed by log-location; ``x`` may pin the exact float.
+    def at_log(cls, log_x: float, mass: float, *, x: float) -> "Atom":
+        """Atom addressed by log-location, with ``x`` its exact float
+        location, or ``inf`` beyond the float range.
 
-        When the caller knows the exact float location (say a power of
-        two) it should pass it, because ``exp(log_x)`` does not round-trip
-        bit for bit.
+        ``x`` is never rounded from ``log_x``: ``exp(log_x)`` does not
+        round-trip bit for bit, and near ``2**1024`` it gives a finite float
+        for a location no float holds.
         """
         log_x = float(log_x)
-        if x is None:
-            x = exp_or_inf(log_x)
-        elif math.isfinite(x) and not math.isclose(math.log(x), log_x, rel_tol=1e-9, abs_tol=1e-9):
+        if math.isfinite(x) and not math.isclose(math.log(x), log_x, rel_tol=1e-9, abs_tol=1e-9):
             raise DistributionError(f"location {x!r} inconsistent with log {log_x!r}")
         return cls(log_x, float(x), float(mass))
 
@@ -297,16 +296,16 @@ def square_step(max_index: int = 128) -> AtomicStep:
     sits on the squares-of-two lattice and the first moment diverges.  The
     table holds k = 1..max_index.  Each atom is stored at the log location
     ``(k*k) * ln 2``, which the log-space contract reads exactly at every
-    k.  Float locations are exact powers of two up to k = 31 and inf beyond
-    that; only sampling reads them, so draws of those atoms, and of levels
-    above the table, are inf.
+    k.  Float locations are exact powers of two up to k = 31 and inf from
+    k = 32 (``2**1024``) on; only sampling reads them, so draws of those
+    atoms, and of levels above the table, are inf.
     """
     if max_index < 2:
         raise DistributionError("max_index must be at least 2")
     table = []
     for k in range(1, max_index + 1):
         mass = 1.0 / (k * k) - 1.0 / ((k + 1) * (k + 1))
-        exact = 2.0 ** (k * k) if k * k < 1024 else None
+        exact = 2.0 ** (k * k) if k * k < 1024 else math.inf
         table.append(Atom.at_log((k * k) * _LN2, mass, x=exact))
     return AtomicStep(table)
 
@@ -431,9 +430,9 @@ class Tabulated(Distribution):
     stays constant; a table ending below 1 leaves the remaining mass
     unresolved and draws above the last level are ``inf``.
 
-    The rows are floats, so the contract evaluates F, its generalized
-    inverse and the truncated moment with private float helpers at the
-    float a log level stands for (see :meth:`_at`).
+    The rows are floats, so the contract evaluates F and the truncated
+    moment with private float helpers at the float a log level stands for
+    (see :meth:`_at`); the generalized inverse is the sampling segments'.
     """
 
     xs: tuple[float, ...]
@@ -500,8 +499,13 @@ class Tabulated(Distribution):
         return math.log(m) if m > 0.0 else -math.inf
 
     def log_fixed_point(self, z: float) -> float:
-        # quantile(F(x)) is the left end of the level set of F through x
-        return math.log(self._quantile(self._cdf(self._at(z))))
+        # the generalized inverse at F(x) is the left end of the level set of
+        # F through x; F attains that level, so a sampling segment holds it.
+        # Its row is read as Python floats: numpy scalar arithmetic here
+        # raised a run's peak RSS
+        y = self._cdf(self._at(z))
+        x0, f0, dx, df = self._segments[bisect.bisect_left(self.fs, y)].tolist()
+        return math.log(x0 + (y - f0) * dx / df)
 
     def _at(self, log_x: float) -> float:
         """The row ``x`` whose stored log is ``log_x``, else ``exp(log_x)``
@@ -535,18 +539,6 @@ class Tabulated(Distribution):
                 return self._left_value(i)
             return self.fs[i]
         return self._cdf(x) if x > self.xs[0] else 0.0
-
-    def _quantile(self, y: float) -> float:
-        """inf{x : F(x) >= y} for a level y that F attains."""
-        if y <= self.fs[0]:
-            return self.xs[0]
-        # fs[i - 1] < y <= fs[i], so a linear segment here is not flat
-        i = bisect.bisect_left(self.fs, y)
-        if self.kinds[i] == "jump":
-            return self.xs[i]
-        x0, x1 = self.xs[i - 1], self.xs[i]
-        f0, f1 = self.fs[i - 1], self.fs[i]
-        return x0 + (y - f0) * (x1 - x0) / (f1 - f0)
 
     def _truncated_moment(self, t: float) -> float:
         terms = []

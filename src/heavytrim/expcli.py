@@ -168,7 +168,7 @@ def _build_distribution(value) -> Distribution:
     raise ConfigError(f"distribution.family: unknown family {family!r}")
 
 
-def _build_threshold_rule(value, epsilon: float):
+def _build_threshold_rule(value):
     section = _section(value, "plan.threshold", ("rule", "exponent", "coefficient"))
     rule = _need(section, "rule", "plan.threshold")
     if rule == "power":
@@ -177,7 +177,7 @@ def _build_threshold_rule(value, epsilon: float):
                              "plan.threshold.exponent"),
             coefficient=_number(section.get("coefficient", 1.0), "plan.threshold.coefficient"))
     if rule == "square-step":
-        return SquareStepThreshold(epsilon)
+        return SquareStepThreshold()
     if rule == "projected-power":
         return ProjectedPowerThreshold(_number(_need(section, "exponent", "plan.threshold"),
                                                "plan.threshold.exponent"))
@@ -205,21 +205,21 @@ def _build_plan(value, dist: Distribution) -> TrimmingPlan:
         if rule == "default":
             return plan_default(dist, epsilon)
         if rule == "standard":
-            t_rule = _build_threshold_rule(_need(section, "threshold", "plan"), epsilon)
+            t_rule = _build_threshold_rule(_need(section, "threshold", "plan"))
             return plan_standard(dist, t_rule, epsilon)
         if rule == "general":
-            t_rule = _build_threshold_rule(_need(section, "threshold", "plan"), epsilon)
+            t_rule = _build_threshold_rule(_need(section, "threshold", "plan"))
             summable = _build_summable(_need(section, "summable", "plan"), "plan.summable")
             summable_alt = _build_summable(_need(section, "summable-alt", "plan"),
                                            "plan.summable-alt")
             trim_section = _section(_need(section, "trim", "plan"), "plan.trim", ("rule",))
             trim_name = _need(trim_section, "rule", "plan.trim")
             if trim_name == "standard":
-                trim_rule = StandardTrimRule(epsilon)
+                trim_rule = StandardTrimRule()
             elif trim_name == "proof-variant":
-                trim_rule = StandardTrimRule(epsilon, log_floor=True)
+                trim_rule = StandardTrimRule(log_floor=True)
             elif trim_name == "allowance":
-                trim_rule = AllowanceTrimRule(epsilon, summable)
+                trim_rule = AllowanceTrimRule()
             else:
                 raise ConfigError(f"plan.trim.rule: unknown rule {trim_name!r}")
             return TrimmingPlan(dist, epsilon, t_rule, trim_rule, summable, summable_alt)

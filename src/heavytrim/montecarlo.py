@@ -111,23 +111,21 @@ class _Form(NamedTuple):
 
 
 def _accumulate(acc: np.ndarray, values: np.ndarray) -> None:
-    """Add ``values`` into a float64 (3, 4096) accumulator: per key, the entry
-    count and the sums of the high and of the low 26 fraction bits, each
-    half offset by 2**26; exact up to ``_FLUSH`` entries."""
+    """Add a block of at most ``_CHUNK`` values into a float64 (3, 4096)
+    accumulator: per key, the entry count and the sums of the high and of
+    the low 26 fraction bits, each half offset by 2**26; exact up to
+    ``_FLUSH`` entries."""
     bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
-    halves = np.empty(min(len(bits), _CHUNK), dtype=np.uint64)
-    for start in range(0, len(bits), _CHUNK):
-        chunk = bits[start:start + _CHUNK]
-        key = (chunk >> np.uint64(52)).view(np.int64)
-        half = halves[:len(chunk)]
-        acc[0] += np.bincount(key, minlength=_KEYS)
-        np.bitwise_and(chunk, _HIGH26, out=half)
-        half |= _OFFSET
-        acc[1] += np.bincount(key, half.view(np.float64), _KEYS)
-        np.left_shift(chunk, np.uint64(26), out=half)
-        half &= _HIGH26
-        half |= _OFFSET
-        acc[2] += np.bincount(key, half.view(np.float64), _KEYS)
+    half = np.empty_like(bits)
+    key = (bits >> np.uint64(52)).view(np.int64)
+    acc[0] += np.bincount(key, minlength=_KEYS)
+    np.bitwise_and(bits, _HIGH26, out=half)
+    half |= _OFFSET
+    acc[1] += np.bincount(key, half.view(np.float64), _KEYS)
+    np.left_shift(bits, np.uint64(26), out=half)
+    half &= _HIGH26
+    half |= _OFFSET
+    acc[2] += np.bincount(key, half.view(np.float64), _KEYS)
 
 
 def _flushed(acc: np.ndarray) -> _Form:
@@ -150,9 +148,10 @@ def _flushed(acc: np.ndarray) -> _Form:
 
 def _block(acc: np.ndarray, x: np.ndarray, writable: bool = False) -> _Form:
     """The form of 1 to ``_CHUNK`` entries, less those added into the
-    bucket accumulator ``acc``.  Extraction sums a block of positive finite
-    entries, except those out of band; any other block goes to the buckets
-    whole.  Extraction overwrites ``x`` if ``writable``, else a copy."""
+    bucket accumulator ``acc``.  Extraction sums a block of positive
+    entries, except those out of band, ``inf`` among them; any other block
+    goes to the buckets whole.  Extraction overwrites ``x`` if
+    ``writable``, else a copy."""
     lo, hi = float(x.min()), float(x.max())
     # ExtractVector (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31(1),
     # 2008).  A level with bound e (|p| < 2**e) splits each p into q =
@@ -163,12 +162,13 @@ def _block(acc: np.ndarray, x: np.ndarray, writable: bool = False) -> _Form:
     # multiples of 2**(e_lo - 52), so the level with e + k <= e_lo leaves
     # none: 2-3 levels for a 40-binade band and n = 2**14.  That last
     # level's q are the residuals themselves, so it sums them directly.
+    # frexp(inf) reads exponent 0, so an inf top reads 1024: out of band.
     k, e_lo = (2 * len(x)).bit_length(), math.frexp(lo)[1] - 1
-    levels = [min(math.frexp(hi)[1], e_lo + _BAND)]
+    levels = [min(math.frexp(hi)[1] if hi < math.inf else 1024, e_lo + _BAND)]
     while levels[-1] + k > e_lo:
         levels.append(levels[-1] + k - 52)
-    if not (lo > 0.0 and hi < math.inf) or levels[0] + k > 1023 or levels[-1] + k - 53 < -1022:
-        _accumulate(acc, x)  # zeros, negatives, nan or inf, or sigma beyond the normal range
+    if not lo > 0.0 or levels[0] + k > 1023 or levels[-1] + k - 53 < -1022:
+        _accumulate(acc, x)  # zeros, negatives or nan, or sigma beyond the normal range
         return _Form()
     p = x if writable else x.copy()
     cut, count = math.ldexp(1.0, levels[0]), len(p)
@@ -340,6 +340,14 @@ def _trim(top: np.ndarray, used: int, keep: int, floor: float) -> tuple[float, i
     return -float(top[keep]), keep
 
 
+def _per_scale(total: float, p: PlanPoint) -> float:
+    """total / d(n); divided in log space when d(n) overflows, so a finite
+    sum gives a finite ratio rather than 0.0 (a sum of 0 still gives 0.0)."""
+    if p.scale < math.inf:
+        return total / p.scale
+    return math.exp(math.log(total) - p.log_scale) if total else 0.0
+
+
 def run_replication(config: ExperimentConfig, replication: int) -> ConvergenceTrace:
     """One seeded path, evaluated at every checkpoint of the config.
 
@@ -394,7 +402,7 @@ def run_replication(config: ExperimentConfig, replication: int) -> ConvergenceTr
         both = cut - -_exact(top[lo:hi])
         trimmed, truncated = map(_rounded, (both, cut) if count_gt <= p.trim else (cut, both))
         rows.append(TraceRow(p.n, _rounded(path), trimmed, truncated, count_gt,
-                             count_gt + ties, trimmed / p.scale, truncated / p.scale))
+                             count_gt + ties, _per_scale(trimmed, p), _per_scale(truncated, p)))
     return ConvergenceTrace(replication=replication, config=config, rows=tuple(rows))
 
 
@@ -494,8 +502,9 @@ def aggregate(traces: Sequence[ConvergenceTrace]) -> AggregateSummary:
     concentration statements predict a summably rare event.
     """
     config = _experiment(traces)
-    scale = np.array([p.scale for p in config.points])
-    runmax = np.maximum.accumulate(_matrix(traces, "untrimmed") / scale, axis=1)
+    runmax = np.maximum.accumulate(np.array(
+        [[_per_scale(r.untrimmed, p) for r, p in zip(t.rows, config.points)] for t in traces]),
+        axis=1)
     expect_gt = np.array([p.expect_gt for p in config.points])
     allowance_gt = np.array([p.allowance_gt for p in config.points])
     violations = np.count_nonzero(

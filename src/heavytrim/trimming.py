@@ -206,32 +206,22 @@ class PowerThreshold:
         if not self.coefficient > 0.0:
             raise TrimmingError(f"coefficient must be positive, got {self.coefficient}")
 
-    def log_threshold(self, dist: Distribution, n: int) -> float:
+    def log_threshold(self, plan: TrimmingPlan, n: int) -> float:
         return math.log(self.coefficient) + self.exponent * math.log(n)
 
 
 @dataclass(frozen=True)
 class SquareStepThreshold:
-    """t(n) = 2**(K*K) with K = floor(n**(1/4 - epsilon/2)).
+    """t(n) = 2**(K*K) with K = floor(n**(1/4 - epsilon/2)), epsilon the plan's.
 
     Matches the atoms of the built-in step law, so every threshold is a
     quantile fixed point there.
     """
 
-    epsilon: float
-
-    def __post_init__(self):
-        if not 0.0 < self.epsilon < 0.25:
-            raise TrimmingError(f"epsilon must lie in (0, 1/4), got {self.epsilon}")
-
-    def index(self, n: int) -> int:
-        k = math.floor(float(n) ** (0.25 - self.epsilon / 2.0))
+    def log_threshold(self, plan: TrimmingPlan, n: int) -> float:
+        k = math.floor(float(n) ** (0.25 - plan.epsilon / 2.0))
         if k < 1:
             raise TrimmingError(f"threshold index vanishes at n = {n}; start grids later")
-        return k
-
-    def log_threshold(self, dist: Distribution, n: int) -> float:
-        k = self.index(n)
         return (k * k) * _LN2
 
 
@@ -247,48 +237,46 @@ class ProjectedPowerThreshold:
         if not self.exponent > 0.0:
             raise TrimmingError(f"exponent must be positive, got {self.exponent}")
 
-    def log_threshold(self, dist: Distribution, n: int) -> float:
-        return dist.log_fixed_point(self.exponent * math.log(n))
+    def log_threshold(self, plan: TrimmingPlan, n: int) -> float:
+        return plan.distribution.log_fixed_point(self.exponent * math.log(n))
 
 
 # --------------------------------------------------------------------------
-# trim-count rules: (n, expected strict exceedances) -> b(n) before ceiling
+# trim-count rules: (plan, n, expected strict exceedances) -> b(n) before ceiling
 # --------------------------------------------------------------------------
 
-def _loglog(n: int) -> float:
+def _fluctuation(epsilon: float, n: int, count: float, log_floor: bool) -> float:
+    """max(count**(1/2+eps) * loglog(n)**(1/2-eps), floor), the floor log n
+    with ``log_floor`` and loglog n without."""
     if n < 3:
         raise TrimmingError(f"sample size must be at least 3, got {n}")
-    return math.log(math.log(n))
+    ll = math.log(math.log(n))
+    return max(count ** (0.5 + epsilon) * ll ** (0.5 - epsilon),
+               math.log(n) if log_floor else ll)
 
 
 @dataclass(frozen=True)
 class StandardTrimRule:
-    """b(n) = ceil(a + 9 * max(a**(1/2+eps) * loglog(n)**(1/2-eps), loglog n)).
+    """b(n) = ceil(a + 9 * max(a**(1/2+eps) * loglog(n)**(1/2-eps), loglog n)),
+    epsilon the plan's.
 
     With ``log_floor`` the second slot of the max is log n instead of
     loglog n: the variant the proof uses.
     """
 
-    epsilon: float
     log_floor: bool = False
 
-    def raw_count(self, n: int, expect_gt: float) -> float:
-        ll = _loglog(n)
-        slack = 9.0 * max(expect_gt ** (0.5 + self.epsilon) * ll ** (0.5 - self.epsilon),
-                          math.log(n) if self.log_floor else ll)
-        return expect_gt + slack
+    def raw_count(self, plan: TrimmingPlan, n: int, expect_gt: float) -> float:
+        return expect_gt + 9.0 * _fluctuation(plan.epsilon, n, expect_gt, self.log_floor)
 
 
 @dataclass(frozen=True)
 class AllowanceTrimRule:
-    """b(n) = ceil(a + fluctuation_allowance(a, n)): the smallest trim the
-    pointwise floor hypothesis admits."""
+    """b(n) = ceil(a + fluctuation_allowance(a, n)) with the plan's epsilon
+    and weight: the smallest trim the pointwise floor hypothesis admits."""
 
-    epsilon: float
-    summable: SummableFunction
-
-    def raw_count(self, n: int, expect_gt: float) -> float:
-        return expect_gt + fluctuation_allowance(expect_gt, n, self.epsilon, self.summable)
+    def raw_count(self, plan: TrimmingPlan, n: int, expect_gt: float) -> float:
+        return expect_gt + fluctuation_allowance(expect_gt, n, plan.epsilon, plan.summable)
 
 
 # --------------------------------------------------------------------------
@@ -319,9 +307,11 @@ class TrimmingPlan:
     """Threshold rule, trim rule and weight functions bound to one law.
 
     Immutable; every evaluator is a pure function of ``n``, and construction
-    evaluates none of them.  :func:`plan_standard` and :func:`plan_default`
-    fill in the standard trim rule and weights; the structural hypotheses are
-    judged by :func:`check_plan` on a table, never here.
+    evaluates none of them.  Its rules hold no ``epsilon`` and no weight:
+    they take the plan and read both from it.  :func:`plan_standard` and
+    :func:`plan_default` fill in the standard trim rule and weights; the
+    structural hypotheses are judged by :func:`check_plan` on a table, never
+    here.
     """
 
     distribution: Distribution
@@ -336,7 +326,7 @@ class TrimmingPlan:
             raise PlanError(f"epsilon must lie in (0, 1/4), got {self.epsilon}")
 
     def log_threshold(self, n: int) -> float:
-        return self.threshold_rule.log_threshold(self.distribution, n)
+        return self.threshold_rule.log_threshold(self, n)
 
     def checkpoint(self, n: int) -> PlanPoint:
         if n < 3:
@@ -346,7 +336,7 @@ class TrimmingPlan:
         expect_gt = n * d.survival_at_log(log_t)
         expect_ge = n * d.survival_left_at_log(log_t)
         log_scale = math.log(n) + d.log_truncated_moment(log_t)
-        raw = self.trim_rule.raw_count(n, expect_gt)
+        raw = self.trim_rule.raw_count(self, n, expect_gt)
         trim = math.ceil(raw)
         clamped = trim < 0 or trim > n
         trim = min(max(trim, 0), n)
@@ -438,7 +428,7 @@ def plan_standard(dist: Distribution, threshold_rule, epsilon: float) -> Trimmin
         distribution=dist,
         epsilon=epsilon,
         threshold_rule=threshold_rule,
-        trim_rule=StandardTrimRule(epsilon),
+        trim_rule=StandardTrimRule(),
         summable=SummableFunction.power(9.0 / 8.0),
         summable_alt=SummableFunction.power(2.0),
     )
@@ -461,10 +451,7 @@ def _ratio(point: PlanPoint) -> float:
 
 
 def _value_standard_limit(plan: TrimmingPlan, p: PlanPoint) -> float:
-    ll = _loglog(p.n)
-    fluct = max(p.expect_gt ** (0.5 + plan.epsilon) * ll ** (0.5 - plan.epsilon),
-                math.log(p.n))
-    return _ratio(p) * fluct
+    return _ratio(p) * _fluctuation(plan.epsilon, p.n, p.expect_gt, log_floor=True)
 
 
 def _value_margin_limit(plan: TrimmingPlan, p: PlanPoint) -> float:

@@ -80,7 +80,7 @@ def test_criterion_02_truncated_moment_oracles():
 def test_criterion_03_condition_checker_verdicts():
     t0 = time.perf_counter()
     grid = geometric_grid(1000, 10_000_000, 9)
-    step_plan = plan_standard(square_step(), SquareStepThreshold(0.05), 0.05)
+    step_plan = plan_standard(square_step(), SquareStepThreshold(), 0.05)
     step_table = step_plan.table(grid)
     check_plan(step_plan, step_table)
     # tolerance frozen from pilot runs: the quantity decays like

@@ -206,7 +206,12 @@ class TestTabulated:
         assert t.survival_left_at_log(math.log(12.0)) == t.survival_at_log(math.log(12.0))
         assert t.survival_at_log(1000.0) == 0.0  # beyond the float range, past every row
 
-    def test_quantile_inverts(self, mixed_table):
+    def test_quantile_inverts(self, mixed_table, partial_table, pareto_table):
+        # at every breakpoint level, flat segments and jumps included, the
+        # fixed point is the reference generalized inverse, bit for bit
+        for d in (mixed_table, partial_table, pareto_table):
+            for z, y in zip(d._logs, d.fs):
+                assert d.log_fixed_point(z) == math.log(reference_quantile(d, y))
         t = mixed_table
         assert t.log_fixed_point(math.log(0.5)) == 0.0  # the support minimum, 1
         assert t.log_fixed_point(0.0) == 0.0            # the atom at 1
@@ -547,6 +552,15 @@ class TestConstruction:
             AtomicStep([(2.0, 0.9), (4.0, 0.2)])
         with pytest.raises(DistributionError):
             Atom.at_log(10.0, 0.5, x=5.0)   # inconsistent pinned location
+
+    def test_step_atoms_beyond_float_range_are_inf(self, step):
+        # 2**1024 is no float: exp(1024 ln 2) rounds to a finite float below
+        # it, so the k = 32 atom stores inf, as every atom beyond it does
+        assert step.atoms[30].x == 2.0 ** 961
+        assert step.atoms[31].x == math.inf
+        assert step.atoms[31].log_x == 1024 * LN2
+        # the levels in (1 - 1/32**2, 1 - 1/33**2] draw it
+        assert step.sample_array(np.array([1.0 - 1.0 / 32.5 ** 2])).tolist() == [math.inf]
 
     def test_parameter_domains(self):
         with pytest.raises(DistributionError):

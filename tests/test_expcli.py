@@ -95,9 +95,9 @@ class TestParseConfig:
         summable = SummableFunction(family, param)
         assert plan.summable == summable
         assert plan.summable_alt == SummableFunction.power(2.0)
-        assert plan.trim_rule == {"standard": StandardTrimRule(0.05),
-                                  "proof-variant": StandardTrimRule(0.05, log_floor=True),
-                                  "allowance": AllowanceTrimRule(0.05, summable)}[trim]
+        assert plan.trim_rule == {"standard": StandardTrimRule(),
+                                  "proof-variant": StandardTrimRule(log_floor=True),
+                                  "allowance": AllowanceTrimRule()}[trim]
 
     def test_missing_seed_rejected(self, tmp_path):
         p = write_config(tmp_path, drop=["experiment.seed"])

@@ -18,7 +18,7 @@ from heavytrim.montecarlo import (ExperimentConfig, MonteCarloError,
                                   simulate, trace_csv_rows, trimmed_sum,
                                   truncated_sum)
 from heavytrim.distributions import Tabulated
-from heavytrim.trimming import (PowerThreshold, StandardTrimRule,
+from heavytrim.trimming import (PowerThreshold, SquareStepThreshold, StandardTrimRule,
                                 SummableFunction, TrimmingPlan,
                                 fluctuation_allowance, plan_default,
                                 plan_standard)
@@ -46,17 +46,17 @@ def pm_cfg(pm):
 class _Stepped:
     """Threshold 1 before n = 3000, 2 before n = ``_CHUNK``, then 4."""
 
-    def log_threshold(self, dist, n):
+    def log_threshold(self, plan, n):
         return math.log(1.0 if n < 3000 else 2.0 if n < montecarlo._CHUNK else 4.0)
 
 
 class _Falling:
-    def log_threshold(self, dist, n):
+    def log_threshold(self, plan, n):
         return math.log(1e6 / n)
 
 
 def _plan_with(dist, threshold_rule):
-    return TrimmingPlan(dist, 0.05, threshold_rule, StandardTrimRule(0.05),
+    return TrimmingPlan(dist, 0.05, threshold_rule, StandardTrimRule(),
                         SummableFunction.power(9 / 8), SummableFunction.power(2.0))
 
 
@@ -256,13 +256,16 @@ class TestExactSum:
     @pytest.mark.parametrize("odd", [0.0, -1.0, 5e-324, 2.0 ** -1040, math.inf, -math.inf,
                                      math.nan])
     def test_blocks_outside_extraction_go_to_the_buckets_whole(self, odd):
-        # zeros, negatives, subnormals, +-inf and nan: the whole block is
-        # bucketed, and only the buckets count its entries
+        # zeros, negatives, subnormals, -inf and nan: the whole block is
+        # bucketed, and only the buckets count its entries.  An inf is out of
+        # band like any entry at or above 2**(e_lo + 40): only it is bucketed
         values = np.concatenate([np.linspace(1.0, 100.0, 1000), [odd]])
         acc = np.zeros((3, montecarlo._KEYS))
-        assert montecarlo._block(acc, values) == montecarlo._Form()
-        assert acc[0].sum() == len(values)
-        assert montecarlo._flushed(acc) == form_reference(values)
+        form = montecarlo._block(acc, values)
+        assert form == (montecarlo._Form(total=form.total, count=1000) if odd == math.inf
+                        else montecarlo._Form())
+        assert acc[0].sum() == len(values) - form.count
+        assert form + montecarlo._flushed(acc) == form_reference(values)
 
     def test_negated_form_is_the_sign_flipped_form(self):
         # the pool holds its draws negated: negation flips the sign bit
@@ -491,6 +494,33 @@ class TestRunReplication:
         assert len(calls) == once
 
 
+class TestStepBeyondFloatRange:
+    """A step-law path past n = 4.3e6, where t(n) reaches the k = 32 atom,
+    2**1024, and d(n) overflows."""
+
+    @pytest.fixture(scope="class")
+    def far_trace(self, step):
+        plan = plan_standard(step, SquareStepThreshold(), 0.05)
+        return run_replication(ExperimentConfig(plan, (1000, 10 ** 6, 5 * 10 ** 6), 1,
+                                                20260810), 0)
+
+    def test_ratios_over_an_infinite_scale_are_finite(self, far_trace):
+        row, point = far_trace.rows[-1], far_trace.config.points[-1]
+        assert point.scale == math.inf and row.untrimmed == math.inf
+        for ratio, total in ((row.ratio_trimmed, row.trimmed),
+                             (row.ratio_truncated, row.truncated)):
+            assert 0.0 < ratio < math.inf
+            assert ratio == pytest.approx(math.exp(math.log(total) - point.log_scale),
+                                          rel=1e-15)
+
+    def test_aggregate_divides_in_log_space(self, far_trace):
+        # inf / inf would warn, which this suite turns into an error, and
+        # write nan
+        summary = aggregate([far_trace])
+        assert np.all(summary.untrimmed_runmax_quantiles[:, -1] == math.inf)
+        assert np.all(np.isfinite(summary.trimmed_quantiles))
+
+
 class TestAgainstPrefixOracle:
     """The one-pass engine against the prefix engine it replaces, bit for bit."""
 
@@ -544,7 +574,7 @@ class TestAgainstPrefixOracle:
         # a trim of a tenth of the expected exceedances: the draws above t
         # outnumber 2 max b(n), so the pool must grow to hold them
         class Tenth:
-            def raw_count(self, n, expect_gt):
+            def raw_count(self, plan, n, expect_gt):
                 return expect_gt / 10
 
         plan = TrimmingPlan(pareto, 0.05, PowerThreshold(0.8), Tenth(),

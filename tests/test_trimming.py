@@ -176,7 +176,7 @@ class TestPlanStandardPareto:
 
     def test_proof_variant_uses_log_slot(self, pareto):
         plan = TrimmingPlan(pareto, 0.05, PowerThreshold(0.8),
-                            StandardTrimRule(0.05, log_floor=True),
+                            StandardTrimRule(log_floor=True),
                             SummableFunction.power(9 / 8), SummableFunction.power(2))
         n = 1000
         p = plan.checkpoint(n)
@@ -190,7 +190,7 @@ class TestPlanStandardStep:
     def test_sequences_from_definitions(self, step):
         # the atom at the threshold separates the two exceedance counts:
         # strict exceedances see level 1/(K+1)^2, weak ones see 1/K^2
-        plan = plan_standard(step, SquareStepThreshold(0.05), 0.05)
+        plan = plan_standard(step, SquareStepThreshold(), 0.05)
         for n in (1000, 10 ** 5, 10 ** 7):
             k = math.floor(n ** 0.225)
             p = plan.checkpoint(n)
@@ -200,9 +200,23 @@ class TestPlanStandardStep:
             mass = 1.0 / k ** 2 - 1.0 / (k + 1) ** 2
             assert p.expect_ge - p.expect_gt == pytest.approx(n * mass, rel=1e-9)
 
+    def test_epsilon_is_the_plans(self, step):
+        # the plan owns epsilon: with 0.1 the threshold index is
+        # floor(n**(1/4 - 0.05)) and the trim count the standard formula at
+        # 0.1, and neither rule holds an epsilon of its own
+        plan = plan_standard(step, SquareStepThreshold(), 0.1)
+        assert vars(plan.threshold_rule) == {} and vars(plan.trim_rule) == {"log_floor": False}
+        for n in (1000, 10 ** 5, 10 ** 7):
+            k = math.floor(n ** 0.2)
+            p = plan.checkpoint(n)
+            assert p.log_threshold == (k * k) * LN2
+            ll = math.log(math.log(n))
+            slack = 9.0 * max(p.expect_gt ** (0.5 + 0.1) * ll ** (0.5 - 0.1), ll)
+            assert p.trim == math.ceil(p.expect_gt + slack)
+
     def test_scale_matches_mpmath(self, step):
         mp.mp.prec = 4000
-        plan = plan_standard(step, SquareStepThreshold(0.05), 0.05)
+        plan = plan_standard(step, SquareStepThreshold(), 0.05)
         for n in (10 ** 5, 10 ** 7):
             k = math.floor(n ** 0.225)
             exact = mp.mpf(0)
@@ -219,7 +233,7 @@ class TestPlanStandardStep:
 
     def test_duck_typed_rule_named_off_the_atoms(self, step):
         class Custom:
-            def log_threshold(self, dist, n):
+            def log_threshold(self, plan, n):
                 return math.log(3.0)
 
         plan = plan_standard(step, Custom(), 0.05)
@@ -251,7 +265,7 @@ class TestStallScan:
         spec.loader.exec_module(workloads)
         return tuple(workloads.WORKLOADS["step-lattice"]()["conditions"]["grid"])
 
-    @pytest.mark.parametrize("rule, count", [(SquareStepThreshold(0.05), 0),
+    @pytest.mark.parametrize("rule, count", [(SquareStepThreshold(), 0),
                                              (ProjectedPowerThreshold(0.3), 1332)],
                              ids=["square-step", "projected"])
     def test_matches_pairwise_scan_on_lattice_grid(self, step, lattice_grid, rule, count):
@@ -312,7 +326,7 @@ class TestPlanDefault:
 
 class TestPlanGeneral:
     def build(self, dist, eps=0.05):
-        plan = TrimmingPlan(dist, eps, PowerThreshold(0.8), StandardTrimRule(eps),
+        plan = TrimmingPlan(dist, eps, PowerThreshold(0.8), StandardTrimRule(),
                             SummableFunction.power(9 / 8), SummableFunction.power(2))
         check_plan(plan, plan.table(GRID_1E6))
         return plan
@@ -333,7 +347,7 @@ class TestPlanGeneral:
         # margin stays within 18 * max(fluctuation term, log n), up to the
         # integer ceiling of the trim count
         for dist, rule in ((pareto, PowerThreshold(0.8)),
-                           (step, SquareStepThreshold(0.05))):
+                           (step, SquareStepThreshold())):
             plan = plan_standard(dist, rule, 0.05)
             for p in plan.table(geometric_grid(16, 10 ** 6, 12)):
                 ll = math.log(math.log(p.n))
@@ -344,7 +358,7 @@ class TestPlanGeneral:
         # the floor is a pointwise hypothesis: the plan passes check_plan on
         # the grid and the trim-floor condition judges it there
         class Meager:
-            def raw_count(self, n, expect_gt):
+            def raw_count(self, plan, n, expect_gt):
                 return expect_gt + 1.0
 
         plan = TrimmingPlan(pareto, 0.05, PowerThreshold(0.8), Meager(),
@@ -361,12 +375,12 @@ class TestPlanGeneral:
             pass
 
         class Exploding:
-            def log_threshold(self, dist, n):
+            def log_threshold(self, plan, n):
                 raise Unreachable(n)
 
         grid = geometric_grid(16, 10 ** 5, 10)
         for plan in (plan_standard(step, Exploding(), 0.05),
-                     TrimmingPlan(step, 0.05, Exploding(), StandardTrimRule(0.05),
+                     TrimmingPlan(step, 0.05, Exploding(), StandardTrimRule(),
                                   SummableFunction.power(9 / 8), SummableFunction.power(2))):
             with pytest.raises(Unreachable):
                 check_plan(plan, plan.table(grid))
@@ -384,7 +398,7 @@ class TestPlanGeneral:
 
     def test_empty_grid_skips_validation(self, pareto, step):
         class Meager:
-            def raw_count(self, n, expect_gt):
+            def raw_count(self, plan, n, expect_gt):
                 return expect_gt + 1.0
 
         plan = TrimmingPlan(pareto, 0.05, PowerThreshold(0.8), Meager(),
@@ -436,7 +450,7 @@ class TestConditionChecker:
             assert v == pytest.approx(_mp_standard_limit_pareto(n, 0.8, 0.05), rel=1e-9)
 
     def test_step_values_match_mpmath(self, step):
-        plan = plan_standard(step, SquareStepThreshold(0.05), 0.05)
+        plan = plan_standard(step, SquareStepThreshold(), 0.05)
         rep = check_condition(plan, "standard-limit", plan.table(GRID_1E7), tolerance=0.75)
         for n, v in zip(rep.grid, rep.values):
             assert v == pytest.approx(_mp_standard_limit_step(n, 0.05), rel=1e-9)
@@ -475,7 +489,7 @@ class TestConditionChecker:
         class Meager:
             name = "meager"
 
-            def raw_count(self, n, expect_gt):
+            def raw_count(self, plan, n, expect_gt):
                 return expect_gt + 1.0
 
         bad = TrimmingPlan(pareto, 0.05, PowerThreshold(0.8), Meager(),
@@ -494,7 +508,7 @@ class TestConditionChecker:
     def test_degenerate_scale_is_inconclusive(self, pareto):
         # thresholds below the support leave no mass: scale vanishes
         plan = TrimmingPlan(pareto, 0.05, PowerThreshold(0.001, 0.01),
-                            StandardTrimRule(0.05), SummableFunction.power(9 / 8),
+                            StandardTrimRule(), SummableFunction.power(9 / 8),
                             SummableFunction.power(2))
         rep = check_condition(plan, "standard-limit", plan.table(geometric_grid(16, 20000, 9)))
         assert rep.verdict == "inconclusive"
@@ -515,7 +529,7 @@ class TestConditionChecker:
     def test_conditions_for_plan(self, pareto, step):
         p1 = plan_standard(pareto, PowerThreshold(0.8), 0.05)
         assert "excess-floor" in conditions_for_plan(p1)
-        p2 = plan_standard(step, SquareStepThreshold(0.05), 0.05)
+        p2 = plan_standard(step, SquareStepThreshold(), 0.05)
         assert "excess-floor" not in conditions_for_plan(p2)
         assert "standard-limit" in conditions_for_plan(p2)
 
