@@ -353,7 +353,8 @@ class ParetoTail(Distribution):
         out = np.subtract(1.0, u)
         with np.errstate(over="ignore"):
             np.power(out, -1.0 / self.alpha, out=out)
-        out *= self.scale
+        if self.scale != 1.0:  # x * 1.0 is x, inf and nan included
+            out *= self.scale
         return out
 
 

@@ -4,17 +4,17 @@ Each replication follows one path drawn from a counter-based generator
 keyed by (seed, replication index) and evaluates it at every checkpoint,
 preserving the almost-sure coupling the limit statements are about; fresh
 samples per checkpoint would only ever probe the weak law.  The path is
-drawn in chunks ending at checkpoints and never held whole.  Sums are
-exact: a block's bulk is summed by error-free extraction and the rest as
-integers per float exponent, into one integer rounded once, so every sum
-equals ``math.fsum`` of the same entries bit for bit wherever fsum
-returns.  S_n's form adds each block's form once; the truncated and the
-trimmed sum are S_n's form minus those of two slices of one pool: the
-draws above a floor, held negated in a buffer of ``2 max b(n)`` floats
-and trimmed by partitioning it in place, so that it keeps the ``max
-b(n)`` largest draws and every draw above the current threshold; it grows
-only when those outnumber it.  At n = 1e6 a replication peaks at 0.6-6 MB
-(tracemalloc) across the built-in laws.
+drawn in chunks ending at checkpoints and never held whole.  Each chunk
+is split at the floor of one pool: the draws above it, held negated in a
+buffer of ``2 max b(n)`` floats and trimmed by partitioning it in place,
+so that it keeps the ``max b(n)`` largest draws and every draw above the
+threshold.  Sums are exact: the bulk, every draw at or below the floor,
+is summed at once and a pool draw when it leaves the pool, by error-free
+extraction or as integers per float exponent, into one integer rounded
+once, so every sum equals ``math.fsum`` of the same entries bit for bit
+wherever fsum returns.  At a checkpoint, S_n adds the pool's form, and
+the truncated and the trimmed sum leave out two of its slices.  At n =
+1e6 a replication peaks at 0.6-6 MB (tracemalloc) across the built-in laws.
 
 Plan values (``t(n)``, ``d(n)``, ``b(n)``, the expected exceedances and
 their allowance) depend on n alone, so they live once per experiment in
@@ -92,7 +92,7 @@ class _Form(NamedTuple):
     """An exact sum: the finite entries as an integer in units of 2**-1074,
     the entries of exponent 2047 (inf or nan) of each sign, the fraction
     bits of those (nonzero when a nan is among them) and the entry count.
-    Forms add and subtract as integers; negation is the negated entries'."""
+    Forms add and subtract as integers."""
 
     total: int = 0
     pinf: int = 0
@@ -105,9 +105,6 @@ class _Form(NamedTuple):
 
     def __sub__(self, other: _Form) -> _Form:
         return _Form(*map(operator.sub, self, other))
-
-    def __neg__(self) -> _Form:
-        return _Form(-self.total, self.ninf, self.pinf, self.nan, self.count)
 
 
 def _accumulate(acc: np.ndarray, values: np.ndarray) -> None:
@@ -132,6 +129,8 @@ def _flushed(acc: np.ndarray) -> _Form:
     """The form an accumulator stands for; the accumulator is zeroed."""
     total, infs, nan = 0, [0, 0], 0
     keys = np.flatnonzero(acc[0])
+    if not len(keys):  # untouched
+        return _Form()
     for key, n, hi, lo in zip(keys.tolist(), *acc[:, keys].astype(np.int64).tolist()):
         fraction = ((hi - (n << 26)) << 26) + lo - (n << 26)
         exponent, sign = key & 2047, key >> 11
@@ -146,13 +145,16 @@ def _flushed(acc: np.ndarray) -> _Form:
     return form
 
 
-def _block(acc: np.ndarray, x: np.ndarray, writable: bool = False) -> _Form:
+def _block(acc: np.ndarray, x: np.ndarray, lo: float | None = None,
+           hi: float | None = None, writable: bool = False) -> _Form:
     """The form of 1 to ``_CHUNK`` entries, less those added into the
-    bucket accumulator ``acc``.  Extraction sums a block of positive
-    entries, except those out of band, ``inf`` among them; any other block
-    goes to the buckets whole.  Extraction overwrites ``x`` if
+    bucket accumulator ``acc``.  ``lo`` and ``hi`` bound the nonzero entries
+    (default: their min and max).  Extraction sums a block whose ``lo`` is
+    positive, except the entries out of band, ``inf`` among them; any other
+    block goes to the buckets whole.  Extraction overwrites ``x`` if
     ``writable``, else a copy."""
-    lo, hi = float(x.min()), float(x.max())
+    lo = float(x.min()) if lo is None else lo
+    hi = float(x.max()) if hi is None else hi
     # ExtractVector (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31(1),
     # 2008).  A level with bound e (|p| < 2**e) splits each p into q =
     # (p + sigma) - sigma and p - q, sigma = 2**(e + k), k = bit_length(2n),
@@ -160,9 +162,10 @@ def _block(acc: np.ndarray, x: np.ndarray, writable: bool = False) -> _Form:
     # to at most sigma, so their float sum is exact, and each residual is
     # below 2**(e + k - 52).  In-band entries, and so all residuals, are
     # multiples of 2**(e_lo - 52), so the level with e + k <= e_lo leaves
-    # none: 2-3 levels for a 40-binade band and n = 2**14.  That last
-    # level's q are the residuals themselves, so it sums them directly.
-    # frexp(inf) reads exponent 0, so an inf top reads 1024: out of band.
+    # none: at n = 2**14, 1 level for a 20-binade band, 2-3 for 40.  That
+    # last level's q are the residuals themselves, so it sums them directly.
+    # Zeros extract as zeros; frexp(inf) reads exponent 0, so an inf top
+    # reads 1024: out of band.
     k, e_lo = (2 * len(x)).bit_length(), math.frexp(lo)[1] - 1
     levels = [min(math.frexp(hi)[1] if hi < math.inf else 1024, e_lo + _BAND)]
     while levels[-1] + k > e_lo:
@@ -191,13 +194,14 @@ def _block(acc: np.ndarray, x: np.ndarray, writable: bool = False) -> _Form:
     return _Form(total=total, count=count)
 
 
-def _exact(values: np.ndarray) -> _Form:
-    """The form of a float64 array, which is left unchanged."""
+def _exact(values: np.ndarray, writable: bool = False) -> _Form:
+    """The form of a float64 array, which is overwritten if ``writable``
+    and left unchanged otherwise."""
     acc, form = np.zeros((3, _KEYS)), _Form()
     for start in range(0, len(values), _CHUNK):
         if start and start % _FLUSH == 0:
             form += _flushed(acc)
-        form += _block(acc, values[start:start + _CHUNK])
+        form += _block(acc, values[start:start + _CHUNK], writable=writable)
     return form + _flushed(acc)
 
 
@@ -330,14 +334,24 @@ class ConvergenceTrace:
         return self.config.seed
 
 
-def _trim(top: np.ndarray, used: int, keep: int, floor: float) -> tuple[float, int]:
+def _trim(top: np.ndarray, used: int, keep: int, floor: float) -> tuple[float, int, _Form]:
     """Partition the negated pool ``top[:used]`` in place so that ``top[:keep]``
     holds its ``keep`` largest draws; return the largest draw left out, which
-    a later draw must exceed to join them, and the new pool size."""
+    a later draw must exceed to join them, the new pool size and the form of
+    the draws left out, which are negated back in place to be summed."""
     if used <= keep:
-        return floor, used
+        return floor, used, _Form()
     top[:used].partition(keep)
-    return -float(top[keep]), keep
+    dead = np.negative(top[keep:used], out=top[keep:used])
+    return float(dead[0]), keep, _exact(dead, writable=True)
+
+
+def _held(top: np.ndarray) -> _Form:
+    """The form of the draws a slice of the pool holds negated; the slice is
+    negated in place for extraction, and back."""
+    form = _exact(np.negative(top, out=top))
+    np.negative(top, out=top)
+    return form
 
 
 def _per_scale(total: float, p: PlanPoint) -> float:
@@ -358,7 +372,7 @@ def run_replication(config: ExperimentConfig, replication: int) -> ConvergenceTr
     """
     rng = np.random.Generator(np.random.Philox(key=[config.seed, replication]))
     keep = max(p.trim for p in config.points)
-    path, acc = _Form(), np.zeros((3, _KEYS))  # the draws' form to the last flush; buckets since
+    path, acc = _Form(), np.zeros((3, _KEYS))  # the form of the draws out of the pool; buckets
     # the pool: draws above `floor`, negated, holding the `keep` largest and
     # every draw above the threshold; `ties` counts the draws at the
     # threshold `last`, which may be an atom that carries most of the path
@@ -370,26 +384,34 @@ def run_replication(config: ExperimentConfig, replication: int) -> ConvergenceTr
             ties, last = int(np.count_nonzero(top[:used] == -t)), t
         for i in range(start, p.n, _CHUNK):
             x = config.distribution.sample_array(rng.random(min(_CHUNK, p.n - i)))
-            high = x[np.flatnonzero(x > floor)]
+            index = np.flatnonzero(x > floor)
+            high = x[index]
             ties += int(np.count_nonzero((high if floor < t else x) == t))
-            k = max(keep, int(np.count_nonzero(high > t)))  # the most of `high` that can stay
-            if k < len(high):
-                high = _largest(high, k)
+            lo, hi = float(x.min()), floor
+            out = len(high) - max(keep, int(np.count_nonzero(high > t)))
+            if out > 0:  # draws of `high` that cannot stay go back to the bulk
+                high.partition(out - 1)
+                x[index[:out]] = high[:out]
+                index, high, hi = index[out:], high[out:], float(high[out - 1])
+            x[index] = 0.0  # the bulk: x without the pool's draws, at most hi
+            del index  # 8 bytes a draw while a chunk enters whole; not held through the sums
+            if i > start and (i - start) % _FLUSH == 0:
+                path += _flushed(acc)
+            # either tier counts the zeros; they are taken off
+            path += _block(acc, x, lo, hi, writable=True) - _Form(count=len(high))
             if used + len(high) > len(top):  # trim to `keep` or the draws above t, else grow
-                floor, used = _trim(top, used,
-                                    max(keep, int(np.count_nonzero(top[:used] < -t))), floor)
+                floor, used, dead = _trim(top, used,
+                                          max(keep, int(np.count_nonzero(top[:used] < -t))), floor)
+                path += dead
                 if used + len(high) > len(top):
                     top = np.concatenate((top[:used], np.empty((used + 3 * len(high)) // 2)))
             np.negative(high, out=top[used:used + len(high)])
             used += len(high)
-            if i > start and (i - start) % _FLUSH == 0:
-                path += _flushed(acc)
-            path += _block(acc, x, writable=True)  # overwrites x
         start = p.n
         path += _flushed(acc)
-        if path.count != p.n:
-            raise MonteCarloError(f"the path form counts {path.count} draws at "
-                                  f"n = {p.n}; this is a bug, not randomness")
+        if path.count + used != p.n:
+            raise MonteCarloError(f"the path form and the pool hold {path.count + used} "
+                                  f"draws at n = {p.n}; this is a bug, not randomness")
         # top[:lo] and top[:hi] get the min and the max of the count_gt and
         # the b(n) largest draws: the truncated and the trimmed sum drop those
         count_gt = int(np.count_nonzero(top[:used] < -t))
@@ -398,10 +420,10 @@ def run_replication(config: ExperimentConfig, replication: int) -> ConvergenceTr
             top[:used].partition(hi)
         if 0 < lo < hi:
             top[:hi].partition(lo)
-        cut = path - -_exact(top[:lo])  # the pool's form is that of the negated draws
-        both = cut - -_exact(top[lo:hi])
+        both = path + _held(top[hi:used])
+        cut = both + _held(top[lo:hi])
         trimmed, truncated = map(_rounded, (both, cut) if count_gt <= p.trim else (cut, both))
-        rows.append(TraceRow(p.n, _rounded(path), trimmed, truncated, count_gt,
+        rows.append(TraceRow(p.n, _rounded(cut + _held(top[:lo])), trimmed, truncated, count_gt,
                              count_gt + ties, _per_scale(trimmed, p), _per_scale(truncated, p)))
     return ConvergenceTrace(replication=replication, config=config, rows=tuple(rows))
 

@@ -18,6 +18,7 @@ exceedance counts, trim counts) stays comfortably in range.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -367,7 +368,9 @@ def geometric_grid(start: int, stop: int, points: int) -> tuple[int, ...]:
     """Strictly increasing integer grid, geometrically spaced."""
     if start < 3 or stop <= start or points < 2:
         raise TrimmingError("need 3 <= start < stop and at least 2 points")
-    raw = np.geomspace(start, stop, points)
+    if stop > sys.float_info.max:  # inf too; an int beyond int64 needs a float
+        raise TrimmingError("grid stop beyond the float range")
+    raw = np.geomspace(start, float(stop), points)
     out: list[int] = []
     for v in raw:
         n = int(round(v))

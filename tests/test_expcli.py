@@ -156,6 +156,15 @@ class TestRun:
         for name, digest in manifest.files.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
+    def test_shipped_demo_matches_its_pinned_digests(self, tmp_path):
+        # configs/demo.json as shipped: 100 replications to 1e5.  Its six
+        # artifacts are pinned in configs/demo.sha256.json; a change to the
+        # engine that moves any sum, count or ratio moves a digest
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        assert main(["run", str(configs / "demo.json"), "--out-dir", str(tmp_path)]) == 0
+        saved = json.loads((tmp_path / "manifest.json").read_text())
+        assert saved["files"] == json.loads((configs / "demo.sha256.json").read_text())
+
     def test_rerun_reproduces_checksums(self, tmp_path):
         spec = parse_config(write_config(tmp_path))
         first = run(spec)

@@ -18,7 +18,8 @@ from heavytrim.montecarlo import (ExperimentConfig, MonteCarloError,
                                   simulate, trace_csv_rows, trimmed_sum,
                                   truncated_sum)
 from heavytrim.distributions import Tabulated
-from heavytrim.trimming import (PowerThreshold, SquareStepThreshold, StandardTrimRule,
+from heavytrim.trimming import (PowerThreshold, ProjectedPowerThreshold,
+                                SquareStepThreshold, StandardTrimRule,
                                 SummableFunction, TrimmingPlan,
                                 fluctuation_allowance, plan_default,
                                 plan_standard)
@@ -267,9 +268,41 @@ class TestExactSum:
         assert acc[0].sum() == len(values) - form.count
         assert form + montecarlo._flushed(acc) == form_reference(values)
 
+    @pytest.mark.parametrize("top", [2.0 ** 17, 2.0 ** 60])
+    def test_bulk_with_caller_bounds(self, top):
+        # a bulk block: the draws above the floor zeroed, bounded by the
+        # least draw before zeroing and by the floor.  In band, extraction
+        # takes all of it, zeros included; past the 40-binade band the
+        # entries out of band go to the buckets, zeros never do
+        rng = np.random.default_rng(5)
+        x = np.exp2(rng.random(montecarlo._CHUNK) * math.log2(2 * top))
+        floor = float(np.sort(x)[-40])
+        lo = float(x.min())
+        x[x > floor] = 0.0
+        acc = np.zeros((3, montecarlo._KEYS))
+        form = montecarlo._block(acc, x.copy(), lo, floor, writable=True)
+        out = int(np.count_nonzero(x >= 2.0 ** (math.frexp(lo)[1] - 1 + montecarlo._BAND)))
+        assert acc[0].sum() == out and (out > 0) == (top > 2.0 ** 40)
+        assert form + montecarlo._flushed(acc) == form_reference(x)
+
+    def test_negated_pool_slice(self):
+        # a pool slice as held, negated, goes to the buckets whole; negated
+        # in place, as a trim and a checkpoint sum it, it is extracted
+        rng = np.random.default_rng(6)
+        held = -(1.0 - rng.random(1000)) ** -2.0
+        acc = np.zeros((3, montecarlo._KEYS))
+        form = montecarlo._block(acc, held)
+        assert form == montecarlo._Form() and acc[0].sum() == len(held)
+        assert form + montecarlo._flushed(acc) == form_reference(held)
+        dead = -held
+        form = montecarlo._block(acc, np.negative(held, out=held), writable=True)
+        assert form.count == len(dead) and not acc.any()
+        assert form == form_reference(dead)
+
     def test_negated_form_is_the_sign_flipped_form(self):
         # the pool holds its draws negated: negation flips the sign bit
-        # alone, so the form of -x is that of x negated
+        # alone, so a held slice, negated in place and back, reads as the
+        # draws' form and is left as held
         bits = np.array([0, 1 << 63, 1, 0x000FFFFFFFFFFFFF, 0x800000000000002A,
                          0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000000,
                          0x7FF0000000000001, 0xFFF400000000BEEF, 0x7FFFFFFFFFFFFFFF,
@@ -277,7 +310,8 @@ class TestExactSum:
         values = bits.view(np.float64)
         negated = -values
         assert np.array_equal(negated.view(np.uint64), bits ^ np.uint64(1 << 63))
-        assert -montecarlo._exact(negated) == montecarlo._exact(values)
+        assert montecarlo._held(negated) == montecarlo._exact(values)
+        assert np.array_equal(negated.view(np.uint64), bits ^ np.uint64(1 << 63))
 
     def test_kernel_flushes_exactly(self, monkeypatch):
         # 2**26 offset halves below 2**27 each stay below 2**53, where float
@@ -555,6 +589,26 @@ class TestAgainstPrefixOracle:
                 else plan_default(request.getfixturevalue(law), 0.05))
         self.assert_same(ExperimentConfig(plan, ORACLE_GRID, 2, 31))
 
+    @pytest.mark.parametrize("chunk", [64, 257, 1024])
+    @pytest.mark.parametrize("law", ["pareto", "logtail", "step", "jump_table"])
+    def test_small_blocks(self, request, pareto_cfg, monkeypatch, chunk, law):
+        # many blocks per segment: first blocks with no floor, blocks that
+        # overflow the pool (at 1024), trims within segments, inf draws (log
+        # tail), and step-law bulks wider than the extraction band, whose
+        # floor is an atom past 2**41 (at 1024).  The table's thresholds miss
+        # its atom at 8, so the draws above t outgrow the pool
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        if law == "jump_table":
+            table = Tabulated([(1.0, 0.5, "jump"), (8.0, 0.9, "jump"), (64.0, 0.95, "jump"),
+                               (65.0, 0.95, "linear"), (1e9, 1.0, "linear")])
+            plan = _plan_with(table, ProjectedPowerThreshold(0.3))
+        elif law == "step":
+            plan = plan_standard(request.getfixturevalue(law), SquareStepThreshold(), 0.05)
+        else:
+            plan = (pareto_cfg.plan if law == "pareto"
+                    else plan_default(request.getfixturevalue(law), 0.05))
+        self.assert_same(ExperimentConfig(plan, (1000, 3162, 10007, 40000), 2, 31))
+
     def test_pool_larger_than_a_block(self, pareto_table, monkeypatch):
         # b(2e5) exceeds a block: whole blocks enter the top-b pool while it
         # has no floor, the pool is trimmed in place within segments, and the
@@ -587,25 +641,27 @@ class TestAgainstPrefixOracle:
         cfg = ExperimentConfig(pareto_cfg.plan, (1000,), 1, pareto_cfg.seed)
         t = cfg.points[0].threshold
         # with an exceedance on the path, the pool's slice of the draws above
-        # t is the only argument of the block primitive that holds no entry
-        # at or below t (negated: above -t); the oracle keeps the intact one
+        # t, summed at the checkpoint, is the only argument of the block
+        # primitive that holds no entry at or below t; the oracle keeps the
+        # intact one
         assert run_replication(cfg, 0).rows[0].count_gt > 0
         block = montecarlo._block
 
-        def lossy(acc, values, writable=False):
-            if len(values) > 1 and values.max() < -t:
+        def lossy(acc, values, lo=None, hi=None, writable=False):
+            if len(values) > 1 and values.min() > t:
                 values = values[1:]
-            return block(acc, values, writable)
+            return block(acc, values, lo, hi, writable)
 
         monkeypatch.setattr(montecarlo, "_block", lossy)
         assert run_replication(cfg, 0) != run_replication_prefix(cfg, 0)
 
     def test_count_check_fires(self, pareto_cfg, monkeypatch):
         cfg = ExperimentConfig(pareto_cfg.plan, (1000,), 1, pareto_cfg.seed)
+        # the one block's bulk loses a draw (a zero or one the pool let go)
         block = montecarlo._block
-        monkeypatch.setattr(montecarlo, "_block",
-                            lambda acc, values, writable=False: block(acc, values[1:], writable))
-        with pytest.raises(MonteCarloError, match="path form counts 999 draws at n = 1000"):
+        monkeypatch.setattr(montecarlo, "_block", lambda acc, values, lo=None, hi=None,
+                            writable=False: block(acc, values[1:], lo, hi, writable))
+        with pytest.raises(MonteCarloError, match="pool hold 999 draws at n = 1000"):
             run_replication(cfg, 0)
 
 

@@ -316,6 +316,14 @@ class TestPlanDefault:
             verdicts = {check_condition(plan, c, table).verdict for c in conditions_for_plan(plan)}
             assert verdicts == {"satisfied"}
 
+    def test_far_grid_takes_an_int_stop(self):
+        # an int stop beyond int64 made np.geomspace an object array and
+        # raised TypeError; a stop beyond the float range is refused
+        assert geometric_grid(1000, 10 ** 100, 40) == geometric_grid(1000, 1e100, 40)
+        for stop in (10 ** 400, math.inf):
+            with pytest.raises(TrimmingError, match="beyond the float range"):
+                geometric_grid(1000, stop, 40)
+
     def test_empty_tail_reduces_trim_to_iterated_log(self, pm):
         # no expected exceedances at all: the slack term alone sets the trim
         plan = plan_default(pm, 0.05)
