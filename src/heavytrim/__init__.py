@@ -10,9 +10,8 @@ the raw sum does not.
 
 __version__ = "0.1.0"
 
-from .distributions import (Atom, AtomicStep, Distribution, DistributionError,
-                            LogTail, ParetoTail, Tabulated, point_mass,
-                            square_step)
+from .distributions import (Distribution, DistributionError, LogTail, ParetoTail,
+                            SquareStep, Tabulated)
 from .trimming import (AllowanceTrimRule, ConditionReport, PlanError,
                        PowerThreshold, ProjectedPowerThreshold,
                        SquareStepThreshold, StandardTrimRule, SummableFunction,

@@ -16,6 +16,12 @@ argument as ``log(x)`` and implements one contract natively:
 Evaluations are closed-form or exact atom sums, never interpolated unless
 the law itself is declared piecewise linear.
 
+``ParetoTail`` and ``LogTail`` are closed forms.  ``SquareStep`` (the
+``square-step`` config family) is its own lattice law, since its atoms
+outgrow the float range.  ``Tabulated`` is the one table law: an
+``atomic-step`` atom list is read as its jump rows, each at the running
+exact sum of the masses.
+
 All distribution objects are immutable and safe to share across threads.
 """
 
@@ -32,14 +38,11 @@ import numpy as np
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 __all__ = [
-    "Atom",
     "Distribution",
-    "AtomicStep",
+    "SquareStep",
     "ParetoTail",
     "LogTail",
     "Tabulated",
-    "square_step",
-    "point_mass",
     "DistributionError",
 ]
 
@@ -89,9 +92,10 @@ def _logsumexp(terms: Sequence[float]) -> float:
 
 
 def _check_uniform(u: np.ndarray) -> None:
-    """Raise unless every entry of ``u`` lies in (0, 1); a nan fails too."""
-    if len(u) and not (u.min() > 0.0 and u.max() < 1.0):
-        raise DistributionError("uniform variates must lie in (0,1)")
+    """Raise unless every entry of ``u`` lies in [0, 1), the range of
+    ``Generator.random``; a nan fails too."""
+    if len(u) and not (u.min() >= 0.0 and u.max() < 1.0):
+        raise DistributionError("uniform variates must lie in [0,1)")
 
 
 # Buckets of the guide table below; a power of two, so u * _GUIDE_SIZE is
@@ -100,7 +104,7 @@ _GUIDE_SIZE = 2 ** 12
 
 
 class _GuideIndex:
-    """``np.searchsorted(levels, u)`` for uniforms in (0, 1), in expected
+    """``np.searchsorted(levels, u)`` for uniforms in [0, 1), in expected
     constant time per draw: the guide table of Chen & Asau (1974), see
     Devroye, Non-Uniform Random Variate Generation (1986), III.2.4.
 
@@ -154,7 +158,7 @@ class Distribution:
         for simulations.
 
         Deterministic given ``u``, which is left unchanged.  Raises
-        :class:`DistributionError` unless every variate lies in (0, 1).  A
+        :class:`DistributionError` unless every variate lies in [0, 1).  A
         draw beyond the float range, or above the mass a partial table
         covers, is ``inf`` rather than an error, so that long simulations on
         extremely heavy tails can proceed; any positive trim or truncation
@@ -163,103 +167,51 @@ class Distribution:
         raise NotImplementedError
 
 
+_LN2 = math.log(2.0)
+
+
 @dataclass(frozen=True)
-class Atom:
-    """One atom of a purely atomic law.
+class SquareStep(Distribution):
+    """Built-in step law with atoms at 2**(k*k) of mass 1/k**2 - 1/(k+1)**2.
 
-    Carries the location both as a float (``inf`` when not representable)
-    and in log space, so that laws whose locations outgrow float64 remain
-    exactly addressable by the log-space contract.
+    The CDF is constant 1 - 1/j**2 on [2**((j-1)**2), 2**(j**2)), all mass
+    sits on the squares-of-two lattice and the first moment diverges.  The
+    law holds k = 1..max_index; levels above 1 - 1/(max_index+1)**2 draw
+    inf.  Each atom sits at the log location ``(k*k) * ln 2``, which the
+    log-space contract reads exactly at every k.  Float locations are exact
+    powers of two up to k = 31 and inf from k = 32 (``2**1024``) on, never
+    rounded from the log; only sampling reads them.
     """
 
-    log_x: float
-    x: float
-    mass: float
+    max_index: int = 128
+    _logs: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _levels: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _moments: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _index: _GuideIndex = field(init=False, repr=False, compare=False)
+    _locations: np.ndarray = field(init=False, repr=False, compare=False)
 
-    @classmethod
-    def at(cls, x: float, mass: float) -> "Atom":
-        if not x > 0.0 or math.isinf(x):
-            raise DistributionError(f"atom location must be positive and finite, got {x!r}")
-        return cls(math.log(x), float(x), float(mass))
+    atoms_persist = True  # every table stops short of mass 1
 
-    @classmethod
-    def at_log(cls, log_x: float, mass: float, *, x: float) -> "Atom":
-        """Atom addressed by log-location, with ``x`` its exact float
-        location, or ``inf`` beyond the float range.
-
-        ``x`` is never rounded from ``log_x``: ``exp(log_x)`` does not
-        round-trip bit for bit, and near ``2**1024`` it gives a finite float
-        for a location no float holds.
-        """
-        log_x = float(log_x)
-        if math.isfinite(x) and not math.isclose(math.log(x), log_x, rel_tol=1e-9, abs_tol=1e-9):
-            raise DistributionError(f"location {x!r} inconsistent with log {log_x!r}")
-        return cls(log_x, float(x), float(mass))
-
-
-@dataclass(frozen=True, init=False)
-class AtomicStep(Distribution):
-    """Purely atomic law given by an ordered table of atoms.
-
-    Entries are ``(location, mass)`` pairs or :class:`Atom` objects.
-    Masses must be positive and sum to at most 1.  A table whose masses
-    sum to less than 1 is treated as the representable prefix of a law
-    with further mass beyond the last atom: draws above the covered level
-    are ``inf`` instead of fabricated locations.
-
-    Atoms may sit beyond the float range (see :meth:`Atom.at_log`); the
-    contract addresses them by their stored ``log_x``, exactly.
-    """
-
-    atoms: tuple[Atom, ...]
-    _cum: tuple[float, ...] = field(repr=False)
-    _logs: tuple[float, ...] = field(repr=False)
-    _moments: tuple[float, ...] = field(repr=False, compare=False)
-    _index: _GuideIndex = field(repr=False, compare=False)
-    _locations: np.ndarray = field(repr=False, compare=False)
-
-    def __init__(self, atoms: Sequence[Atom | tuple[float, float]]):
-        built = []
-        for entry in atoms:
-            if isinstance(entry, Atom):
-                a = entry
-            else:
-                x, m = entry
-                a = Atom.at(float(x), float(m))
-            _check_atom_mass(a.mass)
-            built.append(a)
-        if not built:
-            raise DistributionError("atom table is empty")
-        prev = -math.inf
-        for a in built:
-            if a.log_x <= prev:
-                raise DistributionError("atom locations must be strictly increasing")
-            prev = a.log_x
-        masses = [a.mass for a in built]
-        cum = [math.fsum(masses[: i + 1]) for i in range(len(masses))]
-        if cum[-1] > 1.0 + 1e-12:
-            raise DistributionError(f"atom masses sum to {cum[-1]} > 1")
-        object.__setattr__(self, "atoms", tuple(built))
-        object.__setattr__(self, "_cum", tuple(min(c, 1.0) for c in cum))
-        object.__setattr__(self, "_logs", tuple(a.log_x for a in built))
+    def __post_init__(self):
+        if self.max_index < 2:
+            raise DistributionError("max_index must be at least 2")
+        ks = range(1, self.max_index + 1)
+        masses = [1.0 / (k * k) - 1.0 / ((k + 1) * (k + 1)) for k in ks]
+        logs = tuple((k * k) * _LN2 for k in ks)
+        levels = tuple(math.fsum(masses[: i + 1]) for i in range(len(masses)))
         # log_truncated_moment of each atom prefix, summed as one call would
-        terms = [a.log_x + math.log(a.mass) for a in built]
+        terms = [z + math.log(m) for z, m in zip(logs, masses)]
+        object.__setattr__(self, "_logs", logs)
+        object.__setattr__(self, "_levels", levels)
         object.__setattr__(self, "_moments", tuple(_logsumexp(terms[:i])
                                                    for i in range(len(terms) + 1)))
-        object.__setattr__(self, "_index", _GuideIndex(self._cum))
-        object.__setattr__(self, "_locations", np.array([a.x for a in built] + [math.inf]))
-
-    @property
-    def total_mass(self) -> float:
-        return self._cum[-1]
-
-    @property
-    def atoms_persist(self) -> bool:
-        return self.total_mass < 1.0
+        object.__setattr__(self, "_index", _GuideIndex(levels))
+        object.__setattr__(self, "_locations", np.array(
+            [2.0 ** (k * k) if k * k < 1024 else math.inf for k in ks] + [math.inf]))
 
     def _level(self, i: int) -> float:
         """The mass of the first ``i`` atoms."""
-        return self._cum[i - 1] if i else 0.0
+        return self._levels[i - 1] if i else 0.0
 
     def survival_at_log(self, log_x: float) -> float:
         return 1.0 - self._level(bisect.bisect_right(self._logs, log_x))
@@ -279,35 +231,6 @@ class AtomicStep(Distribution):
         _check_uniform(u)
         # levels beyond the table, like atoms beyond the float range, draw inf
         return self._locations[self._index(u)]
-
-
-def _check_atom_mass(mass: float) -> None:
-    if not mass > 0.0:
-        raise DistributionError(f"atom mass must be positive, got {mass!r}")
-
-
-_LN2 = math.log(2.0)
-
-
-def square_step(max_index: int = 128) -> AtomicStep:
-    """Built-in step law with atoms at 2**(k*k) of mass 1/k**2 - 1/(k+1)**2.
-
-    The CDF is constant 1 - 1/j**2 on [2**((j-1)**2), 2**(j**2)), all mass
-    sits on the squares-of-two lattice and the first moment diverges.  The
-    table holds k = 1..max_index.  Each atom is stored at the log location
-    ``(k*k) * ln 2``, which the log-space contract reads exactly at every
-    k.  Float locations are exact powers of two up to k = 31 and inf from
-    k = 32 (``2**1024``) on; only sampling reads them, so draws of those
-    atoms, and of levels above the table, are inf.
-    """
-    if max_index < 2:
-        raise DistributionError("max_index must be at least 2")
-    table = []
-    for k in range(1, max_index + 1):
-        mass = 1.0 / (k * k) - 1.0 / ((k + 1) * (k + 1))
-        exact = 2.0 ** (k * k) if k * k < 1024 else math.inf
-        table.append(Atom.at_log((k * k) * _LN2, mass, x=exact))
-    return AtomicStep(table)
 
 
 @dataclass(frozen=True)
@@ -482,12 +405,8 @@ class Tabulated(Distribution):
         object.__setattr__(self, "_segments", np.array(coef))
 
     @property
-    def total_mass(self) -> float:
-        return self.fs[-1]
-
-    @property
     def atoms_persist(self) -> bool:
-        return self.total_mass < 1.0
+        return self.fs[-1] < 1.0
 
     def survival_at_log(self, log_x: float) -> float:
         return 1.0 - self._cdf(self._at(log_x))
@@ -569,7 +488,3 @@ class Tabulated(Distribution):
         out += x0
         return out
 
-
-def point_mass(location: float = 1.0) -> Tabulated:
-    """Degenerate single-atom law, useful as a finite-mean control in tests."""
-    return Tabulated([(location, 1.0, "jump")])

@@ -31,8 +31,8 @@ from typing import Sequence
 
 from . import __version__
 from .bounds import borel_cantelli_budget
-from .distributions import (AtomicStep, Distribution, DistributionError, LogTail,
-                            ParetoTail, Tabulated, square_step)
+from .distributions import (Distribution, DistributionError, LogTail, ParetoTail,
+                            SquareStep, Tabulated)
 from .montecarlo import ExperimentConfig, aggregate, simulate, trace_csv_rows
 from .trimming import (AllowanceTrimRule, ConditionReport, PlanPoint, PowerThreshold,
                        ProjectedPowerThreshold, SquareStepThreshold, StandardTrimRule,
@@ -51,8 +51,9 @@ distribution:
   family: "pareto" | "log-tail" | "square-step" | "atomic-step" | "tabulated"
   pareto:      alpha in (0,1), scale > 0
   log-tail:    threshold >= e (optional, default e)
-  square-step: max-index >= 2 (optional, default 128)
-  atomic-step: atoms = [[location, mass], ...]
+  square-step: max-index >= 2 (optional, default 128); a lattice law
+  atomic-step: atoms = [[location, mass], ...], masses > 0 summing to
+               at most 1; read as the jump rows of the tabulated law
   tabulated:   rows = [[x, F, "jump" | "linear"], ...]
 plan:
   rule: "standard" | "default" | "general"
@@ -152,11 +153,22 @@ def _build_distribution(value) -> Distribution:
             return LogTail(threshold=_number(section.get("threshold", math.e),
                                              "distribution.threshold"))
         if family == "square-step":
-            return square_step(_integer(section.get("max-index", 128), "distribution.max-index"))
+            return SquareStep(_integer(section.get("max-index", 128), "distribution.max-index"))
         if family == "atomic-step":
+            # jump rows of the table law, each at the running exact sum of the
+            # masses, clamped to 1
             key = "distribution.atoms"
-            return AtomicStep([(_number(x, key), _number(m, key))
-                               for x, m in _need(section, "atoms", "distribution")])
+            atoms = [(_number(x, key), _number(m, key))
+                     for x, m in _need(section, "atoms", "distribution")]
+            if not atoms or not all(m > 0.0 for _, m in atoms):
+                raise ConfigError(f"{key}: expected a non-empty list of atoms of positive mass")
+            levels = [math.fsum(m for _, m in atoms[: i + 1]) for i in range(len(atoms))]
+            if levels[-1] > 1.0 + 1e-12:
+                raise ConfigError(f"{key}: atom masses sum to {levels[-1]} > 1")
+            try:
+                return Tabulated([(x, min(f, 1.0), "jump") for (x, _), f in zip(atoms, levels)])
+            except DistributionError as exc:
+                raise ConfigError(f"{key}: {exc}") from exc
         if family == "tabulated":
             key = "distribution.rows"
             return Tabulated([(_number(x, key), _number(f, key), _string(kind, key))

@@ -3,13 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from heavytrim.distributions import (AtomicStep, LogTail, ParetoTail,
-                                     Tabulated, point_mass, square_step)
+from heavytrim.distributions import LogTail, ParetoTail, SquareStep, Tabulated
 
 
 @pytest.fixture(scope="session")
 def step():
-    return square_step()
+    return SquareStep()
 
 
 @pytest.fixture(scope="session")
@@ -24,7 +23,8 @@ def logtail():
 
 @pytest.fixture(scope="session")
 def pm():
-    return point_mass(1.0)
+    # a single atom at 1: a finite-mean control
+    return Tabulated([(1.0, 1.0, "jump")])
 
 
 @pytest.fixture(scope="session")
@@ -58,6 +58,13 @@ def partial_table():
         (5.0, 0.6, "jump"),
         (9.0, 0.8, "linear"),
     ])
+
+
+def atomic_table(atoms):
+    """An atom list as the jump rows the ``atomic-step`` family reads it
+    into: each row's F is the running exact sum of the masses."""
+    masses = [m for _, m in atoms]
+    return Tabulated([(x, math.fsum(masses[: i + 1]), "jump") for i, (x, _) in enumerate(atoms)])
 
 
 def step_atoms_exact(count=8):

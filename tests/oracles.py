@@ -26,8 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from heavytrim.bounds import BoundsError, ProbabilityBound
-from heavytrim.distributions import (LOG_FLOAT_MAX, AtomicStep, Distribution,
-                                     LogTail, ParetoTail)
+from heavytrim.distributions import (LOG_FLOAT_MAX, Distribution, LogTail,
+                                     ParetoTail, SquareStep)
 from heavytrim.montecarlo import (ConvergenceTrace, ExperimentConfig, TraceRow,
                                   _Form, _largest, _rounded)
 
@@ -139,7 +139,7 @@ def max_deviation_tail_exact(support: Sequence, probs: Sequence, n: int,
 
 
 def reference_quantile(dist: Distribution, u: float) -> float:
-    """inf{x : F(x) >= u} for one variate u in (0, 1), in Python floats.
+    """inf{x : F(x) >= u} for one variate u in [0, 1), in Python floats.
 
     A value beyond the float range, or a level above the mass a partial
     table covers, gives ``inf``, as ``sample_array`` draws it.
@@ -154,9 +154,10 @@ def reference_quantile(dist: Distribution, u: float) -> float:
             return dist.threshold
         e = 1.0 / (1.0 - u)
         return math.exp(e) if e <= LOG_FLOAT_MAX else math.inf
-    if isinstance(dist, AtomicStep):
-        i = bisect.bisect_left(dist._cum, u)
-        return dist.atoms[i].x if i < len(dist.atoms) else math.inf
+    if isinstance(dist, SquareStep):
+        # atom k = i + 1 sits at 2**(k*k), which no float holds from k = 32 on
+        k = bisect.bisect_left(dist._levels, u) + 1
+        return 2.0 ** (k * k) if k <= dist.max_index and k * k < 1024 else math.inf
     xs, fs = dist.xs, dist.fs  # a Tabulated law
     if u > fs[-1]:
         return math.inf

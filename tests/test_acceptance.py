@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from heavytrim.distributions import ParetoTail, square_step
+from heavytrim.distributions import ParetoTail, SquareStep
 from heavytrim.expcli import parse_config, run
 from heavytrim.montecarlo import ExperimentConfig, aggregate, simulate, trimmed_sum
 from heavytrim.trimming import (PowerThreshold, SquareStepThreshold,
@@ -48,7 +48,7 @@ def demo_run():
 
 def test_criterion_01_quantile_fixed_points():
     t0 = time.perf_counter()
-    step = square_step()
+    step = SquareStep()
     # each atom 2**(n*n) is a fixed point, and a level above it projects onto it
     ok = all(step.log_fixed_point(n * n * LN2) == n * n * LN2
              and step.log_fixed_point(n * n * LN2 + 0.5) == n * n * LN2
@@ -59,7 +59,7 @@ def test_criterion_01_quantile_fixed_points():
 
 
 def test_criterion_02_truncated_moment_oracles():
-    step = square_step()
+    step = SquareStep()
     worst_step = 0.0
     for n in range(1, 6):
         closed = math.fsum((1.0 / k ** 2 - 1.0 / (k + 1) ** 2) * 2.0 ** (k * k)
@@ -80,7 +80,7 @@ def test_criterion_02_truncated_moment_oracles():
 def test_criterion_03_condition_checker_verdicts():
     t0 = time.perf_counter()
     grid = geometric_grid(1000, 10_000_000, 9)
-    step_plan = plan_standard(square_step(), SquareStepThreshold(), 0.05)
+    step_plan = plan_standard(SquareStep(), SquareStepThreshold(), 0.05)
     step_table = step_plan.table(grid)
     check_plan(step_plan, step_table)
     # tolerance frozen from pilot runs: the quantity decays like

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from heavytrim import distributions, montecarlo
-from heavytrim.distributions import (Atom, AtomicStep, DistributionError, _ei,
-                                     LogTail, ParetoTail, Tabulated,
-                                     point_mass, square_step)
+from heavytrim.distributions import (DistributionError, _ei, LogTail, ParetoTail,
+                                     SquareStep, Tabulated)
+from heavytrim.expcli import parse_config
 
-from conftest import scan_cdf, scan_quantile, step_atoms_exact
+from conftest import atomic_table, scan_cdf, scan_quantile, step_atoms_exact
 from oracles import reference_quantile
 
 LN2 = math.log(2.0)
@@ -105,27 +106,27 @@ class TestQuantiles:
         # no level of an unbounded law reaches 1, and far targets stay exact
         for d in (pareto, logtail):
             assert d.log_fixed_point(1e6) == 1e6
-        assert step.log_fixed_point(1e9) == step.atoms[-1].log_x
+        assert step.log_fixed_point(1e9) == step._logs[-1]
 
     def test_step_level_beyond_table_is_last_atom(self):
-        small = square_step(max_index=4)
+        small = SquareStep(max_index=4)
         assert small.log_fixed_point(25 * 25 * LN2) == 16 * LN2
         assert small.survival_at_log(25 * 25 * LN2) == pytest.approx(1.0 / 25.0, rel=1e-14)
 
     def test_step_atom_beyond_float_range_is_exact(self, step):
         # atom 33 sits at 2**1089, beyond float64; the contract reads its log
-        atom = step.atoms[32]
-        assert atom.x == math.inf
-        assert step.log_fixed_point(atom.log_x) == atom.log_x
-        assert step.log_fixed_point(atom.log_x + 1.0) == atom.log_x
-        gap = step.survival_left_at_log(atom.log_x) - step.survival_at_log(atom.log_x)
-        assert gap == pytest.approx(atom.mass, rel=1e-9)
+        log_x = step._logs[32]
+        assert step._locations[32] == math.inf
+        assert step.log_fixed_point(log_x) == log_x
+        assert step.log_fixed_point(log_x + 1.0) == log_x
+        gap = step.survival_left_at_log(log_x) - step.survival_at_log(log_x)
+        assert gap == pytest.approx(1.0 / 33 ** 2 - 1.0 / 34 ** 2, rel=1e-9)
 
     def test_step_projection_keeps_the_stored_atom_log(self, step):
         # math.log(2.0**81) differs from the stored 81 ln 2 in the last bits,
         # so a projection through float locations misses atom 9
         assert math.log(2.0 ** 81) != 81 * LN2
-        assert step.log_fixed_point(81 * LN2 + 1e-9) == step.atoms[8].log_x
+        assert step.log_fixed_point(81 * LN2 + 1e-9) == step._logs[8]
 
 
 class TestTruncatedMoments:
@@ -138,12 +139,24 @@ class TestTruncatedMoments:
         # the prefix table holds, bit for bit, what summing the atoms at or
         # below t on each call gives: at every atom, between atoms, and
         # beyond either end
-        for law in (step, AtomicStep([(1.0, 1.0)]),
-                    AtomicStep([(0.5, 0.25), (3.0, 0.5), (1e300, 0.125)])):
-            logs = [a.log_x for a in law.atoms]
-            for z in logs + [v + d for v in logs for d in (-1e-9, 1e-9)] + [-math.inf, math.inf]:
-                terms = [a.log_x + math.log(a.mass) for a in law.atoms if a.log_x <= z]
-                assert law.log_truncated_moment(z) == distributions._logsumexp(terms)
+        def levels(logs):
+            return logs + [v + d for v in logs for d in (-1e-9, 1e-9)] + [-math.inf, math.inf]
+
+        masses = [1.0 / (k * k) - 1.0 / ((k + 1) * (k + 1)) for k in range(1, 129)]
+        for z in levels(list(step._logs)):
+            terms = [v + math.log(m) for v, m in zip(step._logs, masses) if v <= z]
+            assert step.log_truncated_moment(z) == distributions._logsumexp(terms)
+        # jump rows sum their atoms exactly on each call, which agrees with a
+        # log-sum-exp over the same atoms to within an ulp
+        for atoms in ([(1.0, 1.0)], [(0.5, 0.25), (3.0, 0.5), (1e300, 0.125)]):
+            law = atomic_table(atoms)
+            for z in levels([math.log(x) for x, _ in atoms]):
+                kept = [(x, m) for x, m in atoms if math.log(x) <= z]
+                exact = math.fsum(x * m for x, m in kept)
+                got = law.log_truncated_moment(z)
+                assert got == (math.log(exact) if exact else -math.inf)
+                assert got == pytest.approx(distributions._logsumexp(
+                    [math.log(x) + math.log(m) for x, m in kept]), rel=1e-15)
 
     def test_step_against_fraction_oracle(self, step):
         atoms = step_atoms_exact(5)
@@ -263,20 +276,34 @@ class TestTabulated:
         assert pm.log_truncated_moment(0.0) == 0.0
         assert pm.sample_array(np.array([0.99])).tolist() == [1.0]
 
+    def test_jump_rows_are_exact_fixed_points(self, pm):
+        # check_plan grants a table with linear rows a 1e-12 tolerance; a jump
+        # row's projection is its stored log, so atomic tables never need it
+        stp = Path(__file__).resolve().parents[1] / "configs" / "st-petersburg.json"
+        tables = [pm, parse_config(stp).config.distribution, _DKW_TABLE,
+                  *(_GUIDE_LAWS[name]() for name in ("quarters", "crowded", "partial_atoms"))]
+        for d in tables:
+            assert set(d.kinds) == {"jump"}
+            for x in d.xs:
+                assert d.log_fixed_point(math.log(x)) == math.log(x)
+
 
 # laws whose levels sit on guide-table bucket edges or crowd into one bucket
 _GUIDE_LAWS = {
     "quarters": lambda: Tabulated([(float(k), k / 4, "jump") for k in range(1, 5)]),
     "crowded": lambda: Tabulated([(float(k), 1.0 - 2.0 ** -k, "jump") for k in range(1, 53)]),
-    "square_step": square_step,
-    "partial_atoms": lambda: AtomicStep([(2.0, 0.5), (3.0, 0.25), (5.0, 0.125)]),
+    "square_step": SquareStep,
+    "partial_atoms": lambda: atomic_table([(2.0, 0.5), (3.0, 0.25), (5.0, 0.125)]),
 }
+# the step law's first nine atoms and one more at 2**121, as a table
+_DKW_TABLE = atomic_table([(2.0 ** (k * k), 1.0 / k ** 2 - 1.0 / (k + 1) ** 2)
+                           for k in range(1, 10)] + [(2.0 ** 121, 1.0 / 121.0)])
 _LOOKUP_LAWS = ["mixed_table", "pm", "pareto_table", "partial_table", *_GUIDE_LAWS]
 
 
 def _law_and_levels(request, name):
     d = _GUIDE_LAWS[name]() if name in _GUIDE_LAWS else request.getfixturevalue(name)
-    return d, np.array(d.fs if isinstance(d, Tabulated) else d._cum)
+    return d, np.array(d.fs if isinstance(d, Tabulated) else d._levels)
 
 
 def _edge_variates(levels):
@@ -348,24 +375,36 @@ class TestSampling:
         # the ECDF and F jump; evaluate the two one-sided gaps there
         n = 100_000
         eps = math.sqrt(math.log(2.0 / 1e-3) / (2.0 * n))
-        d = AtomicStep([(2.0 ** (k * k), 1.0 / k ** 2 - 1.0 / (k + 1) ** 2)
-                        for k in range(1, 10)] + [(2.0 ** 121, 1.0 / 121.0)])
+        d = _DKW_TABLE
         u = np.random.Generator(np.random.Philox(key=[2026, 2])).random(n)
         x = np.sort(d.sample_array(u))
         worst = 0.0
-        for a in d.atoms:
-            ecdf = np.searchsorted(x, a.x, side="right") / n
-            ecdf_left = np.searchsorted(x, a.x, side="left") / n
+        for atom, log_x in zip(d.xs, d._logs):
+            ecdf = np.searchsorted(x, atom, side="right") / n
+            ecdf_left = np.searchsorted(x, atom, side="left") / n
             worst = max(worst,
-                        abs(ecdf - (1.0 - d.survival_at_log(a.log_x))),
-                        abs(ecdf_left - (1.0 - d.survival_left_at_log(a.log_x))))
+                        abs(ecdf - (1.0 - d.survival_at_log(log_x))),
+                        abs(ecdf_left - (1.0 - d.survival_left_at_log(log_x))))
         assert worst < eps
 
     def test_uniform_domain_enforced(self, pareto):
+        # Generator.random draws from [0, 1): 0.0 is in, 1.0 and negatives out
         with pytest.raises(DistributionError):
-            pareto.sample_array(np.array([0.0]))
+            pareto.sample_array(np.array([-5e-324]))
         with pytest.raises(DistributionError):
             pareto.sample_array(np.array([1.0]))
+
+    @pytest.mark.parametrize("law, low", [
+        (lambda: ParetoTail(0.5, 3.0), 3.0), (lambda: LogTail(10.0), 10.0),
+        (lambda: LogTail(), math.e), (lambda: SquareStep(), 2.0),
+        (lambda: Tabulated([(1.5, 0.2, "jump"), (4.0, 1.0, "linear")]), 1.5),
+        (lambda: Tabulated([(1.5, 0.0, "linear"), (4.0, 1.0, "linear")]), 1.5),
+    ], ids=["pareto", "logtail", "logtail-at-e", "step", "jump_linear_table", "linear_table"])
+    def test_zero_draws_the_support_minimum(self, law, low):
+        # Generator.random returns 0.0 with probability 2**-53 per draw
+        d = law()
+        assert d.sample_array(np.array([0.5, 0.0])).tolist()[1] == low
+        assert reference_quantile(d, 0.0) == low
 
     @pytest.mark.parametrize("law", _LOOKUP_LAWS)
     def test_tabulated_vector_is_scalar_bit_for_bit(self, request, law):
@@ -373,7 +412,7 @@ class TestSampling:
         d, levels = _law_and_levels(request, law)
         u = _edge_variates(levels)
         scalar = _reference(d, u)
-        assert np.isinf(scalar).any() == (d.total_mass < 1.0)
+        assert np.isinf(scalar).any() == d.atoms_persist
         assert np.array_equal(d.sample_array(u).view(np.uint64), scalar.view(np.uint64))
 
     @pytest.mark.parametrize("law", _LOOKUP_LAWS)
@@ -382,7 +421,7 @@ class TestSampling:
         u = _edge_variates(levels)
         assert np.array_equal(d._index(u), np.searchsorted(levels, u))
 
-    @pytest.mark.parametrize("bad", [0.0, 1.0, math.nan])
+    @pytest.mark.parametrize("bad", [-5e-324, 1.0, math.nan])
     def test_tabulated_vector_domain_enforced(self, mixed_table, bad):
         u = np.full(montecarlo._CHUNK + 3, 0.5)
         u[-1] = bad
@@ -390,9 +429,8 @@ class TestSampling:
             mixed_table.sample_array(u)
 
     @pytest.mark.parametrize("law", ["pareto", "logtail", "step"])
-    @pytest.mark.parametrize("bad", [0.0, 1.0, math.nan, -0.5, 1.5])
+    @pytest.mark.parametrize("bad", [-5e-324, 1.0, math.nan, -0.5, 1.5])
     def test_vector_domain_enforced(self, request, law, bad):
-        # u = 0.0 used to draw the support minimum, outside the open interval
         with pytest.raises(DistributionError):
             request.getfixturevalue(law).sample_array(np.array([0.5, bad, 0.25]))
 
@@ -425,14 +463,14 @@ def _assert_projection(d, z):
         assert d.survival_at_log(fixed) == d.survival_at_log(z)
 
 
-_STEP = square_step()
+_STEP = SquareStep()
 
 
 class TestOrderProperties:
     @given(x=st.floats(-10.0, 25.0), y=st.floats(-10.0, 25.0))
     @settings(max_examples=200, deadline=None)
     def test_cdf_monotone_step(self, x, y):
-        d = square_step(max_index=8)
+        d = SquareStep(max_index=8)
         lo, hi = sorted((x, y))
         assert d.survival_at_log(lo) >= d.survival_at_log(hi)
         assert d.survival_left_at_log(lo) >= d.survival_left_at_log(hi)
@@ -541,24 +579,12 @@ class TestLogTwins:
 
 
 class TestConstruction:
-    def test_atom_validation(self):
-        with pytest.raises(DistributionError):
-            AtomicStep([])
-        with pytest.raises(DistributionError):
-            AtomicStep([(2.0, 0.0)])
-        with pytest.raises(DistributionError):
-            AtomicStep([(2.0, 0.5), (1.0, 0.1)])
-        with pytest.raises(DistributionError):
-            AtomicStep([(2.0, 0.9), (4.0, 0.2)])
-        with pytest.raises(DistributionError):
-            Atom.at_log(10.0, 0.5, x=5.0)   # inconsistent pinned location
-
     def test_step_atoms_beyond_float_range_are_inf(self, step):
         # 2**1024 is no float: exp(1024 ln 2) rounds to a finite float below
         # it, so the k = 32 atom stores inf, as every atom beyond it does
-        assert step.atoms[30].x == 2.0 ** 961
-        assert step.atoms[31].x == math.inf
-        assert step.atoms[31].log_x == 1024 * LN2
+        assert step._locations[30] == 2.0 ** 961
+        assert step._locations[31] == math.inf
+        assert step._logs[31] == 1024 * LN2
         # the levels in (1 - 1/32**2, 1 - 1/33**2] draw it
         assert step.sample_array(np.array([1.0 - 1.0 / 32.5 ** 2])).tolist() == [math.inf]
 
@@ -570,7 +596,7 @@ class TestConstruction:
         with pytest.raises(DistributionError):
             LogTail(threshold=2.0)
         with pytest.raises(DistributionError):
-            square_step(max_index=1)
+            SquareStep(max_index=1)
 
     def test_grid_validation_passes(self, step, pareto, logtail, mixed_table):
         # survival is nonincreasing, within [0, 1] and at most its left limit on a grid
@@ -581,7 +607,7 @@ class TestConstruction:
             assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
             assert all(d.survival_left_at_log(z) >= v - 1e-15 for z, v in zip(zs, values))
 
-    def test_atoms_persist(self, step, pareto, logtail, mixed_table, partial_table):
+    def test_atoms_persist(self, step, pareto, logtail, mixed_table, partial_table, pm):
         # a table covering less than mass 1 has atoms beyond its last row
         assert step.atoms_persist and partial_table.atoms_persist
-        assert not any(d.atoms_persist for d in (pareto, logtail, mixed_table, point_mass()))
+        assert not any(d.atoms_persist for d in (pareto, logtail, mixed_table, pm))

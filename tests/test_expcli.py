@@ -10,7 +10,7 @@ import pytest
 
 import heavytrim
 from heavytrim import expcli
-from heavytrim.distributions import AtomicStep, ParetoTail, Tabulated
+from heavytrim.distributions import ParetoTail, SquareStep, Tabulated
 from heavytrim.expcli import (CONFIG_GRAMMAR, ConfigError, main, parse_config,
                               plot, run)
 from heavytrim.trimming import (AllowanceTrimRule, PowerThreshold, StandardTrimRule,
@@ -69,7 +69,7 @@ class TestParseConfig:
             "plan.threshold": {"rule": "square-step"},
         })
         spec = parse_config(p)
-        assert isinstance(spec.config.distribution, AtomicStep)
+        assert isinstance(spec.config.distribution, SquareStep)
         assert spec.config.plan.log_threshold(1000) == 16.0 * math.log(2.0)
 
     def test_tabulated_and_atomic_families(self, tmp_path):
@@ -84,7 +84,10 @@ class TestParseConfig:
                              "atoms": [[2.0, 0.5], [8.0, 0.5]]},
             "plan": {"rule": "default", "epsilon": 0.05},
         })
-        assert isinstance(parse_config(p2).config.distribution, AtomicStep)
+        # jump rows at the running sum of the masses
+        atomic = parse_config(p2).config.distribution
+        assert isinstance(atomic, Tabulated)
+        assert (atomic.xs, atomic.fs, atomic.kinds) == ((2.0, 8.0), (0.5, 1.0), ("jump", "jump"))
 
     @pytest.mark.parametrize("family, param", [("polylog", 2.0), ("exponential", 1.5)])
     @pytest.mark.parametrize("trim", ["standard", "proof-variant", "allowance"])
@@ -164,6 +167,14 @@ class TestRun:
         assert main(["run", str(configs / "demo.json"), "--out-dir", str(tmp_path)]) == 0
         saved = json.loads((tmp_path / "manifest.json").read_text())
         assert saved["files"] == json.loads((configs / "demo.sha256.json").read_text())
+
+    def test_shipped_st_petersburg_matches_its_pinned_digests(self, tmp_path):
+        # configs/st-petersburg.json: atoms 2**k of mass 2**-k, k <= 49, read
+        # as jump rows, under the default plan; digests pinned likewise
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        assert main(["run", str(configs / "st-petersburg.json"), "--out-dir", str(tmp_path)]) == 0
+        saved = json.loads((tmp_path / "manifest.json").read_text())
+        assert saved["files"] == json.loads((configs / "st-petersburg.sha256.json").read_text())
 
     def test_rerun_reproduces_checksums(self, tmp_path):
         spec = parse_config(write_config(tmp_path))
@@ -359,6 +370,18 @@ class TestMain:
             assert main([command, str(p)]) == 2
             assert f"config error: {key}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_atomic_step_rejections_exit_two(self, tmp_path, capsys):
+        # an empty list, a zero mass, decreasing locations, masses over 1
+        for atoms in ([], [[2.0, 0.0]], [[2.0, 0.5], [1.0, 0.1]], [[2.0, 0.9], [4.0, 0.2]]):
+            p = write_config(tmp_path, {
+                "distribution": {"family": "atomic-step", "atoms": atoms},
+                "plan": {"rule": "default", "epsilon": 0.05},
+            })
+            for command in ("check", "run"):
+                assert main([command, str(p)]) == 2
+                assert "config error: distribution.atoms" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key", ["distribution.alpha", "plan.epsilon", "budget.eps",
                                      "conditions.tolerance"])

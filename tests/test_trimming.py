@@ -6,7 +6,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heavytrim.distributions import ParetoTail, point_mass, square_step
+from heavytrim.distributions import ParetoTail
 from heavytrim.trimming import (PlanError, PowerThreshold, ProjectedPowerThreshold,
                                 SquareStepThreshold, StandardTrimRule, SummableFunction,
                                 TrimmingError, TrimmingPlan,
