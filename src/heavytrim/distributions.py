@@ -91,6 +91,18 @@ def _logsumexp(terms: Sequence[float]) -> float:
     return top + math.log(math.fsum(math.exp(v - top) for v in terms))
 
 
+def prefix_fsums(values: Sequence[float]) -> list[float]:
+    """``math.fsum(values[:i + 1])`` for every i, bit for bit, in linear time:
+    a running exact integer in units of 2**-1074, rounded once per prefix
+    by int true division, which is correctly rounded as fsum is."""
+    total, out = 0, []
+    for v in values:
+        num, den = float(v).as_integer_ratio()  # den is a power of two
+        total += num << (1075 - den.bit_length())
+        out.append(total / (1 << 1074))
+    return out
+
+
 def _check_uniform(u: np.ndarray) -> None:
     """Raise unless every entry of ``u`` lies in [0, 1), the range of
     ``Generator.random``; a nan fails too."""
@@ -198,7 +210,7 @@ class SquareStep(Distribution):
         ks = range(1, self.max_index + 1)
         masses = [1.0 / (k * k) - 1.0 / ((k + 1) * (k + 1)) for k in ks]
         logs = tuple((k * k) * _LN2 for k in ks)
-        levels = tuple(math.fsum(masses[: i + 1]) for i in range(len(masses)))
+        levels = tuple(prefix_fsums(masses))
         # log_truncated_moment of each atom prefix, summed as one call would
         terms = [z + math.log(m) for z, m in zip(logs, masses)]
         object.__setattr__(self, "_logs", logs)

@@ -12,9 +12,9 @@ pointwise plan hypothesis, the trim floor among them, is violated; an
 inconclusive limit hypothesis only warns, since no finite grid can settle
 an asymptotic statement.  Config errors (missing or unknown keys, sections
 that are not objects, malformed, non-finite or out-of-range values, a plan
-that fails a structural check on the condition grid or cannot be evaluated
-there) are raised before any artifact is written; they and I/O errors exit
-2.  Any other exception is an internal failure and exits 3.
+that fails a structural check on the checkpoints or the condition grid or
+cannot be evaluated there) are raised before any artifact is written; they
+and I/O errors exit 2.  Any other exception is an internal failure and exits 3.
 """
 
 from __future__ import annotations
@@ -32,14 +32,14 @@ from typing import Sequence
 from . import __version__
 from .bounds import borel_cantelli_budget
 from .distributions import (Distribution, DistributionError, LogTail, ParetoTail,
-                            SquareStep, Tabulated)
+                            SquareStep, Tabulated, prefix_fsums)
 from .montecarlo import ExperimentConfig, aggregate, simulate, trace_csv_rows
-from .trimming import (AllowanceTrimRule, ConditionReport, PlanPoint, PowerThreshold,
-                       ProjectedPowerThreshold, SquareStepThreshold, StandardTrimRule,
-                       SummableFunction, TrimmingError, TrimmingPlan, check_condition,
-                       check_condition_grid, check_plan, conditions_for_plan,
-                       format_condition_report, geometric_grid, plan_default,
-                       plan_standard)
+from .trimming import (AllowanceTrimRule, ConditionReport, PlanError, PlanPoint,
+                       PowerThreshold, ProjectedPowerThreshold, SquareStepThreshold,
+                       StandardTrimRule, SummableFunction, TrimmingError, TrimmingPlan,
+                       check_condition, check_condition_grid, check_plan,
+                       conditions_for_plan, format_condition_report, geometric_grid,
+                       plan_default, plan_standard)
 
 __all__ = ["parse_config", "run", "plot", "main", "RunManifest", "ConfigError",
            "CONFIG_GRAMMAR"]
@@ -162,7 +162,7 @@ def _build_distribution(value) -> Distribution:
                      for x, m in _need(section, "atoms", "distribution")]
             if not atoms or not all(m > 0.0 for _, m in atoms):
                 raise ConfigError(f"{key}: expected a non-empty list of atoms of positive mass")
-            levels = [math.fsum(m for _, m in atoms[: i + 1]) for i in range(len(atoms))]
+            levels = prefix_fsums([m for _, m in atoms])
             if levels[-1] > 1.0 + 1e-12:
                 raise ConfigError(f"{key}: atom masses sum to {levels[-1]} > 1")
             try:
@@ -324,6 +324,8 @@ def parse_config(path: str | Path, *,
             max_samples=_integer(exp.get("max-samples", 10_000_000),
                                  "experiment.max-samples"),
         )
+    except PlanError as exc:
+        raise ConfigError(f"plan: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"experiment: {exc}") from exc
 

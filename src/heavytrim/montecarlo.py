@@ -41,7 +41,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .distributions import Distribution
-from .trimming import PlanPoint, TrimmingPlan
+from .trimming import PlanError, PlanPoint, TrimmingPlan, check_plan
 
 __all__ = [
     "ExperimentConfig",
@@ -268,7 +268,8 @@ class ExperimentConfig:
     """Declarative experiment: plan, checkpoint grid, replications, seed.
 
     A fixed seed makes every output a pure function of this object.
-    ``points`` is the plan table at the checkpoints, computed once here.
+    ``points`` is the plan table at the checkpoints, computed once here and
+    judged by :func:`check_plan`, with ``d(n) > 0`` at each so ratios exist.
     """
 
     plan: TrimmingPlan
@@ -295,9 +296,10 @@ class ExperimentConfig:
         if not 0 <= self.seed < 2 ** 64:
             raise MonteCarloError("seed must be an unsigned 64-bit integer")
         points = self.plan.table(self.checkpoints)
-        for p, q in zip(points, points[1:]):  # run_replication's pools need this
-            if q.threshold < p.threshold:
-                raise MonteCarloError(f"threshold decreases between n = {p.n} and n = {q.n}")
+        check_plan(self.plan, points)  # run_replication's pools need monotone thresholds
+        for p in points:
+            if p.log_scale == -math.inf:
+                raise PlanError(f"d(n) vanishes at n = {p.n}; no mass at or below t(n)")
         object.__setattr__(self, "points", points)
 
     @property
@@ -328,10 +330,6 @@ class ConvergenceTrace:
     replication: int
     config: ExperimentConfig
     rows: tuple[TraceRow, ...]   # one per entry of config.points
-
-    @property
-    def seed(self) -> int:
-        return self.config.seed
 
 
 def _trim(top: np.ndarray, used: int, keep: int, floor: float) -> tuple[float, int, _Form]:
@@ -380,7 +378,7 @@ def run_replication(config: ExperimentConfig, replication: int) -> ConvergenceTr
     ties, last, start, rows = 0, -math.inf, 0, []
     for p in config.points:
         t = p.threshold
-        if t > last:  # thresholds never decrease (ExperimentConfig); the pool holds these ties
+        if t > last:  # thresholds never decrease (check_plan); the pool holds these ties
             ties, last = int(np.count_nonzero(top[:used] == -t)), t
         for i in range(start, p.n, _CHUNK):
             x = config.distribution.sample_array(rng.random(min(_CHUNK, p.n - i)))

@@ -4,10 +4,10 @@ A trimming plan fixes, for every sample size ``n``, a truncation threshold
 ``t(n)``, the expected exceedance counts above it, the deterministic scale
 ``d(n) = n * integral of x dF over [0, t(n)]`` against which the trimmed
 sum is compared, and the trim count ``b(n)``.  A plan is a value: building
-it evaluates nothing.  :func:`check_plan` on a plan table is the one place
-its structural hypotheses (quantile fixed points, monotone thresholds) are
-judged; the pointwise trim floors and the asymptotic hypotheses are turned
-into grid verdicts by :func:`check_condition`.
+it evaluates nothing.  :func:`check_plan` judges its structural hypotheses
+(quantile fixed points, monotone thresholds) on every plan table, the
+checkpoints' included; the pointwise trim floors and the asymptotic
+hypotheses are turned into grid verdicts by :func:`check_condition`.
 
 Thresholds are handled in log space throughout: the built-in step law
 produces thresholds like ``2**1369`` that no float can hold, while every
@@ -100,14 +100,6 @@ class SummableFunction:
     def power(cls, rho: float) -> "SummableFunction":
         return cls("power", float(rho))
 
-    @classmethod
-    def polylog(cls, rho: float) -> "SummableFunction":
-        return cls("polylog", float(rho))
-
-    @classmethod
-    def exponential(cls, base: float) -> "SummableFunction":
-        return cls("exponential", float(base))
-
     def log_value(self, n: int | float) -> float:
         """log u(n), stable for arguments where u itself would overflow."""
         if n < 1:
@@ -173,13 +165,11 @@ def fluctuation_allowance(count: float, n: int, epsilon: float,
     ----------
     count : expected number of exceedances, nonnegative.
     n : sample size, at least 3 so that floor(log n) >= 1.
-    epsilon : exponent split, in (0, 1/4).
+    epsilon : exponent split, in (0, 1/4); the plan's, checked there.
     summable : the weight function whose log enters the allowance.
     """
     if n < 3:
         raise TrimmingError(f"sample size must be at least 3, got {n}")
-    if not 0.0 < epsilon < 0.25:
-        raise TrimmingError(f"epsilon must lie in (0, 1/4), got {epsilon}")
     if count < 0.0:
         raise TrimmingError(f"count must be nonnegative, got {count}")
     log_term = summable.log_value(math.floor(math.log(n)))
@@ -286,7 +276,7 @@ class AllowanceTrimRule:
 
 @dataclass(frozen=True)
 class PlanPoint:
-    """All plan-derived quantities at one sample size."""
+    """The plan's values at one sample size; conditions derive theirs from these."""
 
     n: int
     log_threshold: float
@@ -296,11 +286,8 @@ class PlanPoint:
     log_scale: float          # log(n * truncated first moment at t)
     scale: float              # exp(log_scale); inf when beyond float range
     trim: int                 # trim count, clamped to [0, n]
-    clamped: bool
+    clamped: bool             # whether the clamp moved the trim count
     allowance_gt: float       # fluctuation allowance at expect_gt
-    allowance_ge: float
-    margin: float             # max(trim - expect_gt, trim - expect_ge + allowance_ge)
-    excess: float             # trim - expect_gt
 
 
 @dataclass(frozen=True)
@@ -341,9 +328,6 @@ class TrimmingPlan:
         trim = math.ceil(raw)
         clamped = trim < 0 or trim > n
         trim = min(max(trim, 0), n)
-        allow_gt = fluctuation_allowance(expect_gt, n, self.epsilon, self.summable)
-        allow_ge = fluctuation_allowance(expect_ge, n, self.epsilon, self.summable)
-        margin = max(trim - expect_gt, trim - expect_ge + allow_ge)
         return PlanPoint(
             n=n,
             log_threshold=log_t,
@@ -354,10 +338,7 @@ class TrimmingPlan:
             scale=exp_or_inf(log_scale),
             trim=trim,
             clamped=clamped,
-            allowance_gt=allow_gt,
-            allowance_ge=allow_ge,
-            margin=margin,
-            excess=trim - expect_gt,
+            allowance_gt=fluctuation_allowance(expect_gt, n, self.epsilon, self.summable),
         )
 
     def table(self, grid: Sequence[int]) -> tuple[PlanPoint, ...]:
@@ -380,11 +361,12 @@ def geometric_grid(start: int, stop: int, points: int) -> tuple[int, ...]:
 
 
 def check_plan(plan: TrimmingPlan, table: Sequence[PlanPoint]) -> tuple[str, ...]:
-    """Check the structural hypotheses of ``plan`` on ``table`` (an increasing
-    grid's) and return the advisory warnings.  Raises :class:`PlanError` on a
-    threshold off the law's quantile fixed points or decreasing, and on
-    exceedance expectations out of order; the trim floor is not checked here
-    but is the ``trim-floor`` condition of :func:`check_condition`."""
+    """Check the structural hypotheses of ``plan`` on ``table`` (the checkpoints'
+    or the condition grid's) and return the advisory warnings.  Raises
+    :class:`PlanError` on a threshold off the law's quantile fixed points or
+    decreasing, and on exceedance expectations out of order; the trim floor
+    is not checked here but is the ``trim-floor`` condition of
+    :func:`check_condition`."""
     if not table:
         return ()
     # a table's rows are floats, so its projection holds to rounding only
@@ -457,12 +439,18 @@ def _value_standard_limit(plan: TrimmingPlan, p: PlanPoint) -> float:
     return _ratio(p) * _fluctuation(plan.epsilon, p.n, p.expect_gt, log_floor=True)
 
 
+def _margin(plan: TrimmingPlan, p: PlanPoint) -> float:
+    """max(trim - expect_gt, trim - expect_ge + the allowance at expect_ge)."""
+    allowance_ge = fluctuation_allowance(p.expect_ge, p.n, plan.epsilon, plan.summable)
+    return max(p.trim - p.expect_gt, p.trim - p.expect_ge + allowance_ge)
+
+
 def _value_margin_limit(plan: TrimmingPlan, p: PlanPoint) -> float:
-    return _ratio(p) * max(p.margin, plan.summable_alt.log_value(p.n))
+    return _ratio(p) * max(_margin(plan, p), plan.summable_alt.log_value(p.n))
 
 
 def _value_excess_limit(plan: TrimmingPlan, p: PlanPoint) -> float:
-    return _ratio(p) * max(p.excess, plan.summable_alt.log_value(p.n))
+    return _ratio(p) * max(p.trim - p.expect_gt, plan.summable_alt.log_value(p.n))
 
 
 def _value_truncation_limit(plan: TrimmingPlan, p: PlanPoint) -> float:
@@ -475,7 +463,7 @@ def _margin_trim_floor(plan: TrimmingPlan, p: PlanPoint) -> float:
 
 
 def _margin_excess_floor(plan: TrimmingPlan, p: PlanPoint) -> float:
-    return p.excess - p.allowance_gt
+    return (p.trim - p.expect_gt) - p.allowance_gt
 
 
 CONDITIONS: dict[str, tuple[str, Callable, str]] = {
@@ -619,10 +607,8 @@ def conditions_for_plan(plan: TrimmingPlan) -> tuple[str, ...]:
     return base
 
 
-def format_condition_report(reports: Sequence[ConditionReport] | ConditionReport) -> str:
+def format_condition_report(reports: Sequence[ConditionReport]) -> str:
     """Structured text report, one condition per block."""
-    if isinstance(reports, ConditionReport):
-        reports = [reports]
     blocks = []
     for r in reports:
         lines = [

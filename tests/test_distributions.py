@@ -288,6 +288,29 @@ class TestTabulated:
                 assert d.log_fixed_point(math.log(x)) == math.log(x)
 
 
+class TestPrefixFsums:
+    """The levels of the table laws: every prefix's ``math.fsum``, bit for bit."""
+
+    @staticmethod
+    def _assert_prefixes(masses):
+        got = distributions.prefix_fsums(masses)
+        assert [v.hex() for v in got] == [math.fsum(masses[: i + 1]).hex()
+                                          for i in range(len(masses))]
+
+    def test_random_tables_over_many_binades(self):
+        rng = np.random.default_rng(20260810)
+        for _ in range(300):
+            size = int(rng.integers(1, 401))
+            masses = np.ldexp(rng.random(size) + 0.5, rng.integers(-60, 1, size))
+            self._assert_prefixes(masses.tolist())
+
+    def test_step_law_and_st_petersburg_masses(self):
+        self._assert_prefixes([2.0 ** -k for k in range(1, 1075)])
+        assert SquareStep()._levels == tuple(math.fsum(
+            1.0 / (k * k) - 1.0 / ((k + 1) * (k + 1)) for k in range(1, i + 1))
+            for i in range(1, 129))
+
+
 # laws whose levels sit on guide-table bucket edges or crowd into one bucket
 _GUIDE_LAWS = {
     "quarters": lambda: Tabulated([(float(k), k / 4, "jump") for k in range(1, 5)]),

@@ -449,7 +449,27 @@ class TestMain:
                      "summable": power, "summable-alt": power},
         })
         assert main(["run", str(p)]) == 2
-        assert "config error: experiment: threshold decreases" in capsys.readouterr().err
+        assert "config error: plan: threshold decreases" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    @pytest.mark.parametrize("overrides, message", [
+        # t(100) = 0.40 lies below the support, outside the condition grid
+        ({"plan.threshold.coefficient": 0.01, "experiment.checkpoints": [100, 1000, 10000],
+          "conditions.grid": [1000, 2000, 5000, 10000, 20000, 50000, 100000, 1000000]},
+         "plan: threshold at n = 100 is not a quantile fixed point of the law; "),
+        # the default threshold projects n**0.4 onto the support minimum 100
+        ({"distribution.scale": 100.0, "plan": {"rule": "default", "epsilon": 0.05},
+          "experiment.checkpoints": [1000, 10000]},
+         "plan: d(n) vanishes at n = 1000"),
+    ], ids=["below-support", "vanishing-scale"])
+    def test_checkpoint_table_is_judged_exit_two(self, tmp_path, capsys, command, overrides,
+                                                 message):
+        # the checkpoints go through check_plan like the condition grid, and
+        # d(n) must be positive there: no ZeroDivisionError after two artifacts
+        p = write_config(tmp_path, overrides)
+        assert main([command, str(p)]) == 2
+        assert capsys.readouterr().err.startswith("config error: " + message)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["run", "check"])

@@ -18,7 +18,7 @@ from heavytrim.montecarlo import (ExperimentConfig, MonteCarloError,
                                   simulate, trace_csv_rows, trimmed_sum,
                                   truncated_sum)
 from heavytrim.distributions import Tabulated
-from heavytrim.trimming import (PowerThreshold, ProjectedPowerThreshold,
+from heavytrim.trimming import (PlanError, PowerThreshold, ProjectedPowerThreshold,
                                 SquareStepThreshold, StandardTrimRule,
                                 SummableFunction, TrimmingPlan,
                                 fluctuation_allowance, plan_default,
@@ -422,7 +422,7 @@ class TestRunReplication:
         # level, trimming that many entries dips below the truncated sum
         plan = pareto_cfg.plan
         for t in pareto_traces[:5]:
-            rng = np.random.Generator(np.random.Philox(key=[t.seed, t.replication]))
+            rng = np.random.Generator(np.random.Philox(key=[t.config.seed, t.replication]))
             x = pareto_cfg.distribution.sample_array(rng.random(pareto_cfg.n_max))
             for r, p in zip(t.rows, pareto_cfg.points):
                 level = p.expect_gt + fluctuation_allowance(
@@ -493,7 +493,7 @@ class TestRunReplication:
             ExperimentConfig(plan, (100, 1000), 2, -5)
         with pytest.raises(MonteCarloError):
             ExperimentConfig(plan, (100, 1000), 2, 1, max_samples=500)
-        with pytest.raises(MonteCarloError, match="threshold decreases between n = 100 and"):
+        with pytest.raises(PlanError, match="threshold decreases between n = 100 and"):
             ExperimentConfig(_plan_with(pareto, _Falling()), (100, 1000), 2, 1)
 
     def test_points_are_the_plan_table(self, pareto_cfg):

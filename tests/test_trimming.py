@@ -6,6 +6,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from heavytrim import trimming
 from heavytrim.distributions import ParetoTail
 from heavytrim.trimming import (PlanError, PowerThreshold, ProjectedPowerThreshold,
                                 SquareStepThreshold, StandardTrimRule, SummableFunction,
@@ -23,19 +24,19 @@ GRID_1E6 = geometric_grid(16, 1_000_000, 10)
 class TestSummableFunction:
     def test_family_values(self):
         assert SummableFunction.power(2).log_value(5) == pytest.approx(math.log(25.0))
-        assert SummableFunction.polylog(2).log_value(4) == pytest.approx(
+        assert SummableFunction("polylog", 2).log_value(4) == pytest.approx(
             math.log(4 * math.log(5) ** 2))
-        assert SummableFunction.exponential(2).log_value(10) == pytest.approx(math.log(1024.0))
+        assert SummableFunction("exponential", 2).log_value(10) == pytest.approx(math.log(1024.0))
 
     def test_log_values_match(self):
         for fn, value in ((SummableFunction.power(1.5), lambda n: n ** 1.5),
-                          (SummableFunction.polylog(2), lambda n: n * math.log(n + 1) ** 2),
-                          (SummableFunction.exponential(1.5), lambda n: 1.5 ** n)):
+                          (SummableFunction("polylog", 2), lambda n: n * math.log(n + 1) ** 2),
+                          (SummableFunction("exponential", 1.5), lambda n: 1.5 ** n)):
             for n in (1, 2, 7, 100):
                 assert fn.log_value(n) == pytest.approx(math.log(value(n)), rel=1e-12)
 
     def test_log_value_survives_overflow(self):
-        fn = SummableFunction.exponential(2)
+        fn = SummableFunction("exponential", 2)
         assert fn.log_value(10_000) == pytest.approx(10_000 * LN2)
 
     def test_parameter_domains(self):
@@ -48,8 +49,8 @@ class TestSummableFunction:
     def test_reciprocal_sums_flatten(self):
         # the defining property, checked as a Cauchy-style heuristic: the
         # last decade contributes a vanishing share of the partial sum
-        for fn in (SummableFunction.power(1.2), SummableFunction.polylog(1.5),
-                   SummableFunction.exponential(1.1)):
+        for fn in (SummableFunction.power(1.2), SummableFunction("polylog", 1.5),
+                   SummableFunction("exponential", 1.1)):
             upto = lambda m: math.fsum(math.exp(-fn.log_value(k)) for k in range(1, m))
             total = upto(100_000)
             assert total - upto(10_000) < 0.10 * total
@@ -97,10 +98,8 @@ class TestFluctuationAllowance:
         with pytest.raises(TrimmingError):
             fluctuation_allowance(-1.0, 100, 0.1, fn)
         with pytest.raises(TrimmingError):
-            fluctuation_allowance(10.0, 100, 0.3, fn)
-        with pytest.raises(TrimmingError):
             # the polylog weight dips below 1 at index 1, log goes negative
-            fluctuation_allowance(10.0, 3, 0.1, SummableFunction.polylog(2))
+            fluctuation_allowance(10.0, 3, 0.1, SummableFunction("polylog", 2))
 
 
 class TestRebasedSummable:
@@ -343,13 +342,13 @@ class TestPlanGeneral:
         plan = self.build(pareto)
         p = plan.checkpoint(10 ** 4)
         assert p.expect_gt == p.expect_ge
-        assert p.excess == p.trim - p.expect_gt
 
     def test_margin_sandwich_on_continuous_tail(self, pareto):
         # excess <= margin <= 2 * excess once the floor holds
         plan = self.build(pareto)
         for p in plan.table(geometric_grid(1000, 10 ** 6, 8)):
-            assert p.excess <= p.margin <= 2.0 * p.excess + 1e-9
+            excess, margin = p.trim - p.expect_gt, trimming._margin(plan, p)
+            assert excess <= margin <= 2.0 * excess + 1e-9
 
     def test_margin_chain_bound(self, pareto, step):
         # margin stays within 18 * max(fluctuation term, log n), up to the
@@ -360,7 +359,7 @@ class TestPlanGeneral:
             for p in plan.table(geometric_grid(16, 10 ** 6, 12)):
                 ll = math.log(math.log(p.n))
                 cap = 18.0 * max(p.expect_gt ** 0.55 * ll ** 0.45, math.log(p.n))
-                assert p.margin <= cap + 2.0
+                assert trimming._margin(plan, p) <= cap + 2.0
 
     def test_floor_violation_is_a_verdict(self, pareto):
         # the floor is a pointwise hypothesis: the plan passes check_plan on
