@@ -7,9 +7,9 @@ in the tens of thousands survive; reports carry log10 of the bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
+from .distributions import Value
 from .trimming import PlanPoint
 
 __all__ = [
@@ -28,15 +28,17 @@ class BoundsError(ValueError):
     """Arguments outside the domain of a bound."""
 
 
-@dataclass(frozen=True)
-class ProbabilityBound:
+class ProbabilityBound(Value):
     """A probability bound stored as the natural log of its raw value.
 
     ``raw`` may exceed 1 (a vacuous bound); ``log10`` stays finite far
     below the smallest positive float.
     """
 
-    log_value: float
+    _fields = ("log_value",)
+
+    def __init__(self, log_value: float):
+        self.__dict__["log_value"] = log_value
 
     @property
     def raw(self) -> float:
@@ -76,16 +78,14 @@ def bernstein_relative(kappa: float, mean_total: float, upper: float) -> Probabi
 # summable deviation budget along a plan
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BudgetRow:
+class BudgetRow(NamedTuple):
     n: int
     exponent_arg: float       # (3 eps^2 / (6 + 2 eps)) * scale(n) / threshold(n)
     log10_summand: float
     partial_sum: float
 
 
-@dataclass(frozen=True)
-class BudgetTable:
+class BudgetTable(NamedTuple):
     epsilon: float
     rows: tuple[BudgetRow, ...]
 

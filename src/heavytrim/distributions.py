@@ -30,7 +30,6 @@ from __future__ import annotations
 import bisect
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -127,8 +126,9 @@ class _GuideIndex:
 
     def __init__(self, levels: Sequence[float]):
         self.levels = np.array(levels)
-        first = [bisect.bisect_left(levels, j / _GUIDE_SIZE) for j in range(_GUIDE_SIZE + 1)]
-        self.guide = np.array([a if a == b else -1 for a, b in zip(first, first[1:])])
+        # bisect_left(levels, j/M) for every bucket edge j/M, j = 0..M
+        first = np.searchsorted(self.levels, np.arange(_GUIDE_SIZE + 1) / _GUIDE_SIZE)
+        self.guide = np.where(first[:-1] == first[1:], first[:-1], -1)
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         i = self.guide[(u * _GUIDE_SIZE).astype(np.intp)]
@@ -137,7 +137,35 @@ class _GuideIndex:
         return i
 
 
-class Distribution:
+class Value:
+    """An immutable value, equal, hashed and shown by the fields its class
+    names in ``_fields``.  ``__init__`` stores every attribute, derived ones
+    too, through ``self.__dict__``; assigning or deleting one afterwards
+    raises AttributeError.  heavytrim defines no dataclasses: generating
+    their methods cost most of its import time."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Distribution(Value):
     """Base class: the log-space contract each family implements natively."""
 
     # true when atoms sit arbitrarily high, so the law is never eventually
@@ -182,7 +210,6 @@ class Distribution:
 _LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
 class SquareStep(Distribution):
     """Built-in step law with atoms at 2**(k*k) of mass 1/k**2 - 1/(k+1)**2.
 
@@ -195,31 +222,23 @@ class SquareStep(Distribution):
     rounded from the log; only sampling reads them.
     """
 
-    max_index: int = 128
-    _logs: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _levels: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _moments: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _index: _GuideIndex = field(init=False, repr=False, compare=False)
-    _locations: np.ndarray = field(init=False, repr=False, compare=False)
-
+    _fields = ("max_index",)
     atoms_persist = True  # every table stops short of mass 1
 
-    def __post_init__(self):
-        if self.max_index < 2:
+    def __init__(self, max_index: int = 128):
+        if max_index < 2:
             raise DistributionError("max_index must be at least 2")
-        ks = range(1, self.max_index + 1)
+        ks = range(1, max_index + 1)
         masses = [1.0 / (k * k) - 1.0 / ((k + 1) * (k + 1)) for k in ks]
         logs = tuple((k * k) * _LN2 for k in ks)
         levels = tuple(prefix_fsums(masses))
         # log_truncated_moment of each atom prefix, summed as one call would
         terms = [z + math.log(m) for z, m in zip(logs, masses)]
-        object.__setattr__(self, "_logs", logs)
-        object.__setattr__(self, "_levels", levels)
-        object.__setattr__(self, "_moments", tuple(_logsumexp(terms[:i])
-                                                   for i in range(len(terms) + 1)))
-        object.__setattr__(self, "_index", _GuideIndex(levels))
-        object.__setattr__(self, "_locations", np.array(
-            [2.0 ** (k * k) if k * k < 1024 else math.inf for k in ks] + [math.inf]))
+        self.__dict__.update(
+            max_index=max_index, _logs=logs, _levels=levels,
+            _moments=tuple(_logsumexp(terms[:i]) for i in range(len(terms) + 1)),
+            _index=_GuideIndex(levels), _locations=np.array(
+                [2.0 ** (k * k) if k * k < 1024 else math.inf for k in ks] + [math.inf]))
 
     def _level(self, i: int) -> float:
         """The mass of the first ``i`` atoms."""
@@ -245,18 +264,17 @@ class SquareStep(Distribution):
         return self._locations[self._index(u)]
 
 
-@dataclass(frozen=True)
 class ParetoTail(Distribution):
     """Pareto law: 1 - F(x) = (x/scale)**(-alpha) for x >= scale, alpha in (0,1)."""
 
-    alpha: float
-    scale: float = 1.0
+    _fields = ("alpha", "scale")
 
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise DistributionError(f"alpha must lie in (0,1), got {self.alpha}")
-        if not self.scale > 0.0:
-            raise DistributionError(f"scale must be positive, got {self.scale}")
+    def __init__(self, alpha: float, scale: float = 1.0):
+        if not 0.0 < alpha < 1.0:
+            raise DistributionError(f"alpha must lie in (0,1), got {alpha}")
+        if not scale > 0.0:
+            raise DistributionError(f"scale must be positive, got {scale}")
+        self.__dict__.update(alpha=alpha, scale=scale)
 
     @property
     def _log_scale(self) -> float:
@@ -293,7 +311,6 @@ class ParetoTail(Distribution):
         return out
 
 
-@dataclass(frozen=True)
 class LogTail(Distribution):
     """Law with F(x) = 1 - 1/log(x) for x >= threshold, zero below.
 
@@ -304,12 +321,13 @@ class LogTail(Distribution):
     power of the truncation level's logarithm.
     """
 
-    threshold: float = math.e
+    _fields = ("threshold",)
 
-    def __post_init__(self):
-        if self.threshold < math.e:
+    def __init__(self, threshold: float = math.e):
+        if threshold < math.e:
             raise DistributionError(
-                f"threshold must be at least e = {math.e:.6f}, got {self.threshold}")
+                f"threshold must be at least e = {math.e:.6f}, got {threshold}")
+        self.__dict__["threshold"] = threshold
 
     @property
     def _atom_mass(self) -> float:
@@ -355,7 +373,6 @@ class LogTail(Distribution):
 _SEGMENT_KINDS = ("jump", "linear")
 
 
-@dataclass(frozen=True, init=False)
 class Tabulated(Distribution):
     """Piecewise law from ordered breakpoints (x, F(x), kind).
 
@@ -371,12 +388,7 @@ class Tabulated(Distribution):
     (see :meth:`_at`); the generalized inverse is the sampling segments'.
     """
 
-    xs: tuple[float, ...]
-    fs: tuple[float, ...]
-    kinds: tuple[str, ...]
-    _logs: tuple[float, ...] = field(repr=False, compare=False)  # math.log of each x
-    _index: _GuideIndex = field(repr=False, compare=False)
-    _segments: np.ndarray = field(repr=False, compare=False)  # (K, 4) rows x0, f0, dx, df
+    _fields = ("xs", "fs", "kinds")
 
     def __init__(self, rows: Sequence[tuple[float, float, str]]):
         if not rows:
@@ -399,10 +411,6 @@ class Tabulated(Distribution):
             kinds.append(kind)
         if kinds[0] == "linear" and fs[0] != 0.0:
             raise DistributionError("a leading linear breakpoint must carry F = 0")
-        object.__setattr__(self, "xs", tuple(xs))
-        object.__setattr__(self, "fs", tuple(fs))
-        object.__setattr__(self, "kinds", tuple(kinds))
-        object.__setattr__(self, "_logs", tuple(math.log(x) for x in xs))
         # sampling segment i holds the levels in (fs[i-1], fs[i]]; segment 0
         # those up to fs[0] and the last one those beyond the table.  Each
         # draws x0 + (u - f0) * dx / df: a linear segment that is not flat
@@ -413,8 +421,10 @@ class Tabulated(Distribution):
         coef = [(xs[i - 1], fs[i - 1], xs[i] - xs[i - 1], fs[i] - fs[i - 1])
                 if 0 < i < len(xs) and kinds[i] == "linear" and fs[i] != fs[i - 1]
                 else (bounds[i], 0.0, 0.0, 1.0) for i in range(len(bounds))]
-        object.__setattr__(self, "_index", _GuideIndex(fs))
-        object.__setattr__(self, "_segments", np.array(coef))
+        # _logs holds math.log of each x, _segments the (K, 4) rows x0, f0, dx, df
+        self.__dict__.update(xs=tuple(xs), fs=tuple(fs), kinds=tuple(kinds),
+                             _logs=tuple(math.log(x) for x in xs), _index=_GuideIndex(fs),
+                             _segments=np.array(coef))
 
     @property
     def atoms_persist(self) -> bool:

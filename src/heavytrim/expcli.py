@@ -25,9 +25,8 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import __version__
 from .bounds import borel_cantelli_budget
@@ -242,8 +241,7 @@ def _build_plan(value, dist: Distribution) -> TrimmingPlan:
     raise ConfigError(f"plan.rule: unknown rule {rule!r}")
 
 
-@dataclass(frozen=True)
-class RunSpec:
+class RunSpec(NamedTuple):
     """Parsed config plus everything derived from it."""
 
     config: ExperimentConfig
@@ -513,19 +511,20 @@ def plot(aggregate_csv: str | Path, out_dir: str | Path) -> list[Path]:
 # run orchestration
 # --------------------------------------------------------------------------
 
-@dataclass
-class RunManifest:
+class RunManifest(NamedTuple):
+    """What ``manifest.json`` records of one run; ``to_json`` writes it."""
+
     config_sha256: str
     seed: int
     version: str
-    stage_seconds: dict[str, float] = field(default_factory=dict)
-    files: dict[str, str] = field(default_factory=dict)
-    verdicts: dict[str, str] = field(default_factory=dict)
-    plan_warnings: tuple[str, ...] = ()
-    failed: bool = False
+    stage_seconds: dict[str, float]
+    files: dict[str, str]
+    verdicts: dict[str, str]
+    plan_warnings: tuple[str, ...]
+    failed: bool
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
+        return json.dumps(self._asdict(), indent=2, sort_keys=True) + "\n"
 
 
 def _sha256(path: Path) -> str:
@@ -572,44 +571,41 @@ def run(spec: RunSpec) -> RunManifest:
     table, warnings, reports = _condition_reports(spec)
     out = spec.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    cfg_bytes = json.dumps(spec.raw, sort_keys=True).encode()
-    manifest = RunManifest(
-        config_sha256=hashlib.sha256(cfg_bytes).hexdigest(),
-        seed=spec.config.seed,
-        version=__version__,
-        plan_warnings=warnings,
-    )
+    stage_seconds = {}
 
     (out / "conditions.txt").write_text(format_condition_report(reports))
-    for r in reports:
-        manifest.verdicts[r.condition] = r.verdict
-    manifest.stage_seconds["conditions"] = time.perf_counter() - t0
+    verdicts = {r.condition: r.verdict for r in reports}
+    stage_seconds["conditions"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     budget = borel_cantelli_budget(spec.budget_eps, table)
     _write_csv(out / "budget.csv", budget.csv_rows())
-    manifest.stage_seconds["budget"] = time.perf_counter() - t0
+    stage_seconds["budget"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     traces = simulate(spec.config)
     _write_csv(out / "traces.csv", trace_csv_rows(traces))
-    manifest.stage_seconds["traces"] = time.perf_counter() - t0
+    stage_seconds["traces"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     summary = aggregate(traces)
     _write_csv(out / "aggregate.csv", summary.csv_rows())
-    manifest.stage_seconds["aggregate"] = time.perf_counter() - t0
+    stage_seconds["aggregate"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     svgs = plot(out / "aggregate.csv", out)
-    manifest.stage_seconds["plots"] = time.perf_counter() - t0
+    stage_seconds["plots"] = time.perf_counter() - t0
 
-    for name in ["conditions.txt", "budget.csv", "traces.csv", "aggregate.csv"]:
-        manifest.files[name] = _sha256(out / name)
+    files = {name: _sha256(out / name)
+             for name in ["conditions.txt", "budget.csv", "traces.csv", "aggregate.csv"]}
     for p in svgs:
-        manifest.files[p.name] = _sha256(p)
+        files[p.name] = _sha256(p)
 
-    manifest.failed = any(v == "violated" for v in manifest.verdicts.values())
+    cfg_bytes = json.dumps(spec.raw, sort_keys=True).encode()
+    manifest = RunManifest(
+        config_sha256=hashlib.sha256(cfg_bytes).hexdigest(), seed=spec.config.seed,
+        version=__version__, stage_seconds=stage_seconds, files=files, verdicts=verdicts,
+        plan_warnings=warnings, failed=any(v == "violated" for v in verdicts.values()))
     (out / "manifest.json").write_text(manifest.to_json())
     return manifest
 

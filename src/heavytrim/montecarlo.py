@@ -34,13 +34,12 @@ from __future__ import annotations
 import math
 import operator
 import os
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .distributions import Distribution
+from .distributions import Distribution, Value
 from .trimming import PlanError, PlanPoint, TrimmingPlan, check_plan
 
 __all__ = [
@@ -263,8 +262,7 @@ def exceedance_counts(values: np.ndarray, cutoff: float) -> tuple[int, int]:
     return int(np.count_nonzero(values > cutoff)), int(np.count_nonzero(values >= cutoff))
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Value):
     """Declarative experiment: plan, checkpoint grid, replications, seed.
 
     A fixed seed makes every output a pure function of this object.
@@ -272,35 +270,32 @@ class ExperimentConfig:
     judged by :func:`check_plan`, with ``d(n) > 0`` at each so ratios exist.
     """
 
-    plan: TrimmingPlan
-    checkpoints: tuple[int, ...]
-    replications: int
-    seed: int
-    max_samples: int = 10_000_000
-    points: tuple[PlanPoint, ...] = field(init=False, compare=False, repr=False)
+    _fields = ("plan", "checkpoints", "replications", "seed", "max_samples")
 
-    def __post_init__(self):
-        object.__setattr__(self, "checkpoints", tuple(int(n) for n in self.checkpoints))
-        if not self.checkpoints:
+    def __init__(self, plan: TrimmingPlan, checkpoints: Sequence[int], replications: int,
+                 seed: int, max_samples: int = 10_000_000):
+        checkpoints = tuple(int(n) for n in checkpoints)
+        if not checkpoints:
             raise MonteCarloError("checkpoint grid is empty")
-        if any(n < 3 for n in self.checkpoints):
+        if any(n < 3 for n in checkpoints):
             raise MonteCarloError("checkpoints must be at least 3")
-        if any(b <= a for a, b in zip(self.checkpoints, self.checkpoints[1:])):
+        if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
             raise MonteCarloError("checkpoints must be strictly increasing")
-        if self.checkpoints[-1] > self.max_samples:
+        if checkpoints[-1] > max_samples:
             raise MonteCarloError(
-                f"largest checkpoint {self.checkpoints[-1]} exceeds the "
-                f"sample ceiling {self.max_samples}")
-        if self.replications < 1:
+                f"largest checkpoint {checkpoints[-1]} exceeds the "
+                f"sample ceiling {max_samples}")
+        if replications < 1:
             raise MonteCarloError("need at least one replication")
-        if not 0 <= self.seed < 2 ** 64:
+        if not 0 <= seed < 2 ** 64:
             raise MonteCarloError("seed must be an unsigned 64-bit integer")
-        points = self.plan.table(self.checkpoints)
-        check_plan(self.plan, points)  # run_replication's pools need monotone thresholds
+        points = plan.table(checkpoints)
+        check_plan(plan, points)  # run_replication's pools need monotone thresholds
         for p in points:
             if p.log_scale == -math.inf:
                 raise PlanError(f"d(n) vanishes at n = {p.n}; no mass at or below t(n)")
-        object.__setattr__(self, "points", points)
+        self.__dict__.update(plan=plan, checkpoints=checkpoints, replications=replications,
+                             seed=seed, max_samples=max_samples, points=points)
 
     @property
     def distribution(self) -> Distribution:
@@ -311,8 +306,7 @@ class ExperimentConfig:
         return self.checkpoints[-1]
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     """Statistics of one path at one checkpoint; plan values are in ``config.points``."""
 
     n: int
@@ -325,8 +319,7 @@ class TraceRow:
     ratio_truncated: float
 
 
-@dataclass(frozen=True)
-class ConvergenceTrace:
+class ConvergenceTrace(NamedTuple):
     replication: int
     config: ExperimentConfig
     rows: tuple[TraceRow, ...]   # one per entry of config.points
@@ -444,8 +437,7 @@ def simulate(config: ExperimentConfig) -> tuple[ConvergenceTrace, ...]:
 # aggregation
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AggregateSummary:
+class AggregateSummary(NamedTuple):
     """Per-checkpoint quantiles over replications and exceedance violation counts."""
 
     checkpoints: tuple[int, ...]

@@ -20,12 +20,11 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .distributions import Distribution, Tabulated, exp_or_inf
+from .distributions import Distribution, Tabulated, Value, exp_or_inf
 
 _LN2 = math.log(2.0)
 
@@ -70,8 +69,7 @@ class PlanError(TrimmingError):
 _FAMILIES = ("power", "polylog", "exponential")
 
 
-@dataclass(frozen=True)
-class SummableFunction:
+class SummableFunction(Value):
     """Positive function u on the naturals with a convergent sum of 1/u(n).
 
     Membership is guaranteed analytically through the parameter domain of
@@ -83,18 +81,18 @@ class SummableFunction:
     - ``exponential``: u(n) = base**n,                base > 1
     """
 
-    family: str
-    param: float
+    _fields = ("family", "param")
 
-    def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise TrimmingError(f"unknown family {self.family!r}")
-        if self.family in ("power", "polylog") and not self.param > 1.0:
+    def __init__(self, family: str, param: float):
+        if family not in _FAMILIES:
+            raise TrimmingError(f"unknown family {family!r}")
+        if family in ("power", "polylog") and not param > 1.0:
             raise TrimmingError(
-                f"{self.family} family needs an exponent > 1 for a summable "
-                f"reciprocal, got {self.param}")
-        if self.family == "exponential" and not self.param > 1.0:
-            raise TrimmingError(f"exponential family needs base > 1, got {self.param}")
+                f"{family} family needs an exponent > 1 for a summable "
+                f"reciprocal, got {param}")
+        if family == "exponential" and not param > 1.0:
+            raise TrimmingError(f"exponential family needs base > 1, got {param}")
+        self.__dict__.update(family=family, param=param)
 
     @classmethod
     def power(cls, rho: float) -> "SummableFunction":
@@ -111,8 +109,7 @@ class SummableFunction:
         return float(n) * math.log(self.param)
 
 
-@dataclass(frozen=True)
-class RebasedSummable:
+class RebasedSummable(Value):
     """Minimum of a summable function over a shifted, rescaled index window.
 
     ``rebased(n) = min over j in 0..span of base(floor(n * log_a(b)) + j)``
@@ -124,9 +121,11 @@ class RebasedSummable:
     inequality holds exactly between the logs.
     """
 
-    base: SummableFunction
-    log_ratio: float          # log_a(b)
-    span: int
+    _fields = ("base", "log_ratio", "span")
+
+    def __init__(self, base: SummableFunction, log_ratio: float, span: int):
+        # log_ratio is log_a(b)
+        self.__dict__.update(base=base, log_ratio=log_ratio, span=span)
 
     def log_value(self, n: int | float) -> float:
         """log rebased(n)."""
@@ -184,25 +183,23 @@ def fluctuation_allowance(count: float, n: int, epsilon: float,
 # threshold rules: n -> t(n), reported as log t(n)
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PowerThreshold:
+class PowerThreshold(Value):
     """t(n) = coefficient * n**exponent."""
 
-    exponent: float
-    coefficient: float = 1.0
+    _fields = ("exponent", "coefficient")
 
-    def __post_init__(self):
-        if not self.exponent > 0.0:
-            raise TrimmingError(f"exponent must be positive, got {self.exponent}")
-        if not self.coefficient > 0.0:
-            raise TrimmingError(f"coefficient must be positive, got {self.coefficient}")
+    def __init__(self, exponent: float, coefficient: float = 1.0):
+        if not exponent > 0.0:
+            raise TrimmingError(f"exponent must be positive, got {exponent}")
+        if not coefficient > 0.0:
+            raise TrimmingError(f"coefficient must be positive, got {coefficient}")
+        self.__dict__.update(exponent=exponent, coefficient=coefficient)
 
     def log_threshold(self, plan: TrimmingPlan, n: int) -> float:
         return math.log(self.coefficient) + self.exponent * math.log(n)
 
 
-@dataclass(frozen=True)
-class SquareStepThreshold:
+class SquareStepThreshold(Value):
     """t(n) = 2**(K*K) with K = floor(n**(1/4 - epsilon/2)), epsilon the plan's.
 
     Matches the atoms of the built-in step law, so every threshold is a
@@ -216,17 +213,17 @@ class SquareStepThreshold:
         return (k * k) * _LN2
 
 
-@dataclass(frozen=True)
-class ProjectedPowerThreshold:
+class ProjectedPowerThreshold(Value):
     """t(n) = the largest quantile fixed point of the law at or below
     n**exponent: the power target projected, in log space, onto the
     admissible thresholds."""
 
-    exponent: float
+    _fields = ("exponent",)
 
-    def __post_init__(self):
-        if not self.exponent > 0.0:
-            raise TrimmingError(f"exponent must be positive, got {self.exponent}")
+    def __init__(self, exponent: float):
+        if not exponent > 0.0:
+            raise TrimmingError(f"exponent must be positive, got {exponent}")
+        self.__dict__["exponent"] = exponent
 
     def log_threshold(self, plan: TrimmingPlan, n: int) -> float:
         return plan.distribution.log_fixed_point(self.exponent * math.log(n))
@@ -246,8 +243,7 @@ def _fluctuation(epsilon: float, n: int, count: float, log_floor: bool) -> float
                math.log(n) if log_floor else ll)
 
 
-@dataclass(frozen=True)
-class StandardTrimRule:
+class StandardTrimRule(Value):
     """b(n) = ceil(a + 9 * max(a**(1/2+eps) * loglog(n)**(1/2-eps), loglog n)),
     epsilon the plan's.
 
@@ -255,14 +251,16 @@ class StandardTrimRule:
     loglog n: the variant the proof uses.
     """
 
-    log_floor: bool = False
+    _fields = ("log_floor",)
+
+    def __init__(self, log_floor: bool = False):
+        self.__dict__["log_floor"] = log_floor
 
     def raw_count(self, plan: TrimmingPlan, n: int, expect_gt: float) -> float:
         return expect_gt + 9.0 * _fluctuation(plan.epsilon, n, expect_gt, self.log_floor)
 
 
-@dataclass(frozen=True)
-class AllowanceTrimRule:
+class AllowanceTrimRule(Value):
     """b(n) = ceil(a + fluctuation_allowance(a, n)) with the plan's epsilon
     and weight: the smallest trim the pointwise floor hypothesis admits."""
 
@@ -274,8 +272,7 @@ class AllowanceTrimRule:
 # plans
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PlanPoint:
+class PlanPoint(NamedTuple):
     """The plan's values at one sample size; conditions derive theirs from these."""
 
     n: int
@@ -290,8 +287,7 @@ class PlanPoint:
     allowance_gt: float       # fluctuation allowance at expect_gt
 
 
-@dataclass(frozen=True)
-class TrimmingPlan:
+class TrimmingPlan(Value):
     """Threshold rule, trim rule and weight functions bound to one law.
 
     Immutable; every evaluator is a pure function of ``n``, and construction
@@ -302,16 +298,16 @@ class TrimmingPlan:
     here.
     """
 
-    distribution: Distribution
-    epsilon: float
-    threshold_rule: object
-    trim_rule: object
-    summable: SummableFunction
-    summable_alt: SummableFunction
+    _fields = ("distribution", "epsilon", "threshold_rule", "trim_rule", "summable",
+               "summable_alt")
 
-    def __post_init__(self):
-        if not 0.0 < self.epsilon < 0.25:
-            raise PlanError(f"epsilon must lie in (0, 1/4), got {self.epsilon}")
+    def __init__(self, distribution: Distribution, epsilon: float, threshold_rule,
+                 trim_rule, summable: SummableFunction, summable_alt: SummableFunction):
+        if not 0.0 < epsilon < 0.25:
+            raise PlanError(f"epsilon must lie in (0, 1/4), got {epsilon}")
+        self.__dict__.update(distribution=distribution, epsilon=epsilon,
+                             threshold_rule=threshold_rule, trim_rule=trim_rule,
+                             summable=summable, summable_alt=summable_alt)
 
     def log_threshold(self, n: int) -> float:
         return self.threshold_rule.log_threshold(self, n)
@@ -488,8 +484,7 @@ CONDITIONS: dict[str, tuple[str, Callable, str]] = {
 }
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """Grid evaluation of one plan hypothesis.
 
     ``verdict`` is "satisfied", "violated" or "inconclusive".  Pointwise

@@ -1,3 +1,4 @@
+import bisect
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -317,6 +318,8 @@ _GUIDE_LAWS = {
     "crowded": lambda: Tabulated([(float(k), 1.0 - 2.0 ** -k, "jump") for k in range(1, 53)]),
     "square_step": SquareStep,
     "partial_atoms": lambda: atomic_table([(2.0, 0.5), (3.0, 0.25), (5.0, 0.125)]),
+    "flat": lambda: Tabulated([(1.0, 0.0, "linear"), (2.0, 0.5, "linear"), (3.0, 0.5, "linear"),
+                               (4.0, 0.5, "jump"), (5.0, 1.0, "linear")]),
 }
 # the step law's first nine atoms and one more at 2**121, as a table
 _DKW_TABLE = atomic_table([(2.0 ** (k * k), 1.0 / k ** 2 - 1.0 / (k + 1) ** 2)
@@ -443,6 +446,19 @@ class TestSampling:
         d, levels = _law_and_levels(request, law)
         u = _edge_variates(levels)
         assert np.array_equal(d._index(u), np.searchsorted(levels, u))
+
+    @pytest.mark.parametrize("law", ["flat", "crowded", "partial_table", "quarters",
+                                     "pareto_table", "square_step"])
+    def test_guide_table_is_bisect_per_bucket(self, request, law):
+        # flat segments (repeated levels), an all-jump table, a partial table
+        # (F ends below 1), levels on bucket edges j/M, the tabulated-table
+        # workload's law and the step law, against the scalar construction
+        d, levels = _law_and_levels(request, law)
+        m = distributions._GUIDE_SIZE
+        first = [bisect.bisect_left(levels.tolist(), j / m) for j in range(m + 1)]
+        want = np.array([a if a == b else -1 for a, b in zip(first, first[1:])])
+        assert d._index.guide.dtype == want.dtype
+        assert np.array_equal(d._index.guide, want)
 
     @pytest.mark.parametrize("bad", [-5e-324, 1.0, math.nan])
     def test_tabulated_vector_domain_enforced(self, mixed_table, bad):
