@@ -10,7 +10,8 @@ argument as ``log(x)`` and implements one contract natively:
 - ``log_fixed_point``: the log of the largest quantile fixed point
   ``t = inf{x : F(x) >= F(t)}`` at or below ``x``, which projects a
   threshold target onto the admissible thresholds;
-- ``sample_array``: inverse-transform sampling;
+- ``float_at_log``: the float that draws are compared with, an atom's own;
+- ``sample_array``: inverse-transform sampling (table laws: a bucket table);
 - ``atoms_persist``: whether atoms sit arbitrarily high.
 
 Evaluations are closed-form or exact atom sums, never interpolated unless
@@ -109,32 +110,32 @@ def _check_uniform(u: np.ndarray) -> None:
         raise DistributionError("uniform variates must lie in [0,1)")
 
 
-# Buckets of the guide table below; a power of two, so u * _GUIDE_SIZE is
-# exact and its floor is the bucket of u.
-_GUIDE_SIZE = 2 ** 12
+_BUCKETS = 2 ** 12  # a power of two, so u * _BUCKETS is exact and floors to u's bucket
 
 
-class _GuideIndex:
-    """``np.searchsorted(levels, u)`` for uniforms in [0, 1), in expected
-    constant time per draw: the guide table of Chen & Asau (1974), see
-    Devroye, Non-Uniform Random Variate Generation (1986), III.2.4.
-
-    ``guide[j]`` is the index shared by every u in the bucket
-    [j/M, (j+1)/M) when no level lies in it, and -1 otherwise; only draws
-    that land on -1 are searched.  Callers check the domain first.
+class _BucketTable:
+    """A table law's sampling rows, looked up in expected constant time per
+    draw: the guide table of Chen & Asau (1974; Devroye 1986, III.2.4),
+    holding rows rather than indices.  ``rows`` is one array per column,
+    and row i serves the levels in (levels[i-1], levels[i]].  Column by
+    column, ``buckets[:, j]`` is the row every u in [j/M, (j+1)/M) reads,
+    ``rows[:, bisect_left(levels, j/M)]``, or nan where a level splits the
+    bucket; only draws there are searched.  Callers check the domain first.
     """
 
-    def __init__(self, levels: Sequence[float]):
-        self.levels = np.array(levels)
-        # bisect_left(levels, j/M) for every bucket edge j/M, j = 0..M
-        first = np.searchsorted(self.levels, np.arange(_GUIDE_SIZE + 1) / _GUIDE_SIZE)
-        self.guide = np.where(first[:-1] == first[1:], first[:-1], -1)
+    def __init__(self, levels: Sequence[float], rows: np.ndarray):
+        self.levels, self.rows = np.array(levels), rows
+        first = np.searchsorted(self.levels, np.arange(_BUCKETS + 1) / _BUCKETS)
+        self.buckets = np.where(first[:-1] == first[1:], rows.take(first[:-1], axis=1), np.nan)
 
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        i = self.guide[(u * _GUIDE_SIZE).astype(np.intp)]
-        amb = i < 0
-        i[amb] = np.searchsorted(self.levels, u[amb])
-        return i
+    def sample(self, u: np.ndarray, draw) -> np.ndarray:
+        # draw(u, j, columns) reads rows j: first the buckets, then the rows
+        # of the draws left nan; j is cast in place, with no float temporary
+        out = draw(u, np.multiply(u, _BUCKETS, out=np.empty(len(u), np.intp),
+                                  casting="unsafe"), self.buckets)
+        split = np.flatnonzero(np.isnan(out))
+        out[split] = draw(u[split], np.searchsorted(self.levels, u[split]), self.rows)
+        return out
 
 
 class Value:
@@ -171,6 +172,7 @@ class Distribution(Value):
     # true when atoms sit arbitrarily high, so the law is never eventually
     # continuous
     atoms_persist = False
+    _logs: tuple[float, ...] = ()  # a table law's stored logs of its locations xs
 
     def survival_at_log(self, log_x: float) -> float:
         """P(X > exp(log_x)), computed without cancellation where a closed form exists."""
@@ -192,6 +194,15 @@ class Distribution(Value):
         """log of the largest quantile fixed point at or below exp(z), or of
         the support minimum when z lies below the support."""
         raise NotImplementedError
+
+    def float_at_log(self, log_x: float) -> float:
+        """The float draws are compared with at exp(log_x): ``xs[i]`` where
+        log_x is the stored log ``_logs[i]`` and xs[i] is finite, else
+        exp_or_inf(log_x); exp(log x) can round below x and miss an atom."""
+        i = bisect.bisect_left(self._logs, log_x)
+        if i < len(self._logs) and self._logs[i] == log_x and self.xs[i] < math.inf:
+            return self.xs[i]
+        return exp_or_inf(log_x)
 
     def sample_array(self, u: np.ndarray) -> np.ndarray:
         """Inverse-transform draws inf{x : F(x) >= u}; the canonical stream
@@ -219,7 +230,7 @@ class SquareStep(Distribution):
     inf.  Each atom sits at the log location ``(k*k) * ln 2``, which the
     log-space contract reads exactly at every k.  Float locations are exact
     powers of two up to k = 31 and inf from k = 32 (``2**1024``) on, never
-    rounded from the log; only sampling reads them.
+    rounded from the log; ``xs`` holds them.
     """
 
     _fields = ("max_index",)
@@ -231,14 +242,14 @@ class SquareStep(Distribution):
         ks = range(1, max_index + 1)
         masses = [1.0 / (k * k) - 1.0 / ((k + 1) * (k + 1)) for k in ks]
         logs = tuple((k * k) * _LN2 for k in ks)
+        xs = [2.0 ** (k * k) if k * k < 1024 else math.inf for k in ks]
         levels = tuple(prefix_fsums(masses))
         # log_truncated_moment of each atom prefix, summed as one call would
         terms = [z + math.log(m) for z, m in zip(logs, masses)]
         self.__dict__.update(
-            max_index=max_index, _logs=logs, _levels=levels,
+            max_index=max_index, _logs=logs, _levels=levels, xs=tuple(xs),
             _moments=tuple(_logsumexp(terms[:i]) for i in range(len(terms) + 1)),
-            _index=_GuideIndex(levels), _locations=np.array(
-                [2.0 ** (k * k) if k * k < 1024 else math.inf for k in ks] + [math.inf]))
+            _table=_BucketTable(levels, np.array([xs + [math.inf]])))
 
     def _level(self, i: int) -> float:
         """The mass of the first ``i`` atoms."""
@@ -261,7 +272,7 @@ class SquareStep(Distribution):
     def sample_array(self, u: np.ndarray) -> np.ndarray:
         _check_uniform(u)
         # levels beyond the table, like atoms beyond the float range, draw inf
-        return self._locations[self._index(u)]
+        return self._table.sample(u, lambda _, j, columns: columns[0].take(j))
 
 
 class ParetoTail(Distribution):
@@ -385,7 +396,7 @@ class Tabulated(Distribution):
 
     The rows are floats, so the contract evaluates F and the truncated
     moment with private float helpers at the float a log level stands for
-    (see :meth:`_at`); the generalized inverse is the sampling segments'.
+    (:meth:`float_at_log`); the generalized inverse is the sampling rows'.
     """
 
     _fields = ("xs", "fs", "kinds")
@@ -421,23 +432,23 @@ class Tabulated(Distribution):
         coef = [(xs[i - 1], fs[i - 1], xs[i] - xs[i - 1], fs[i] - fs[i - 1])
                 if 0 < i < len(xs) and kinds[i] == "linear" and fs[i] != fs[i - 1]
                 else (bounds[i], 0.0, 0.0, 1.0) for i in range(len(bounds))]
-        # _logs holds math.log of each x, _segments the (K, 4) rows x0, f0, dx, df
+        # _logs holds math.log of each x, _table the columns x0, f0, dx, df
         self.__dict__.update(xs=tuple(xs), fs=tuple(fs), kinds=tuple(kinds),
-                             _logs=tuple(math.log(x) for x in xs), _index=_GuideIndex(fs),
-                             _segments=np.array(coef))
+                             _logs=tuple(math.log(x) for x in xs),
+                             _table=_BucketTable(fs, np.array(coef).T.copy()))
 
     @property
     def atoms_persist(self) -> bool:
         return self.fs[-1] < 1.0
 
     def survival_at_log(self, log_x: float) -> float:
-        return 1.0 - self._cdf(self._at(log_x))
+        return 1.0 - self._cdf(self.float_at_log(log_x))
 
     def survival_left_at_log(self, log_x: float) -> float:
-        return 1.0 - self._cdf_left(self._at(log_x))
+        return 1.0 - self._cdf_left(self.float_at_log(log_x))
 
     def log_truncated_moment(self, log_t: float) -> float:
-        m = self._truncated_moment(self._at(log_t))
+        m = self._truncated_moment(self.float_at_log(log_t))
         return math.log(m) if m > 0.0 else -math.inf
 
     def log_fixed_point(self, z: float) -> float:
@@ -445,18 +456,9 @@ class Tabulated(Distribution):
         # F through x; F attains that level, so a sampling segment holds it.
         # Its row is read as Python floats: numpy scalar arithmetic here
         # raised a run's peak RSS
-        y = self._cdf(self._at(z))
-        x0, f0, dx, df = self._segments[bisect.bisect_left(self.fs, y)].tolist()
+        y = self._cdf(self.float_at_log(z))
+        x0, f0, dx, df = self._table.rows[:, bisect.bisect_left(self.fs, y)].tolist()
         return math.log(x0 + (y - f0) * dx / df)
-
-    def _at(self, log_x: float) -> float:
-        """The row ``x`` whose stored log is ``log_x``, else ``exp(log_x)``
-        (``inf`` beyond the float range): ``exp(log x)`` can round below x,
-        and an atom at x would then be missed."""
-        i = bisect.bisect_left(self._logs, log_x)
-        if i < len(self._logs) and self._logs[i] == log_x:
-            return self.xs[i]
-        return exp_or_inf(log_x)
 
     def _left_value(self, i: int) -> float:
         return self.fs[i - 1] if i else 0.0
@@ -502,11 +504,18 @@ class Tabulated(Distribution):
 
     def sample_array(self, u: np.ndarray) -> np.ndarray:
         _check_uniform(u)
-        x0, f0, dx, df = self._segments.take(self._index(u), axis=0).T
-        # the reference quantile's operation order, so draws match it bit for bit
-        out = np.subtract(u, f0)
-        out *= dx
-        out /= df
-        out += x0
-        return out
+        return self._table.sample(u, _segment_draws)
+
+
+def _segment_draws(u: np.ndarray, j: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """((u - f0) * dx) / df + x0 at rows j, the reference quantile's operation
+    order, so draws match it bit for bit; one column is gathered at a time,
+    into ``tmp`` with mode "clip", since "raise" copies before writing."""
+    x0, f0, dx, df = columns
+    out, tmp = f0.take(j), dx.take(j)
+    np.subtract(u, out, out=out)
+    out *= tmp
+    out /= df.take(j, out=tmp, mode="clip")
+    out += x0.take(j, out=tmp, mode="clip")
+    return out
 

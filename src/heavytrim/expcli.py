@@ -19,7 +19,6 @@ and I/O errors exit 2.  Any other exception is an internal failure and exits 3.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import math
@@ -643,6 +642,7 @@ def _cmd_plot(args) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    import argparse  # here, so that importing the library does not load it
     parser = argparse.ArgumentParser(
         prog="heavytrim",
         description="trimming plans, hypothesis checks and seeded Monte Carlo "

@@ -277,7 +277,7 @@ class PlanPoint(NamedTuple):
 
     n: int
     log_threshold: float
-    threshold: float          # exp(log_threshold); inf when beyond float range
+    threshold: float          # float_at_log(log_threshold); inf beyond float range
     expect_gt: float          # n * P(X > t)
     expect_ge: float          # n * P(X >= t)
     log_scale: float          # log(n * truncated first moment at t)
@@ -327,7 +327,7 @@ class TrimmingPlan(Value):
         return PlanPoint(
             n=n,
             log_threshold=log_t,
-            threshold=exp_or_inf(log_t),
+            threshold=d.float_at_log(log_t),
             expect_gt=expect_gt,
             expect_ge=expect_ge,
             log_scale=log_scale,

@@ -1,5 +1,6 @@
 import bisect
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -117,7 +118,7 @@ class TestQuantiles:
     def test_step_atom_beyond_float_range_is_exact(self, step):
         # atom 33 sits at 2**1089, beyond float64; the contract reads its log
         log_x = step._logs[32]
-        assert step._locations[32] == math.inf
+        assert step.xs[32] == math.inf
         assert step.log_fixed_point(log_x) == log_x
         assert step.log_fixed_point(log_x + 1.0) == log_x
         gap = step.survival_left_at_log(log_x) - step.survival_at_log(log_x)
@@ -312,7 +313,7 @@ class TestPrefixFsums:
             for i in range(1, 129))
 
 
-# laws whose levels sit on guide-table bucket edges or crowd into one bucket
+# laws whose levels sit on bucket-table bucket edges or crowd into one bucket
 _GUIDE_LAWS = {
     "quarters": lambda: Tabulated([(float(k), k / 4, "jump") for k in range(1, 5)]),
     "crowded": lambda: Tabulated([(float(k), 1.0 - 2.0 ** -k, "jump") for k in range(1, 53)]),
@@ -333,9 +334,9 @@ def _law_and_levels(request, name):
 
 
 def _edge_variates(levels):
-    # every level and guide-table bucket edge with their neighbours, the
+    # every level and bucket-table bucket edge with their neighbours, the
     # extreme variates, and more than three blocks of draws
-    m = distributions._GUIDE_SIZE
+    m = distributions._BUCKETS
     points = [*levels, *(j / m for j in range(m + 1))]
     near = [v for p in points for v in (math.nextafter(p, 0.0), p, math.nextafter(p, 1.0))]
     draws = np.random.Generator(np.random.Philox(key=[5, 0])).random(3 * montecarlo._CHUNK + 5)
@@ -443,22 +444,49 @@ class TestSampling:
 
     @pytest.mark.parametrize("law", _LOOKUP_LAWS)
     def test_guide_index_is_searchsorted(self, request, law):
+        # a bucket table over the law's levels whose one column is the row
+        # number reads back, for every draw, the row that the draw samples
         d, levels = _law_and_levels(request, law)
         u = _edge_variates(levels)
-        assert np.array_equal(d._index(u), np.searchsorted(levels, u))
+        assert np.array_equal(d._table.levels, levels)
+        index = distributions._BucketTable(d._table.levels, np.arange(len(levels) + 1.0)[None])
+        got = index.sample(u, lambda u, j, columns: columns[0].take(j))
+        assert np.array_equal(got, np.searchsorted(levels, u))
 
     @pytest.mark.parametrize("law", ["flat", "crowded", "partial_table", "quarters",
-                                     "pareto_table", "square_step"])
+                                     "pareto_table", "square_step", "partial_atoms"])
     def test_guide_table_is_bisect_per_bucket(self, request, law):
         # flat segments (repeated levels), an all-jump table, a partial table
         # (F ends below 1), levels on bucket edges j/M, the tabulated-table
-        # workload's law and the step law, against the scalar construction
+        # workload's law and the step law, against the scalar construction:
+        # each bucket holds the row of bisect_left(levels, j/M), and nan
+        # exactly where a level splits it
         d, levels = _law_and_levels(request, law)
-        m = distributions._GUIDE_SIZE
+        m = distributions._BUCKETS
         first = [bisect.bisect_left(levels.tolist(), j / m) for j in range(m + 1)]
-        want = np.array([a if a == b else -1 for a, b in zip(first, first[1:])])
-        assert d._index.guide.dtype == want.dtype
-        assert np.array_equal(d._index.guide, want)
+        split = np.array([a != b for a, b in zip(first, first[1:])])
+        want = d._table.rows[:, first[:-1]]
+        want[:, split] = np.nan
+        buckets = d._table.buckets
+        assert buckets.shape == want.shape and buckets.flags.c_contiguous
+        assert not np.isnan(d._table.rows).any()
+        assert np.array_equal(np.isnan(buckets).any(axis=0), split)
+        assert np.array_equal(np.isnan(buckets).all(axis=0), split)
+        assert np.array_equal(buckets, want, equal_nan=True)
+
+    def test_one_block_of_the_workload_table_peaks_below_32_bytes_a_draw(self, pareto_table):
+        # one column gathered at a time: the bucket numbers, the output and
+        # one column buffer make 24 bytes a draw
+        u = np.random.Generator(np.random.Philox(key=[7, 0])).random(montecarlo._CHUNK)
+        pareto_table.sample_array(u)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            pareto_table.sample_array(u)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * montecarlo._CHUNK
 
     @pytest.mark.parametrize("bad", [-5e-324, 1.0, math.nan])
     def test_tabulated_vector_domain_enforced(self, mixed_table, bad):
@@ -621,9 +649,13 @@ class TestConstruction:
     def test_step_atoms_beyond_float_range_are_inf(self, step):
         # 2**1024 is no float: exp(1024 ln 2) rounds to a finite float below
         # it, so the k = 32 atom stores inf, as every atom beyond it does
-        assert step._locations[30] == 2.0 ** 961
-        assert step._locations[31] == math.inf
+        assert step.xs[30] == 2.0 ** 961
+        assert step.xs[31] == math.inf
         assert step._logs[31] == 1024 * LN2
+        # a threshold on atom 31 compares as that atom; on atom 32 it stays
+        # exp(log t), the finite float that 1024 ln 2 rounds to
+        assert step.float_at_log(step._logs[30]) == 2.0 ** 961 != math.exp(961 * LN2)
+        assert step.float_at_log(step._logs[31]) == math.exp(1024 * LN2) < math.inf
         # the levels in (1 - 1/32**2, 1 - 1/33**2] draw it
         assert step.sample_array(np.array([1.0 - 1.0 / 32.5 ** 2])).tolist() == [math.inf]
 

@@ -528,6 +528,42 @@ class TestRunReplication:
         assert len(calls) == once
 
 
+class TestThresholdOnAnAtom:
+    """A threshold whose log is an atom's stored log compares as that atom, so
+    ``N_ge - N_gt`` counts exactly the draws that sit on it."""
+
+    @staticmethod
+    def assert_counts_the_atom(config, atom):
+        (row,), (point,) = run_replication(config, 0).rows[-1:], config.points[-1:]
+        rng = np.random.Generator(np.random.Philox(key=[config.seed, 0]))
+        x = config.distribution.sample_array(rng.random(config.n_max))
+        on_atom = int(np.count_nonzero(x == atom))
+        assert point.threshold == atom and on_atom > 0
+        assert row.count_ge - row.count_gt == on_atom
+        assert row.count_gt == int(np.count_nonzero(x > atom))
+        return row
+
+    def test_step_law_at_1e4(self, step):
+        # t(1e4) is the atom 2**49; exp(49 ln 2) is 562949953421311.44
+        plan = plan_standard(step, SquareStepThreshold(), 0.05)
+        self.assert_counts_the_atom(ExperimentConfig(plan, (1000, 10000), 1, 20260810),
+                                    2.0 ** 49)
+
+    def test_shipped_st_petersburg_at_1e3(self):
+        # t(1e3) is the atom 8; exp(log 8) is 7.999999999999998
+        config = parse_config(Path(__file__).resolve().parents[1] / "configs"
+                              / "st-petersburg.json").config
+        row = self.assert_counts_the_atom(
+            ExperimentConfig(config.plan, (1000,), 1, config.seed), 8.0)
+        assert (row.count_gt, row.count_ge) == (123, 249)
+
+    def test_jump_row_table_at_2000(self):
+        table = Tabulated([(1.0, 0.5, "jump"), (8.0, 0.9, "jump"), (64.0, 0.95, "jump"),
+                           (65.0, 0.95, "linear"), (1e9, 1.0, "linear")])
+        plan = _plan_with(table, ProjectedPowerThreshold(0.3))
+        self.assert_counts_the_atom(ExperimentConfig(plan, (2000,), 1, 1), 8.0)
+
+
 class TestStepBeyondFloatRange:
     """A step-law path past n = 4.3e6, where t(n) reaches the k = 32 atom,
     2**1024, and d(n) overflows."""
@@ -595,8 +631,9 @@ class TestAgainstPrefixOracle:
         # many blocks per segment: first blocks with no floor, blocks that
         # overflow the pool (at 1024), trims within segments, inf draws (log
         # tail), and step-law bulks wider than the extraction band, whose
-        # floor is an atom past 2**41 (at 1024).  The table's thresholds miss
-        # its atom at 8, so the draws above t outgrow the pool
+        # floor is an atom past 2**41 (at 1024).  The table's thresholds sit
+        # on its atom at 8 from n = 2000 on, and the draws above t still
+        # outgrow the pool
         monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
         if law == "jump_table":
             table = Tabulated([(1.0, 0.5, "jump"), (8.0, 0.9, "jump"), (64.0, 0.95, "jump"),

@@ -37,14 +37,26 @@ def test_no_class_is_a_dataclass():
                 assert not hasattr(obj, "__dataclass_fields__"), f"{module.__name__}.{name}"
 
 
-def test_import_loads_no_dataclasses():
-    code = ("import sys, numpy; numpy_loaded = 'dataclasses' in sys.modules; "
-            "import heavytrim.expcli; print(numpy_loaded, 'dataclasses' in sys.modules)")
+def _loaded_by_numpy_and_by_heavytrim(module):
+    code = (f"import sys, numpy; numpy_loaded = {module!r} in sys.modules; "
+            f"import heavytrim.expcli; print(numpy_loaded, {module!r} in sys.modules)")
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-                         capture_output=True, text=True, check=True, timeout=120).stdout.split()
+    return subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True, timeout=120).stdout.split()
+
+
+def test_import_loads_no_dataclasses():
+    out = _loaded_by_numpy_and_by_heavytrim("dataclasses")
     if out[0] == "True":
         pytest.skip("numpy itself imports dataclasses")
+    assert out == ["False", "False"]
+
+
+def test_import_loads_no_argparse():
+    # only the command line parses arguments; main() imports argparse itself
+    out = _loaded_by_numpy_and_by_heavytrim("argparse")
+    if out[0] == "True":
+        pytest.skip("numpy itself imports argparse")
     assert out == ["False", "False"]
 
 
@@ -83,7 +95,7 @@ def test_fields_refuse_assignment(config_path):
     law = config.distribution
     for obj, name in ((config, "seed"), (config, "points"), (config.plan, "epsilon"),
                       (config.plan.threshold_rule, "exponent"), (config.plan.summable, "param"),
-                      (law, law._fields[0]), (law, "_index")):
+                      (law, law._fields[0]), (law, "_table")):
         with pytest.raises(AttributeError):
             setattr(obj, name, None)
         with pytest.raises(AttributeError):
