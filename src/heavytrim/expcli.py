@@ -31,7 +31,7 @@ from . import __version__
 from .bounds import borel_cantelli_budget
 from .distributions import (Distribution, DistributionError, LogTail, ParetoTail,
                             SquareStep, Tabulated, prefix_fsums)
-from .montecarlo import ExperimentConfig, aggregate, simulate, trace_csv_rows
+from .montecarlo import ExperimentConfig, aggregate, simulate, trace_csv_rows, workers
 from .trimming import (AllowanceTrimRule, ConditionReport, PlanError, PlanPoint,
                        PowerThreshold, ProjectedPowerThreshold, SquareStepThreshold,
                        StandardTrimRule, SummableFunction, TrimmingError, TrimmingPlan,
@@ -329,14 +329,8 @@ def parse_config(path: str | Path, *,
     output = _section(raw.get("output", {}), "output", ("directory",))
     directory = _string(output.get("directory", "heavytrim-out"), "output.directory")
     out = Path(out_dir) if out_dir is not None else Path(directory)
-    return RunSpec(
-        config=config,
-        condition_grid=condition_grid,
-        condition_tolerance=tolerance,
-        budget_eps=budget_eps,
-        output_dir=out,
-        raw=raw,
-    )
+    return RunSpec(config=config, condition_grid=condition_grid, condition_tolerance=tolerance,
+                   budget_eps=budget_eps, output_dir=out, raw=raw)
 
 
 # --------------------------------------------------------------------------
@@ -561,11 +555,15 @@ def run(spec: RunSpec) -> RunManifest:
     """Execute all stages and write artifacts plus the manifest.
 
     Order: condition reports, budget table, traces, aggregate, plots.
-    The plan table on the condition grid is built once, checked, and serves
-    the condition reports and the budget, all before the output directory
-    is made, so a plan that fails there leaves no directory behind.
+    ``HEAVYTRIM_WORKERS`` is parsed, and the plan table on the condition grid
+    built once and checked (it serves the condition reports and the budget),
+    before the output directory is made: a bad value or plan writes nothing.
     ``manifest.failed`` is set when a pointwise hypothesis is violated.
     """
+    try:
+        workers()
+    except ValueError as exc:  # a MonteCarloError naming the variable
+        raise ConfigError(str(exc)) from None
     t0 = time.perf_counter()
     table, warnings, reports = _condition_reports(spec)
     out = spec.output_dir

@@ -1,7 +1,7 @@
 """Seeded single-path Monte Carlo for trimmed, truncated and raw sums.
 
-Each replication follows one path drawn from a counter-based generator
-keyed by (seed, replication index) and evaluates it at every checkpoint,
+Each replication follows one path drawn from its own counter-based stream,
+``stream(seed, replication)``, and evaluates it at every checkpoint,
 preserving the almost-sure coupling the limit statements are about; fresh
 samples per checkpoint would only ever probe the weak law.  The path is
 drawn in chunks ending at checkpoints and never held whole.  Each chunk
@@ -49,8 +49,10 @@ __all__ = [
     "trimmed_sum",
     "truncated_sum",
     "exceedance_counts",
+    "stream",
     "run_replication",
     "simulate",
+    "workers",
     "aggregate",
     "AggregateSummary",
     "trace_csv_rows",
@@ -353,15 +355,19 @@ def _per_scale(total: float, p: PlanPoint) -> float:
     return math.exp(math.log(total) - p.log_scale) if total else 0.0
 
 
+def stream(seed: int, replication: int) -> np.random.Generator:
+    """One replication's uniforms, from the only generator heavytrim builds:
+    Philox (Salmon et al., SC'11) keyed by (seed, replication)."""
+    return np.random.Generator(np.random.Philox(key=[seed, replication]))
+
+
 def run_replication(config: ExperimentConfig, replication: int) -> ConvergenceTrace:
     """One seeded path, evaluated at every checkpoint of the config.
 
-    Deterministic given (config.seed, replication): the draws come from a
-    counter-based generator keyed by that pair, so replications neither
-    overlap nor depend on scheduling.  Drawing in chunks reproduces one
-    call for the whole path bit for bit.
+    Deterministic given (config.seed, replication), whose ``stream`` it
+    draws in chunks; they reproduce one call for the whole path bit for bit.
     """
-    rng = np.random.Generator(np.random.Philox(key=[config.seed, replication]))
+    rng = stream(config.seed, replication)
     keep = max(p.trim for p in config.points)
     path, acc = _Form(), np.zeros((3, _KEYS))  # the form of the draws out of the pool; buckets
     # the pool: draws above `floor`, negated, holding the `keep` largest and
@@ -419,18 +425,24 @@ def run_replication(config: ExperimentConfig, replication: int) -> ConvergenceTr
     return ConvergenceTrace(replication=replication, config=config, rows=tuple(rows))
 
 
+def workers() -> int:
+    """The processes ``simulate`` runs on: ``HEAVYTRIM_WORKERS``, default 1."""
+    value = os.environ.get("HEAVYTRIM_WORKERS", "1")
+    try:
+        return max(1, int(value))
+    except ValueError:
+        raise MonteCarloError(f"HEAVYTRIM_WORKERS: expected an integer, got {value!r}") from None
+
+
 def simulate(config: ExperimentConfig) -> tuple[ConvergenceTrace, ...]:
     """All replications, merged in replication order regardless of scheduling."""
-    workers = max(1, int(os.environ.get("HEAVYTRIM_WORKERS", "1")))
-    indices = range(config.replications)
-    if workers > 1 and config.replications > 1:
+    processes, indices = workers(), range(config.replications)
+    if processes > 1 and config.replications > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            traces = list(pool.map(partial(run_replication, config), indices,
-                                   chunksize=max(1, config.replications // (4 * workers))))
-    else:
-        traces = [run_replication(config, i) for i in indices]
-    return tuple(traces)
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            return tuple(pool.map(partial(run_replication, config), indices,
+                                  chunksize=max(1, config.replications // (4 * processes))))
+    return tuple(run_replication(config, i) for i in indices)
 
 
 # --------------------------------------------------------------------------

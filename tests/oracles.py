@@ -6,9 +6,9 @@ float before summing it.  ``form_reference`` reads its buckets as the
 exact-sum form that ``montecarlo._exact`` computes in two tiers.
 ``run_replication_prefix`` is the prefix engine that ``run_replication``
 streams: it holds the whole path and rescans each prefix at every
-checkpoint.  It sums with ``form_reference`` and binds the other
-primitives at import, so a test may patch them in ``heavytrim.montecarlo``
-without touching the oracle.
+checkpoint.  It sums with ``form_reference`` and binds ``stream`` and the
+other primitives at import, so a test may patch them in
+``heavytrim.montecarlo`` without touching the oracle.
 ``max_deviation_tail_exact`` gives maximal-deviation probabilities of small
 lattice laws in exact rational arithmetic, for checking that the bounds
 dominate truth.
@@ -29,7 +29,7 @@ from heavytrim.bounds import BoundsError, ProbabilityBound
 from heavytrim.distributions import (LOG_FLOAT_MAX, Distribution, LogTail,
                                      ParetoTail, SquareStep)
 from heavytrim.montecarlo import (ConvergenceTrace, ExperimentConfig, TraceRow,
-                                  _Form, _largest, _rounded)
+                                  _Form, _largest, _rounded, stream)
 
 _KEYS = 4096
 _LOW26 = np.uint64((1 << 26) - 1)
@@ -72,8 +72,7 @@ def form_reference(values: np.ndarray) -> _Form:
 
 def run_replication_prefix(config: ExperimentConfig, replication: int) -> ConvergenceTrace:
     """``run_replication`` computed on the held path, prefix by prefix."""
-    rng = np.random.Generator(np.random.Philox(key=[config.seed, replication]))
-    x = config.distribution.sample_array(rng.random(config.n_max))
+    x = config.distribution.sample_array(stream(config.seed, replication).random(config.n_max))
     rows = []
     for p in config.points:
         prefix = x[: p.n]

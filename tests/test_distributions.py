@@ -339,7 +339,7 @@ def _edge_variates(levels):
     m = distributions._BUCKETS
     points = [*levels, *(j / m for j in range(m + 1))]
     near = [v for p in points for v in (math.nextafter(p, 0.0), p, math.nextafter(p, 1.0))]
-    draws = np.random.Generator(np.random.Philox(key=[5, 0])).random(3 * montecarlo._CHUNK + 5)
+    draws = montecarlo.stream(5, 0).random(3 * montecarlo._CHUNK + 5)
     u = np.concatenate([near, [5e-324, 1.0 - 2.0 ** -53], draws])
     return u[(u > 0.0) & (u < 1.0)]
 
@@ -375,7 +375,7 @@ class TestSampling:
             np.testing.assert_allclose(d.sample_array(u), _reference(d, u), rtol=1e-15)
 
     def test_vector_path_is_deterministic(self, pareto):
-        u = np.random.Generator(np.random.Philox(key=[5, 5])).random(10_000)
+        u = montecarlo.stream(5, 5).random(10_000)
         a = pareto.sample_array(u)
         b = pareto.sample_array(u.copy())
         assert np.array_equal(a, b)
@@ -390,7 +390,7 @@ class TestSampling:
         n = 100_000
         eps = math.sqrt(math.log(2.0 / 1e-3) / (2.0 * n))
         for j, d in enumerate((pareto, logtail)):
-            u = np.random.Generator(np.random.Philox(key=[2026, j])).random(n)
+            u = montecarlo.stream(2026, j).random(n)
             x = np.sort(d.sample_array(u))
             fx = np.array([1.0 - d.survival_at_log(math.log(v)) for v in x])
             i = np.arange(1, n + 1)
@@ -403,7 +403,7 @@ class TestSampling:
         n = 100_000
         eps = math.sqrt(math.log(2.0 / 1e-3) / (2.0 * n))
         d = _DKW_TABLE
-        u = np.random.Generator(np.random.Philox(key=[2026, 2])).random(n)
+        u = montecarlo.stream(2026, 2).random(n)
         x = np.sort(d.sample_array(u))
         worst = 0.0
         for atom, log_x in zip(d.xs, d._logs):
@@ -477,7 +477,7 @@ class TestSampling:
     def test_one_block_of_the_workload_table_peaks_below_32_bytes_a_draw(self, pareto_table):
         # one column gathered at a time: the bucket numbers, the output and
         # one column buffer make 24 bytes a draw
-        u = np.random.Generator(np.random.Philox(key=[7, 0])).random(montecarlo._CHUNK)
+        u = montecarlo.stream(7, 0).random(montecarlo._CHUNK)
         pareto_table.sample_array(u)
         tracemalloc.start()
         try:
@@ -503,14 +503,14 @@ class TestSampling:
 
     @pytest.mark.parametrize("law", ["pareto", "logtail", "step", "mixed_table"])
     def test_vector_leaves_input_unchanged(self, request, law):
-        u = np.random.Generator(np.random.Philox(key=[5, 1])).random(1000)
+        u = montecarlo.stream(5, 1).random(1000)
         before = u.copy()
         request.getfixturevalue(law).sample_array(u)
         assert np.array_equal(u.view(np.uint64), before.view(np.uint64))
 
     @pytest.mark.parametrize("alpha, scale", [(0.5, 3.0), (0.3, 0.25), (0.9, 1e10)])
     def test_pareto_vector_is_closed_form_bit_for_bit(self, alpha, scale):
-        draws = np.random.Generator(np.random.Philox(key=[5, 2])).random(1000)
+        draws = montecarlo.stream(5, 2).random(1000)
         u = np.concatenate([[5e-324, 0.5, 1.0 - 2.0 ** -53], draws])
         expected = scale * (1.0 - u) ** (-1.0 / alpha)
         assert np.array_equal(ParetoTail(alpha, scale).sample_array(u).view(np.uint64),

@@ -421,6 +421,18 @@ class TestMain:
         assert capsys.readouterr().err == (
             "internal error: OverflowError: integer division result too large for a float\n")
 
+    @pytest.mark.parametrize("value", ["two", "", "2.0"])
+    def test_malformed_workers_exit_two(self, tmp_path, capsys, monkeypatch, value):
+        # run parses HEAVYTRIM_WORKERS before the output directory is made;
+        # check does not read it
+        monkeypatch.setenv("HEAVYTRIM_WORKERS", value)
+        p = write_config(tmp_path)
+        assert main(["run", str(p)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: HEAVYTRIM_WORKERS: expected an integer, got {value!r}\n")
+        assert not (tmp_path / "out").exists()
+        assert main(["check", str(p)]) == 0
+
     @pytest.mark.parametrize("command", ["run", "check"])
     def test_unevaluable_condition_grid_exit_two(self, tmp_path, capsys, command):
         # the polylog(1.5) allowance is undefined at n = 4 (floor(log n) = 1);

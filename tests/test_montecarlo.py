@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -353,7 +354,7 @@ class TestExceedanceCounts:
         assert exceedance_counts(np.array([2.0, 2.0, 5.0]), 9.0) == (0, 0)
 
     def test_continuous_sample_has_no_boundary_ties(self, pareto):
-        u = np.random.Generator(np.random.Philox(key=[3, 3])).random(5000)
+        u = montecarlo.stream(3, 3).random(5000)
         x = pareto.sample_array(u)
         gt, ge = exceedance_counts(x, 17.3)
         assert gt == ge
@@ -395,7 +396,7 @@ class TestRunReplication:
         # floats are dyadic rationals: the split at the threshold must be
         # exact in Q, and each float sum equals the correctly
         # rounded exact sum
-        rng = np.random.Generator(np.random.Philox(key=[pareto_cfg.seed, 2]))
+        rng = montecarlo.stream(pareto_cfg.seed, 2)
         x = pareto_cfg.distribution.sample_array(rng.random(4096))
         t = pareto_cfg.plan.checkpoint(4096).threshold
         total = sum(Fraction(v) for v in x.tolist())
@@ -408,7 +409,7 @@ class TestRunReplication:
     def test_ratios_stable_under_exact_arithmetic(self, pareto_cfg):
         # recomputing the trimmed ratio with unbounded precision moves it
         # by strictly less than 1e-9
-        rng = np.random.Generator(np.random.Philox(key=[pareto_cfg.seed, 3]))
+        rng = montecarlo.stream(pareto_cfg.seed, 3)
         n = 100_000
         x = pareto_cfg.distribution.sample_array(rng.random(n))
         p = pareto_cfg.plan.checkpoint(n)
@@ -422,7 +423,7 @@ class TestRunReplication:
         # level, trimming that many entries dips below the truncated sum
         plan = pareto_cfg.plan
         for t in pareto_traces[:5]:
-            rng = np.random.Generator(np.random.Philox(key=[t.config.seed, t.replication]))
+            rng = montecarlo.stream(t.config.seed, t.replication)
             x = pareto_cfg.distribution.sample_array(rng.random(pareto_cfg.n_max))
             for r, p in zip(t.rows, pareto_cfg.points):
                 level = p.expect_gt + fluctuation_allowance(
@@ -433,11 +434,14 @@ class TestRunReplication:
 
     def test_inf_draws_match_scalar_recomputation(self, logtail):
         # a 1/log tail draws inf about once per 710 samples: the raw sum is
-        # inf, the trim drops every inf, the counts include them
+        # inf, the trim drops every inf, the counts include them.  The seed is
+        # the first from 99 on whose path holds an inf by the first checkpoint
+        seed = next(s for s in itertools.count(99) if np.isinf(
+            logtail.sample_array(montecarlo.stream(s, 0).random(1000))).any())
         cfg = ExperimentConfig(plan_default(logtail, 0.05),
-                               (1000, 3162, 10000), 1, 99)
+                               (1000, 3162, 10000), 1, seed)
         trace = run_replication(cfg, 0)
-        rng = np.random.Generator(np.random.Philox(key=[cfg.seed, 0]))
+        rng = montecarlo.stream(cfg.seed, 0)
         x = cfg.distribution.sample_array(rng.random(cfg.n_max))
         for r, p in zip(trace.rows, cfg.points):
             draws = sorted(x[: r.n].tolist())
@@ -454,7 +458,7 @@ class TestRunReplication:
         # by n = 1e6 the finite draws of this path sum past the float range;
         # the inf draws still make S_n inf, and the trim drops all of them
         cfg = ExperimentConfig(plan_default(logtail, 0.05), (1_000_000,), 1, 0)
-        rng = np.random.Generator(np.random.Philox(key=[cfg.seed, 0]))
+        rng = montecarlo.stream(cfg.seed, 0)
         x = cfg.distribution.sample_array(rng.random(cfg.n_max))
         with pytest.raises(OverflowError):
             math.fsum(x[np.isfinite(x)].tolist())
@@ -462,6 +466,20 @@ class TestRunReplication:
         assert r.untrimmed == math.inf
         assert p.trim >= r.n - np.count_nonzero(np.isfinite(x))
         assert r.trimmed == math.fsum(np.sort(x)[: r.n - p.trim].tolist())
+
+    @pytest.mark.parametrize("law", ["pareto", "pareto_table"])
+    def test_rows_do_not_depend_on_the_block_size(self, request, pareto_cfg, monkeypatch, law):
+        # a path is a function of (seed, replication) alone, however it is
+        # cut into blocks; on the laws of the two benchmark workloads
+        plan = (pareto_cfg.plan if law == "pareto"
+                else plan_default(request.getfixturevalue(law), 0.05))
+        cfg = ExperimentConfig(plan, (1000, 10000, 100000, 300007), 2, 31)
+        rows = []
+        for chunk in (1 << 12, 1 << 14, 1 << 16):
+            monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+            assert montecarlo._FLUSH % chunk == 0
+            rows.append([list(trace_csv_rows([run_replication(cfg, i)])) for i in (0, 1)])
+        assert rows[0] == rows[1] == rows[2]
 
     @pytest.mark.parametrize("law", ["pareto", "pareto_table", "logtail", "step", "pm"])
     def test_memory_guard_bounds_replication_peak(self, request, pareto_cfg, law):
@@ -535,7 +553,7 @@ class TestThresholdOnAnAtom:
     @staticmethod
     def assert_counts_the_atom(config, atom):
         (row,), (point,) = run_replication(config, 0).rows[-1:], config.points[-1:]
-        rng = np.random.Generator(np.random.Philox(key=[config.seed, 0]))
+        rng = montecarlo.stream(config.seed, 0)
         x = config.distribution.sample_array(rng.random(config.n_max))
         on_atom = int(np.count_nonzero(x == atom))
         assert point.threshold == atom and on_atom > 0
@@ -752,14 +770,23 @@ class TestSimulateAndAggregate:
         assert (tmp_path / "out" / "aggregate.csv").exists()
         assert out.strip().splitlines()[-1] == "False"
 
-    def test_parallel_merge_matches_sequential(self, pareto_cfg, pareto_traces,
-                                               monkeypatch):
-        monkeypatch.setenv("HEAVYTRIM_WORKERS", "2")
-        small = ExperimentConfig(pareto_cfg.plan, (1000, 10000), 4, pareto_cfg.seed)
-        parallel = simulate(small)
-        monkeypatch.setenv("HEAVYTRIM_WORKERS", "1")
-        sequential = simulate(small)
-        assert parallel == sequential
+    def test_parallel_merge_matches_sequential(self, pareto_cfg, pareto_table, monkeypatch):
+        # on the laws of both benchmark workloads; two workers pickle the
+        # table law and its plan across the process boundary
+        for plan in (pareto_cfg.plan, plan_default(pareto_table, 0.05)):
+            small = ExperimentConfig(plan, (1000, 10000, 100000), 4, pareto_cfg.seed)
+            monkeypatch.setenv("HEAVYTRIM_WORKERS", "2")
+            parallel = simulate(small)
+            monkeypatch.setenv("HEAVYTRIM_WORKERS", "1")
+            assert parallel == simulate(small)
+
+    def test_malformed_workers_are_refused(self, pm_cfg, monkeypatch):
+        monkeypatch.setenv("HEAVYTRIM_WORKERS", "two")
+        with pytest.raises(MonteCarloError,
+                           match="HEAVYTRIM_WORKERS: expected an integer, got 'two'"):
+            simulate(pm_cfg)
+        monkeypatch.setenv("HEAVYTRIM_WORKERS", "0")
+        assert montecarlo.workers() == 1
 
     def test_single_trace_quantiles_collapse(self, pareto_cfg):
         t = simulate(ExperimentConfig(pareto_cfg.plan, (1000, 10000), 1, 5))

@@ -83,7 +83,7 @@ def test_pickle_round_trip(config_path):
     assert copy == config and hash(copy) == hash(config)
     assert copy.plan == config.plan and copy.distribution == config.distribution
     assert copy.points == config.points
-    u = np.random.Generator(np.random.Philox(key=[config.seed, 0])).random(10_000)
+    u = montecarlo.stream(config.seed, 0).random(10_000)
     assert np.array_equal(copy.distribution.sample_array(u), config.distribution.sample_array(u))
     trace = montecarlo.run_replication(montecarlo.ExperimentConfig(
         config.plan, config.checkpoints[:2], 1, config.seed), 0)
