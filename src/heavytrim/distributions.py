@@ -432,10 +432,12 @@ class Tabulated(Distribution):
         coef = [(xs[i - 1], fs[i - 1], xs[i] - xs[i - 1], fs[i] - fs[i - 1])
                 if 0 < i < len(xs) and kinds[i] == "linear" and fs[i] != fs[i - 1]
                 else (bounds[i], 0.0, 0.0, 1.0) for i in range(len(bounds))]
-        # _logs holds math.log of each x, _table the columns x0, f0, dx, df
+        # _logs holds math.log of each x, _table the columns x0, f0, dx, df,
+        # _terms the integral of x dF over each breakpoint's whole segment
         self.__dict__.update(xs=tuple(xs), fs=tuple(fs), kinds=tuple(kinds),
                              _logs=tuple(math.log(x) for x in xs),
                              _table=_BucketTable(fs, np.array(coef).T.copy()))
+        self.__dict__["_terms"] = tuple(self._term(i, x) for i, x in enumerate(xs))
 
     @property
     def atoms_persist(self) -> bool:
@@ -460,47 +462,38 @@ class Tabulated(Distribution):
         x0, f0, dx, df = self._table.rows[:, bisect.bisect_left(self.fs, y)].tolist()
         return math.log(x0 + (y - f0) * dx / df)
 
-    def _left_value(self, i: int) -> float:
+    def _level(self, i: int) -> float:
         return self.fs[i - 1] if i else 0.0
 
     def _cdf(self, x: float) -> float:
         if x < self.xs[0]:
             return 0.0
+        # x's sampling row: a ramp interpolates F, which can round above the
+        # next level just below its breakpoint; any other row holds the level below
         i = bisect.bisect_right(self.xs, x)
-        if i == len(self.xs) or x == self.xs[i - 1]:
-            return self.fs[i - 1]
-        if self.kinds[i] == "jump":
-            return self.fs[i - 1]
-        x0, x1 = self.xs[i - 1], self.xs[i]
-        f0, f1 = self.fs[i - 1], self.fs[i]
-        # just below x1 the interpolation can round above f1
-        return min(f0 + (f1 - f0) * (x - x0) / (x1 - x0), f1)
+        x0, f0, dx, df = self._table.rows[:, i].tolist()
+        return min(f0 + df * (x - x0) / dx, self.fs[i]) if dx else self.fs[i - 1]
 
     def _cdf_left(self, x: float) -> float:
         i = bisect.bisect_left(self.xs, x)
         if i < len(self.xs) and self.xs[i] == x:
-            if self.kinds[i] == "jump":
-                return self._left_value(i)
-            return self.fs[i]
+            return self._level(i) if self.kinds[i] == "jump" else self.fs[i]
         return self._cdf(x) if x > self.xs[0] else 0.0
 
+    def _term(self, i: int, hi: float) -> float:
+        """The integral of x dF over breakpoint i's segment, a linear one cut at ``hi``."""
+        if self.kinds[i] == "jump":
+            return self.xs[i] * (self.fs[i] - self._level(i))
+        x0 = self.xs[i - 1] if i else hi  # a leading linear breakpoint has no mass
+        if hi <= x0:
+            return 0.0
+        return (self.fs[i] - self.fs[i - 1]) / (self.xs[i] - x0) * (hi * hi - x0 * x0) / 2.0
+
     def _truncated_moment(self, t: float) -> float:
-        terms = []
-        for i, (x, kind) in enumerate(zip(self.xs, self.kinds)):
-            f0 = self._left_value(i)
-            if kind == "jump":
-                if x <= t:
-                    terms.append(x * (self.fs[i] - f0))
-            else:
-                x0 = self.xs[i - 1] if i else x
-                if i == 0:
-                    continue
-                hi = min(t, x)
-                if hi <= x0:
-                    continue
-                slope = (self.fs[i] - f0) / (x - x0)
-                terms.append(slope * (hi * hi - x0 * x0) / 2.0)
-        return math.fsum(terms)
+        # the segments of the breakpoints at most t whole, and the one t cuts
+        i = bisect.bisect_right(self.xs, t)
+        cut = 0 < i < len(self.xs) and self.kinds[i] == "linear"
+        return math.fsum(self._terms[:i] + ((self._term(i, t),) if cut else ()))
 
     def sample_array(self, u: np.ndarray) -> np.ndarray:
         _check_uniform(u)

@@ -43,7 +43,8 @@ __all__ = ["parse_config", "run", "plot", "main", "RunManifest", "ConfigError",
            "CONFIG_GRAMMAR"]
 
 CONFIG_GRAMMAR = """\
-JSON object with sections; a key not listed here is rejected:
+JSON object with sections; a key not listed here, or listed for another
+family or rule than the section names, is rejected:
 
 distribution:
   family: "pareto" | "log-tail" | "square-step" | "atomic-step" | "tabulated"
@@ -92,12 +93,21 @@ def _need(section: dict, key: str, where: str):
     return section[key]
 
 
-def _section(value, where: str, allowed: tuple[str, ...]) -> dict:
+def _section(value, where: str, allowed: tuple[str, ...],
+             variants: dict[str, tuple[str, ...]] | None = None) -> dict:
     """``value`` as the config section ``where``: an object with no key
     outside ``allowed``, so a misspelled key fails instead of falling back
-    on a default."""
+    on a default.  With ``variants``, the key ``allowed[0]`` names one of
+    them, and the keys it maps to are the only others allowed: a key of
+    another family or rule fails instead of being ignored."""
     if not isinstance(value, dict):
         raise ConfigError(f"{where}: expected an object, got {value!r}")
+    if variants is not None:
+        tag = allowed[0]
+        name = _need(value, tag, where)
+        if not (isinstance(name, str) and name in variants):
+            raise ConfigError(f"{_path(where, tag)}: unknown {tag} {name!r}")
+        allowed = (tag,) + variants[name]
     for key in value:
         if key not in allowed:
             raise ConfigError(f"{_path(where, key)}: unknown key; "
@@ -139,9 +149,10 @@ def _string(value, key: str) -> str:
 
 
 def _build_distribution(value) -> Distribution:
-    section = _section(value, "distribution", ("family", "alpha", "scale", "threshold",
-                                               "max-index", "atoms", "rows"))
-    family = _need(section, "family", "distribution")
+    section = _section(value, "distribution", ("family",), {
+        "pareto": ("alpha", "scale"), "log-tail": ("threshold",), "square-step": ("max-index",),
+        "atomic-step": ("atoms",), "tabulated": ("rows",)})
+    family = section["family"]
     try:
         if family == "pareto":
             return ParetoTail(
@@ -167,20 +178,19 @@ def _build_distribution(value) -> Distribution:
                 return Tabulated([(x, min(f, 1.0), "jump") for (x, _), f in zip(atoms, levels)])
             except DistributionError as exc:
                 raise ConfigError(f"{key}: {exc}") from exc
-        if family == "tabulated":
-            key = "distribution.rows"
-            return Tabulated([(_number(x, key), _number(f, key), _string(kind, key))
-                              for x, f, kind in _need(section, "rows", "distribution")])
+        key = "distribution.rows"  # the tabulated family
+        return Tabulated([(_number(x, key), _number(f, key), _string(kind, key))
+                          for x, f, kind in _need(section, "rows", "distribution")])
     except ConfigError:
         raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"distribution: {exc}") from exc
-    raise ConfigError(f"distribution.family: unknown family {family!r}")
 
 
 def _build_threshold_rule(value):
-    section = _section(value, "plan.threshold", ("rule", "exponent", "coefficient"))
-    rule = _need(section, "rule", "plan.threshold")
+    section = _section(value, "plan.threshold", ("rule",), {
+        "power": ("exponent", "coefficient"), "square-step": (), "projected-power": ("exponent",)})
+    rule = section["rule"]
     if rule == "power":
         return PowerThreshold(
             exponent=_number(_need(section, "exponent", "plan.threshold"),
@@ -188,10 +198,8 @@ def _build_threshold_rule(value):
             coefficient=_number(section.get("coefficient", 1.0), "plan.threshold.coefficient"))
     if rule == "square-step":
         return SquareStepThreshold()
-    if rule == "projected-power":
-        return ProjectedPowerThreshold(_number(_need(section, "exponent", "plan.threshold"),
-                                               "plan.threshold.exponent"))
-    raise ConfigError(f"plan.threshold.rule: unknown rule {rule!r}")
+    return ProjectedPowerThreshold(_number(_need(section, "exponent", "plan.threshold"),
+                                           "plan.threshold.exponent"))
 
 
 def _build_summable(value, where: str) -> SummableFunction:
@@ -205,39 +213,31 @@ def _build_summable(value, where: str) -> SummableFunction:
 
 
 def _build_plan(value, dist: Distribution) -> TrimmingPlan:
-    section = _section(value, "plan", ("rule", "epsilon", "threshold", "trim", "summable",
-                                       "summable-alt"))
-    rule = _need(section, "rule", "plan")
+    section = _section(value, "plan", ("rule",), {
+        "default": ("epsilon",), "standard": ("epsilon", "threshold"),
+        "general": ("epsilon", "threshold", "trim", "summable", "summable-alt")})
+    rule = section["rule"]
     try:
         epsilon = _number(_need(section, "epsilon", "plan"), "plan.epsilon")
         if not 0.0 < epsilon < 0.25:
             raise ConfigError(f"plan.epsilon: must lie in (0, 1/4), got {epsilon}")
         if rule == "default":
             return plan_default(dist, epsilon)
+        t_rule = _build_threshold_rule(_need(section, "threshold", "plan"))
         if rule == "standard":
-            t_rule = _build_threshold_rule(_need(section, "threshold", "plan"))
             return plan_standard(dist, t_rule, epsilon)
-        if rule == "general":
-            t_rule = _build_threshold_rule(_need(section, "threshold", "plan"))
-            summable = _build_summable(_need(section, "summable", "plan"), "plan.summable")
-            summable_alt = _build_summable(_need(section, "summable-alt", "plan"),
-                                           "plan.summable-alt")
-            trim_section = _section(_need(section, "trim", "plan"), "plan.trim", ("rule",))
-            trim_name = _need(trim_section, "rule", "plan.trim")
-            if trim_name == "standard":
-                trim_rule = StandardTrimRule()
-            elif trim_name == "proof-variant":
-                trim_rule = StandardTrimRule(log_floor=True)
-            elif trim_name == "allowance":
-                trim_rule = AllowanceTrimRule()
-            else:
-                raise ConfigError(f"plan.trim.rule: unknown rule {trim_name!r}")
-            return TrimmingPlan(dist, epsilon, t_rule, trim_rule, summable, summable_alt)
+        summable = _build_summable(_need(section, "summable", "plan"), "plan.summable")
+        summable_alt = _build_summable(_need(section, "summable-alt", "plan"),
+                                       "plan.summable-alt")
+        trims = {"standard": StandardTrimRule(), "proof-variant": StandardTrimRule(log_floor=True),
+                 "allowance": AllowanceTrimRule()}
+        trim = _section(_need(section, "trim", "plan"), "plan.trim", ("rule",),
+                        dict.fromkeys(trims, ()))["rule"]
+        return TrimmingPlan(dist, epsilon, t_rule, trims[trim], summable, summable_alt)
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(f"plan: {exc}") from exc
-    raise ConfigError(f"plan.rule: unknown rule {rule!r}")
 
 
 class RunSpec(NamedTuple):
@@ -581,11 +581,11 @@ def run(spec: RunSpec) -> RunManifest:
 
     t0 = time.perf_counter()
     traces = simulate(spec.config)
-    _write_csv(out / "traces.csv", trace_csv_rows(traces))
+    _write_csv(out / "traces.csv", trace_csv_rows(spec.config, traces))
     stage_seconds["traces"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    summary = aggregate(traces)
+    summary = aggregate(spec.config, traces)
     _write_csv(out / "aggregate.csv", summary.csv_rows())
     stage_seconds["aggregate"] = time.perf_counter() - t0
 

@@ -18,10 +18,10 @@ the truncated and the trimmed sum leave out two of its slices.  At n =
 
 Plan values (``t(n)``, ``d(n)``, ``b(n)``, the expected exceedances and
 their allowance) depend on n alone, so they live once per experiment in
-``ExperimentConfig.points``; a trace row holds only what its path
-produced, and every consumer pairs it with that table.  Aggregation
-keeps what the artifacts show: per-checkpoint quantiles of the two
-ratios and of the raw sum's running max over its scale.
+``ExperimentConfig.points``; a trace holds only what its path produced,
+and the consumers that pair its rows with that table take the run's one
+config.  Aggregation keeps what the artifacts show: per-checkpoint
+quantiles of the two ratios and of the raw sum's running max over its scale.
 
 Samples whose true value exceeds the float range surface as ``inf``;
 S_n is then ``inf`` however large its finite part, and any sufficient
@@ -322,9 +322,10 @@ class TraceRow(NamedTuple):
 
 
 class ConvergenceTrace(NamedTuple):
+    """One path's rows, one per checkpoint; its config is the caller's."""
+
     replication: int
-    config: ExperimentConfig
-    rows: tuple[TraceRow, ...]   # one per entry of config.points
+    rows: tuple[TraceRow, ...]
 
 
 def _trim(top: np.ndarray, used: int, keep: int, floor: float) -> tuple[float, int, _Form]:
@@ -422,7 +423,7 @@ def run_replication(config: ExperimentConfig, replication: int) -> ConvergenceTr
         trimmed, truncated = map(_rounded, (both, cut) if count_gt <= p.trim else (cut, both))
         rows.append(TraceRow(p.n, _rounded(cut + _held(top[:lo])), trimmed, truncated, count_gt,
                              count_gt + ties, _per_scale(trimmed, p), _per_scale(truncated, p)))
-    return ConvergenceTrace(replication=replication, config=config, rows=tuple(rows))
+    return ConvergenceTrace(replication, tuple(rows))
 
 
 def workers() -> int:
@@ -435,9 +436,9 @@ def workers() -> int:
 
 
 def simulate(config: ExperimentConfig) -> tuple[ConvergenceTrace, ...]:
-    """All replications, merged in replication order regardless of scheduling."""
-    processes, indices = workers(), range(config.replications)
-    if processes > 1 and config.replications > 1:
+    """All replications in replication order, on at most one process each."""
+    processes, indices = min(workers(), config.replications), range(config.replications)
+    if processes > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=processes) as pool:
             return tuple(pool.map(partial(run_replication, config), indices,
@@ -477,14 +478,14 @@ class AggregateSummary(NamedTuple):
             yield tuple(row)
 
 
-def _experiment(traces: Sequence[ConvergenceTrace]) -> ExperimentConfig:
-    """The one config all traces were simulated from."""
-    if not traces:
-        raise MonteCarloError("no traces given")
-    config = traces[0].config
-    if any(t.config != config for t in traces):
-        raise MonteCarloError("traces come from different experiments")
-    return config
+def _on_grid(config: ExperimentConfig,
+             traces: Sequence[ConvergenceTrace]) -> Sequence[ConvergenceTrace]:
+    """The traces, once each is checked to hold one row per checkpoint of ``config``."""
+    for t in traces:
+        if tuple(r.n for r in t.rows) != config.checkpoints:
+            raise MonteCarloError(f"replication {t.replication}: rows do not follow "
+                                  f"the checkpoints {config.checkpoints}")
+    return traces
 
 
 def _matrix(traces: Sequence[ConvergenceTrace], attr: str) -> np.ndarray:
@@ -516,8 +517,8 @@ def _quantiles(matrix: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(ordered[-1]), np.nan, np.where(keep, interpolated, carried))
 
 
-def aggregate(traces: Sequence[ConvergenceTrace]) -> AggregateSummary:
-    """Summarize traces of one experiment.
+def aggregate(config: ExperimentConfig, traces: Sequence[ConvergenceTrace]) -> AggregateSummary:
+    """Summarize traces of one experiment, simulated from the caller's ``config``.
 
     Per checkpoint, takes quantiles over replications of the trimmed and
     truncated ratios and of the raw sum's running max over its scale, and
@@ -525,7 +526,8 @@ def aggregate(traces: Sequence[ConvergenceTrace]) -> AggregateSummary:
     from its expectation by at least the fluctuation allowance; the
     concentration statements predict a summably rare event.
     """
-    config = _experiment(traces)
+    if not _on_grid(config, traces):
+        raise MonteCarloError("no traces given")
     runmax = np.maximum.accumulate(np.array(
         [[_per_scale(r.untrimmed, p) for r, p in zip(t.rows, config.points)] for t in traces]),
         axis=1)
@@ -553,11 +555,12 @@ TRACE_COLUMNS = ("replication", "n", "S_n", "S_trimmed", "T_truncated",
                  "ratio_trimmed", "ratio_truncated")
 
 
-def trace_csv_rows(traces: Sequence[ConvergenceTrace]) -> Iterable[tuple]:
-    """Rows for the traces CSV; floats as shortest round-trip strings."""
+def trace_csv_rows(config: ExperimentConfig,
+                   traces: Sequence[ConvergenceTrace]) -> Iterable[tuple]:
+    """Traces CSV rows, plan values from the caller's config; floats as shortest repr."""
     yield TRACE_COLUMNS
-    for t in traces:
-        for r, p in zip(t.rows, t.config.points):
+    for t in _on_grid(config, traces):
+        for r, p in zip(t.rows, config.points):
             yield (t.replication, r.n, repr(r.untrimmed), repr(r.trimmed),
                    repr(r.truncated), r.count_gt, r.count_ge, p.trim,
                    repr(p.threshold), repr(p.scale),

@@ -90,7 +90,7 @@ def run_replication_prefix(config: ExperimentConfig, replication: int) -> Conver
             ratio_trimmed=trimmed / p.scale,
             ratio_truncated=truncated / p.scale,
         ))
-    return ConvergenceTrace(replication=replication, config=config, rows=tuple(rows))
+    return ConvergenceTrace(replication=replication, rows=tuple(rows))
 
 
 def _as_fractions(support: Sequence, probs: Sequence) -> tuple[list[Fraction], list[Fraction]]:

@@ -43,7 +43,7 @@ def demo_run():
     t0 = time.perf_counter()
     traces = simulate(config)
     elapsed = time.perf_counter() - t0
-    return config, traces, aggregate(traces), elapsed
+    return config, traces, aggregate(config, traces), elapsed
 
 
 def test_criterion_01_quantile_fixed_points():

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -335,6 +336,27 @@ class TestMain:
             assert f"config error: {key}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value, overrides", [
+        ("distribution.rows", [[1.0, 1.0, "jump"]], {}),
+        ("distribution.max-index", 40, {}),
+        ("distribution.alpha", 0.5, {"distribution": {"family": "log-tail"}}),
+        ("plan.threshold", {"rule": "power", "exponent": 0.8},
+         {"plan.rule": "default", "plan.trim": {"rule": "bogus"}}),
+        ("plan.trim", {"rule": "bogus"}, {"plan": {"rule": "default", "epsilon": 0.05}}),
+        ("plan.threshold.coefficient", 100, {"plan.threshold.rule": "projected-power"}),
+        ("plan.threshold.exponent", 0.8, {"plan.threshold": {"rule": "square-step"}}),
+    ], ids=["rows-on-pareto", "max-index-on-pareto", "alpha-on-log-tail",
+            "threshold-on-default", "trim-on-default", "coefficient-on-projected-power",
+            "exponent-on-square-step"])
+    def test_key_of_another_variant_exit_two(self, tmp_path, capsys, key, value, overrides):
+        # a section allows only the keys of the family or rule it names; a key
+        # of another one was once ignored without a word
+        p = write_config(tmp_path, {**copy.deepcopy(overrides), key: value})
+        for command in ("check", "run"):
+            assert main([command, str(p)]) == 2
+            assert f"config error: {key}: unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key, value", [
         ("plan.epsilon", [0.05]),
         ("plan.threshold.exponent", [0.8]),
@@ -354,7 +376,8 @@ class TestMain:
             "alpha", "scale", "log-tail-threshold", "max-index-fraction", "max-index-bool",
             "atom", "row", "row-kind"])
     def test_wrong_type_exit_two(self, tmp_path, capsys, key, value):
-        # a value of the wrong JSON type names its key
+        # a value of the wrong JSON type names its key; each family's section
+        # holds only its own keys
         power = {"family": "power", "param": 2.0}
         family = {"distribution.threshold": "log-tail", "distribution.max-index": "square-step",
                   "distribution.atoms": "atomic-step", "distribution.rows": "tabulated"}
@@ -363,7 +386,8 @@ class TestMain:
                      "threshold": {"rule": "power", "exponent": 0.8},
                      "trim": {"rule": "standard"},
                      "summable": power, "summable-alt": dict(power)},
-            "distribution.family": family.get(key, "pareto"),
+            "distribution": ({"family": family[key]} if key in family
+                             else {"family": "pareto", "alpha": 0.5, "scale": 1.0}),
             key: value,
         })
         for command in ("check", "run"):

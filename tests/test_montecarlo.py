@@ -1,7 +1,9 @@
+import concurrent.futures
 import itertools
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -14,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from heavytrim import montecarlo
 from heavytrim.expcli import main, parse_config, run
-from heavytrim.montecarlo import (ExperimentConfig, MonteCarloError,
+from heavytrim.montecarlo import (ConvergenceTrace, ExperimentConfig, MonteCarloError,
                                   aggregate, exceedance_counts, run_replication,
                                   simulate, trace_csv_rows, trimmed_sum,
                                   truncated_sum)
@@ -365,7 +367,7 @@ class TestRunReplication:
         a = run_replication(pareto_cfg, 4)
         b = run_replication(pareto_cfg, 4)
         assert a == b
-        assert list(trace_csv_rows([a])) == list(trace_csv_rows([b]))
+        assert list(trace_csv_rows(pareto_cfg, [a])) == list(trace_csv_rows(pareto_cfg, [b]))
 
     def test_replications_differ(self, pareto_cfg):
         assert run_replication(pareto_cfg, 0) != run_replication(pareto_cfg, 1)
@@ -423,7 +425,7 @@ class TestRunReplication:
         # level, trimming that many entries dips below the truncated sum
         plan = pareto_cfg.plan
         for t in pareto_traces[:5]:
-            rng = montecarlo.stream(t.config.seed, t.replication)
+            rng = montecarlo.stream(pareto_cfg.seed, t.replication)
             x = pareto_cfg.distribution.sample_array(rng.random(pareto_cfg.n_max))
             for r, p in zip(t.rows, pareto_cfg.points):
                 level = p.expect_gt + fluctuation_allowance(
@@ -478,7 +480,7 @@ class TestRunReplication:
         for chunk in (1 << 12, 1 << 14, 1 << 16):
             monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
             assert montecarlo._FLUSH % chunk == 0
-            rows.append([list(trace_csv_rows([run_replication(cfg, i)])) for i in (0, 1)])
+            rows.append([list(trace_csv_rows(cfg, [run_replication(cfg, i)])) for i in (0, 1)])
         assert rows[0] == rows[1] == rows[2]
 
     @pytest.mark.parametrize("law", ["pareto", "pareto_table", "logtail", "step", "pm"])
@@ -587,13 +589,16 @@ class TestStepBeyondFloatRange:
     2**1024, and d(n) overflows."""
 
     @pytest.fixture(scope="class")
-    def far_trace(self, step):
+    def far_config(self, step):
         plan = plan_standard(step, SquareStepThreshold(), 0.05)
-        return run_replication(ExperimentConfig(plan, (1000, 10 ** 6, 5 * 10 ** 6), 1,
-                                                20260810), 0)
+        return ExperimentConfig(plan, (1000, 10 ** 6, 5 * 10 ** 6), 1, 20260810)
 
-    def test_ratios_over_an_infinite_scale_are_finite(self, far_trace):
-        row, point = far_trace.rows[-1], far_trace.config.points[-1]
+    @pytest.fixture(scope="class")
+    def far_trace(self, far_config):
+        return run_replication(far_config, 0)
+
+    def test_ratios_over_an_infinite_scale_are_finite(self, far_config, far_trace):
+        row, point = far_trace.rows[-1], far_config.points[-1]
         assert point.scale == math.inf and row.untrimmed == math.inf
         for ratio, total in ((row.ratio_trimmed, row.trimmed),
                              (row.ratio_truncated, row.truncated)):
@@ -601,10 +606,10 @@ class TestStepBeyondFloatRange:
             assert ratio == pytest.approx(math.exp(math.log(total) - point.log_scale),
                                           rel=1e-15)
 
-    def test_aggregate_divides_in_log_space(self, far_trace):
+    def test_aggregate_divides_in_log_space(self, far_config, far_trace):
         # inf / inf would warn, which this suite turns into an error, and
         # write nan
-        summary = aggregate([far_trace])
+        summary = aggregate(far_config, [far_trace])
         assert np.all(summary.untrimmed_runmax_quantiles[:, -1] == math.inf)
         assert np.all(np.isfinite(summary.trimmed_quantiles))
 
@@ -615,8 +620,8 @@ class TestAgainstPrefixOracle:
     @staticmethod
     def assert_same(config):
         for i in (0, 1):
-            assert list(trace_csv_rows([run_replication(config, i)])) == \
-                list(trace_csv_rows([run_replication_prefix(config, i)]))
+            assert list(trace_csv_rows(config, [run_replication(config, i)])) == \
+                list(trace_csv_rows(config, [run_replication_prefix(config, i)]))
 
     @pytest.mark.parametrize("law", ["pareto", "pareto_table", "logtail", "step",
                                      "pm", "mixed_table"])
@@ -780,6 +785,28 @@ class TestSimulateAndAggregate:
             monkeypatch.setenv("HEAVYTRIM_WORKERS", "1")
             assert parallel == simulate(small)
 
+    def test_one_process_per_replication_at_most(self, pareto_cfg, monkeypatch):
+        # a pool forks all its workers at the first submit, so 2 replications
+        # on 4 workers must ask for 2
+        sizes, pool = [], concurrent.futures.ProcessPoolExecutor
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            lambda max_workers: sizes.append(max_workers) or pool(max_workers))
+        small = ExperimentConfig(pareto_cfg.plan, (1000, 10000), 2, pareto_cfg.seed)
+        monkeypatch.setenv("HEAVYTRIM_WORKERS", "4")
+        parallel = simulate(small)
+        monkeypatch.setenv("HEAVYTRIM_WORKERS", "1")
+        assert sizes == [2]
+        assert parallel == simulate(small)
+
+    def test_a_replication_pickles_without_its_config(self, pareto_table):
+        # a worker sends back its path's rows; the table law and the plan
+        # table stay with the caller (a trace that held its config took
+        # ~137 kB on this law)
+        trace = run_replication(ExperimentConfig(plan_default(pareto_table, 0.05),
+                                                 (1000, 10000, 100000), 1, 31), 0)
+        assert ConvergenceTrace._fields == ("replication", "rows")
+        assert len(pickle.dumps(trace)) < 1024
+
     def test_malformed_workers_are_refused(self, pm_cfg, monkeypatch):
         monkeypatch.setenv("HEAVYTRIM_WORKERS", "two")
         with pytest.raises(MonteCarloError,
@@ -789,8 +816,8 @@ class TestSimulateAndAggregate:
         assert montecarlo.workers() == 1
 
     def test_single_trace_quantiles_collapse(self, pareto_cfg):
-        t = simulate(ExperimentConfig(pareto_cfg.plan, (1000, 10000), 1, 5))
-        agg = aggregate(t)
+        config = ExperimentConfig(pareto_cfg.plan, (1000, 10000), 1, 5)
+        agg = aggregate(config, simulate(config))
         for j in range(2):
             col = agg.trimmed_quantiles[:, j]
             assert np.all(col == col[0])
@@ -800,10 +827,10 @@ class TestSimulateAndAggregate:
         errs = np.median(np.abs(ratios - 1.0), axis=0)
         assert all(b <= a for a, b in zip(errs, errs[1:]))
 
-    def test_exceedance_event_never_fires_at_desk_scale(self, pareto_traces):
+    def test_exceedance_event_never_fires_at_desk_scale(self, pareto_cfg, pareto_traces):
         # the concentration budget puts the event probability around 1e-57
         # here; twenty paths must not produce one
-        agg = aggregate(pareto_traces)
+        agg = aggregate(pareto_cfg, pareto_traces)
         assert agg.exceedance_violations == (0, 0, 0, 0, 0)
 
     def test_truncated_ratio_concentrates(self, pareto_traces):
@@ -814,10 +841,12 @@ class TestSimulateAndAggregate:
     def test_grid_mismatch_rejected(self, pareto_cfg, pareto_traces):
         other = simulate(ExperimentConfig(pareto_cfg.plan, (1000, 10000), 1, 5))
         with pytest.raises(MonteCarloError):
-            aggregate(list(pareto_traces) + list(other))
+            aggregate(pareto_cfg, list(pareto_traces) + list(other))
+        with pytest.raises(MonteCarloError, match="replication 0: rows do not follow"):
+            list(trace_csv_rows(pareto_cfg, other))
 
-    def test_csv_schema(self, pareto_traces):
-        rows = list(trace_csv_rows(pareto_traces[:1]))
+    def test_csv_schema(self, pareto_cfg, pareto_traces):
+        rows = list(trace_csv_rows(pareto_cfg, pareto_traces[:1]))
         assert rows[0] == ("replication", "n", "S_n", "S_trimmed", "T_truncated",
                            "N_gt", "N_ge", "b_n", "t_n", "d_n",
                            "ratio_trimmed", "ratio_truncated")
@@ -830,7 +859,7 @@ class TestDiagnostics:
         scale = np.array([p.scale for p in pm_cfg.points])
         raw = np.array([[r.untrimmed for r in t.rows] for t in traces]) / scale
         assert np.allclose(raw, 1.0)
-        assert np.allclose(aggregate(traces).untrimmed_runmax_quantiles, 1.0)
+        assert np.allclose(aggregate(pm_cfg, traces).untrimmed_runmax_quantiles, 1.0)
 
     def test_heavy_tail_running_max_grows(self, pareto_cfg, pareto_traces):
         # frozen seed: 14 of 20 paths grow tenfold by n = 1e5, all of them
@@ -843,7 +872,7 @@ class TestDiagnostics:
         final_trimmed = [t.rows[-1].ratio_trimmed for t in pareto_traces]
         assert all(0.5 <= v <= 1.5 for v in final_trimmed)
 
-    def test_running_extrema_are_monotone(self, pareto_traces):
+    def test_running_extrema_are_monotone(self, pareto_cfg, pareto_traces):
         # each path's running max never falls, so neither does any quantile of it
-        runmax = aggregate(pareto_traces).untrimmed_runmax_quantiles
+        runmax = aggregate(pareto_cfg, pareto_traces).untrimmed_runmax_quantiles
         assert np.all(np.diff(runmax, axis=1) >= 0.0)
