@@ -244,11 +244,15 @@ class SquareStep(Distribution):
         logs = tuple((k * k) * _LN2 for k in ks)
         xs = [2.0 ** (k * k) if k * k < 1024 else math.inf for k in ks]
         levels = tuple(prefix_fsums(masses))
-        # log_truncated_moment of each atom prefix, summed as one call would
+        # log_truncated_moment of each atom prefix, summed as one call would.
+        # The terms increase, and exp(v - top) is exactly 0.0 for v below
+        # top - 746, so each prefix sums from there: linear time, bit for bit
         terms = [z + math.log(m) for z, m in zip(logs, masses)]
         self.__dict__.update(
             max_index=max_index, _logs=logs, _levels=levels, xs=tuple(xs),
-            _moments=tuple(_logsumexp(terms[:i]) for i in range(len(terms) + 1)),
+            _moments=(-math.inf,) + tuple(
+                _logsumexp(terms[bisect.bisect_left(terms, top - 746.0, 0, i):i + 1])
+                for i, top in enumerate(terms)),
             _table=_BucketTable(levels, np.array([xs + [math.inf]])))
 
     def _level(self, i: int) -> float:

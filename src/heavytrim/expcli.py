@@ -281,19 +281,22 @@ def parse_config(path: str | Path, *,
 
     exp = _section(_need(raw, "experiment", ""), "experiment",
                    ("checkpoints", "replications", "seed", "max-samples"))
-    checkpoints = _integers(_need(exp, "checkpoints", "experiment"), "experiment.checkpoints")
+    # the overrides are written into a copy of the experiment section, so
+    # that ``raw`` is the config the run used, as the manifest hashes it
+    overrides = {"seed": seed, "replications": replications}
     if n_max is not None:
-        checkpoints = tuple(n for n in checkpoints if n <= n_max)
-        if not checkpoints:
+        overrides["checkpoints"] = [n for n in _integers(_need(exp, "checkpoints", "experiment"),
+                                                         "experiment.checkpoints") if n <= n_max]
+        if not overrides["checkpoints"]:
             raise ConfigError("experiment.checkpoints: all above the --nmax override")
-    if replications is None:
-        replications = _integer(_need(exp, "replications", "experiment"),
-                                "experiment.replications")
-    if seed is None:
-        if "seed" not in exp:
-            raise ConfigError("experiment.seed: missing; runs must be "
-                              "reproducible, there is no implicit randomness")
-        seed = _integer(exp["seed"], "experiment.seed")
+    exp = {**exp, **{key: value for key, value in overrides.items() if value is not None}}
+    raw = {**raw, "experiment": exp}
+    checkpoints = _integers(_need(exp, "checkpoints", "experiment"), "experiment.checkpoints")
+    replications = _integer(_need(exp, "replications", "experiment"), "experiment.replications")
+    if "seed" not in exp:
+        raise ConfigError("experiment.seed: missing; runs must be "
+                          "reproducible, there is no implicit randomness")
+    seed = _integer(exp["seed"], "experiment.seed")
 
     dist = _build_distribution(_need(raw, "distribution", ""))
 

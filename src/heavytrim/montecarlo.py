@@ -68,22 +68,20 @@ class MonteCarloError(ValueError):
 
 # A float64 is 1 sign bit, 11 exponent bits and 52 fraction bits.  Its top
 # 12 bits key one of 4096 buckets; keys 2047 and 4095 hold +-inf and nan.
-_KEYS = 4096
 # A 26-bit fraction half set into the top fraction bits of 2.0**26 gives
 # the float 2**26 + half exactly, so bit operations make the weights.
 _HIGH26 = np.uint64(((1 << 26) - 1) << 26)
 _OFFSET = np.float64(2.0 ** 26).view(np.uint64)
 # bincount sums float weights exactly while each bucket stays below 2**53;
-# an offset half is below 2**27, so a float64 accumulator is exact for
-# _FLUSH = 2**26 entries.  A path's accumulator is flushed into its
-# form at each checkpoint and every _FLUSH draws (whole blocks) between.
+# an offset half is below 2**27, so one call over a block of _CHUNK <= 2**26
+# entries is exact, and each block's buckets are read into its own form.
 # Arrays are summed, and paths drawn, in blocks of _CHUNK so that a
 # block's temporaries stay in L2; a sampler sees one block at a time.  On a
 # 2-core shared host with 2 MiB of L2 per core, a 2**16-draw Pareto-1/2
 # chunk bucket-sums at ~18 ns/draw in 2**16 blocks, ~10 ns in 2**15 or
 # 2**14, ~12 ns in 2**13 and ~16 ns in 2**12; whole runs were fastest with
 # 2**14 or 2**15 and used least memory with 2**13.
-_FLUSH, _CHUNK = 1 << 26, 1 << 14
+_CHUNK = 1 << 14
 # Extraction sums a block's entries below 2**(e_lo + _BAND), 2**e_lo <= its
 # least entry; the buckets sum the rest.
 _BAND = 40
@@ -108,31 +106,26 @@ class _Form(NamedTuple):
         return _Form(*map(operator.sub, self, other))
 
 
-def _accumulate(acc: np.ndarray, values: np.ndarray) -> None:
-    """Add a block of at most ``_CHUNK`` values into a float64 (3, 4096)
-    accumulator: per key, the entry count and the sums of the high and of
-    the low 26 fraction bits, each half offset by 2**26; exact up to
-    ``_FLUSH`` entries."""
+def _bucketed(values: np.ndarray) -> _Form:
+    """The form of at most ``_CHUNK`` values, summed per sign-and-exponent
+    key: the entry count and the sums of the high and of the low 26
+    fraction bits, each half offset by 2**26, read back as integers."""
     bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
     half = np.empty_like(bits)
     key = (bits >> np.uint64(52)).view(np.int64)
-    acc[0] += np.bincount(key, minlength=_KEYS)
+    count = np.bincount(key)
     np.bitwise_and(bits, _HIGH26, out=half)
     half |= _OFFSET
-    acc[1] += np.bincount(key, half.view(np.float64), _KEYS)
+    high = np.bincount(key, half.view(np.float64))
     np.left_shift(bits, np.uint64(26), out=half)
     half &= _HIGH26
     half |= _OFFSET
-    acc[2] += np.bincount(key, half.view(np.float64), _KEYS)
-
-
-def _flushed(acc: np.ndarray) -> _Form:
-    """The form an accumulator stands for; the accumulator is zeroed."""
+    low = np.bincount(key, half.view(np.float64))
     total, infs, nan = 0, [0, 0], 0
-    keys = np.flatnonzero(acc[0])
-    if not len(keys):  # untouched
-        return _Form()
-    for key, n, hi, lo in zip(keys.tolist(), *acc[:, keys].astype(np.int64).tolist()):
+    keys = np.flatnonzero(count)
+    for key, n, hi, lo in zip(keys.tolist(), count[keys].tolist(),
+                              high[keys].astype(np.int64).tolist(),
+                              low[keys].astype(np.int64).tolist()):
         fraction = ((hi - (n << 26)) << 26) + lo - (n << 26)
         exponent, sign = key & 2047, key >> 11
         if exponent == 2047:
@@ -141,19 +134,16 @@ def _flushed(acc: np.ndarray) -> _Form:
         else:  # normal numbers carry the implicit leading bit
             mantissa = (fraction + (n << 52)) << (exponent - 1) if exponent else fraction
             total += -mantissa if sign else mantissa
-    form = _Form(total, *infs, nan, int(acc[0].sum()))
-    acc[:] = 0.0
-    return form
+    return _Form(total, *infs, nan, len(bits))
 
 
-def _block(acc: np.ndarray, x: np.ndarray, lo: float | None = None,
-           hi: float | None = None, writable: bool = False) -> _Form:
-    """The form of 1 to ``_CHUNK`` entries, less those added into the
-    bucket accumulator ``acc``.  ``lo`` and ``hi`` bound the nonzero entries
-    (default: their min and max).  Extraction sums a block whose ``lo`` is
-    positive, except the entries out of band, ``inf`` among them; any other
-    block goes to the buckets whole.  Extraction overwrites ``x`` if
-    ``writable``, else a copy."""
+def _block(x: np.ndarray, lo: float | None = None, hi: float | None = None,
+           writable: bool = False) -> _Form:
+    """The form of 1 to ``_CHUNK`` entries.  ``lo`` and ``hi`` bound the
+    nonzero entries (default: their min and max).  Extraction sums a block
+    whose ``lo`` is positive, except the entries out of band, ``inf`` among
+    them, which are bucketed; any other block is bucketed whole.
+    Extraction overwrites ``x`` if ``writable``, else a copy."""
     lo = float(x.min()) if lo is None else lo
     hi = float(x.max()) if hi is None else hi
     # ExtractVector (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31(1),
@@ -172,16 +162,14 @@ def _block(acc: np.ndarray, x: np.ndarray, lo: float | None = None,
     while levels[-1] + k > e_lo:
         levels.append(levels[-1] + k - 52)
     if not lo > 0.0 or levels[0] + k > 1023 or levels[-1] + k - 53 < -1022:
-        _accumulate(acc, x)  # zeros, negatives or nan, or sigma beyond the normal range
-        return _Form()
+        return _bucketed(x)  # zeros, negatives or nan, or sigma beyond the normal range
     p = x if writable else x.copy()
-    cut, count = math.ldexp(1.0, levels[0]), len(p)
+    cut, form = math.ldexp(1.0, levels[0]), _Form()
     if hi >= cut:
         out = p >= cut
-        _accumulate(acc, p[out])
+        form = _bucketed(p[out])
         p[out] = 0.0
-        count -= int(np.count_nonzero(out))
-    q, sums, total = np.empty_like(p), [], 0
+    q, sums, total = np.empty_like(p), [], form.total
     for e in levels[:-1]:
         sigma = math.ldexp(1.0, e + k)
         np.add(p, sigma, out=q)
@@ -192,18 +180,14 @@ def _block(acc: np.ndarray, x: np.ndarray, lo: float | None = None,
     for s in sums:
         num, den = float(s).as_integer_ratio()  # den is a power of two
         total += num << (1075 - den.bit_length())
-    return _Form(total=total, count=count)
+    return form._replace(total=total, count=len(p))
 
 
 def _exact(values: np.ndarray, writable: bool = False) -> _Form:
     """The form of a float64 array, which is overwritten if ``writable``
     and left unchanged otherwise."""
-    acc, form = np.zeros((3, _KEYS)), _Form()
-    for start in range(0, len(values), _CHUNK):
-        if start and start % _FLUSH == 0:
-            form += _flushed(acc)
-        form += _block(acc, values[start:start + _CHUNK], writable=writable)
-    return form + _flushed(acc)
+    return sum((_block(values[start:start + _CHUNK], writable=writable)
+                for start in range(0, len(values), _CHUNK)), _Form())
 
 
 def _rounded(form: _Form) -> float:
@@ -370,7 +354,7 @@ def run_replication(config: ExperimentConfig, replication: int) -> ConvergenceTr
     """
     rng = stream(config.seed, replication)
     keep = max(p.trim for p in config.points)
-    path, acc = _Form(), np.zeros((3, _KEYS))  # the form of the draws out of the pool; buckets
+    path = _Form()  # the form of the draws out of the pool
     # the pool: draws above `floor`, negated, holding the `keep` largest and
     # every draw above the threshold; `ties` counts the draws at the
     # threshold `last`, which may be an atom that carries most of the path
@@ -393,10 +377,8 @@ def run_replication(config: ExperimentConfig, replication: int) -> ConvergenceTr
                 index, high, hi = index[out:], high[out:], float(high[out - 1])
             x[index] = 0.0  # the bulk: x without the pool's draws, at most hi
             del index  # 8 bytes a draw while a chunk enters whole; not held through the sums
-            if i > start and (i - start) % _FLUSH == 0:
-                path += _flushed(acc)
-            # either tier counts the zeros; they are taken off
-            path += _block(acc, x, lo, hi, writable=True) - _Form(count=len(high))
+            # the block's form counts the zeros; they are taken off
+            path += _block(x, lo, hi, writable=True) - _Form(count=len(high))
             if used + len(high) > len(top):  # trim to `keep` or the draws above t, else grow
                 floor, used, dead = _trim(top, used,
                                           max(keep, int(np.count_nonzero(top[:used] < -t))), floor)
@@ -406,7 +388,6 @@ def run_replication(config: ExperimentConfig, replication: int) -> ConvergenceTr
             np.negative(high, out=top[used:used + len(high)])
             used += len(high)
         start = p.n
-        path += _flushed(acc)
         if path.count + used != p.n:
             raise MonteCarloError(f"the path form and the pool hold {path.count + used} "
                                   f"draws at n = {p.n}; this is a bug, not randomness")

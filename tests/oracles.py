@@ -1,7 +1,7 @@
 """Slow, independent reference implementations that tests compare against.
 
 ``buckets_reference`` is the exponent-bucket kernel that
-``montecarlo._accumulate`` speeds up: it converts each fraction half to
+``montecarlo._bucketed`` speeds up: it converts each fraction half to
 float before summing it.  ``form_reference`` reads its buckets as the
 exact-sum form that ``montecarlo._exact`` computes in two tiers.
 ``run_replication_prefix`` is the prefix engine that ``run_replication``

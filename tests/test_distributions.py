@@ -160,6 +160,22 @@ class TestTruncatedMoments:
                 assert got == pytest.approx(distributions._logsumexp(
                     [math.log(x) + math.log(m) for x, m in kept]), rel=1e-15)
 
+    @pytest.mark.parametrize("max_index", [2, 31, 32, 33, 128, 600, 2000])
+    def test_step_prefixes_equal_the_quadratic_form(self, max_index):
+        # each prefix sums only the terms whose exp does not underflow to
+        # 0.0; the table is every whole prefix's log-sum-exp, bit for bit
+        ks = range(1, max_index + 1)
+        terms = [(k * k) * LN2 + math.log(1.0 / (k * k) - 1.0 / ((k + 1) * (k + 1)))
+                 for k in ks]
+        quadratic = [distributions._logsumexp(terms[:i]) for i in range(max_index + 1)]
+        assert [v.hex() for v in SquareStep(max_index)._moments] == [v.hex() for v in quadratic]
+
+    def test_step_with_many_atoms_builds(self):
+        # quadratic prefixes took minutes at 50,000 atoms
+        step = SquareStep(50_000)
+        assert len(step._moments) == 50_001
+        assert step.log_truncated_moment(math.inf) == step._moments[-1] < math.inf
+
     def test_step_against_fraction_oracle(self, step):
         atoms = step_atoms_exact(5)
         for t in [2, 16, 512, 65536]:

@@ -563,6 +563,22 @@ class TestMain:
         # header + 2 replications x 1 checkpoint
         assert len(traces) == 3
 
+    def test_manifest_hashes_the_config_the_run_used(self, tmp_path):
+        # the overrides enter the hash as values of the experiment section;
+        # without them, or with the file's own seed, the hash is the file's.
+        # The output directory, which no artifact depends on, never enters it
+        import hashlib
+        p = write_config(tmp_path, {"experiment.checkpoints": [1000, 3162]})
+        hashes = {}
+        for flags in ([], ["--replications", "2"], ["--replications", "3"], ["--seed", "11"],
+                      ["--nmax", "2000"], ["--seed", "20260810"]):
+            out = tmp_path / f"run-{len(hashes)}"
+            assert main(["run", str(p), "--out-dir", str(out), *flags]) == 0
+            hashes[" ".join(flags)] = json.loads((out / "manifest.json").read_text())["config_sha256"]
+        raw = json.dumps(json.loads(p.read_text()), sort_keys=True).encode()
+        assert hashes[""] == hashes["--seed 20260810"] == hashlib.sha256(raw).hexdigest()
+        assert len(set(hashes.values())) == 5
+
     def test_import_loads_no_scipy(self):
         src = str(Path(heavytrim.__file__).resolve().parents[1])
         probe = ("import sys, heavytrim.expcli; print(sorted(m for m in sys.modules "

@@ -141,6 +141,15 @@ _ARRAYS = st.one_of(
 )
 
 
+@pytest.fixture
+def bucketed(monkeypatch):
+    """The entry counts of the blocks ``montecarlo._bucketed`` sums, in call order."""
+    calls, real = [], montecarlo._bucketed
+    monkeypatch.setattr(montecarlo, "_bucketed",
+                        lambda values: calls.append(len(values)) or real(values))
+    return calls
+
+
 class TestExactSum:
     """Both public sums against ``math.fsum``, compared bit for bit."""
 
@@ -223,19 +232,18 @@ class TestExactSum:
             return
         assert montecarlo._rounded(form).hex() == expected.hex()
 
-    def test_band_edge(self):
+    def test_band_edge(self, bucketed):
         # 2**(e_lo + 40) is out of band and goes to the buckets; the float
         # just below it is extracted
         lo = 1.5 * 2.0 ** -7
         cut = 2.0 ** (-7 + montecarlo._BAND)
         values = np.array([lo, cut, np.nextafter(cut, 0.0), cut * 3.0, lo * 5.0])
-        acc = np.zeros((3, montecarlo._KEYS))
-        form = montecarlo._block(acc, values)
-        assert form.count == 3 and acc[0].sum() == 2
-        assert form + montecarlo._flushed(acc) == form_reference(values)
+        form = montecarlo._block(values)
+        assert form.count == len(values) and bucketed == [2]
+        assert form == form_reference(values)
         assert montecarlo._rounded(form_reference(values)) == math.fsum(values.tolist())
 
-    def test_full_level_count(self):
+    def test_full_level_count(self, bucketed):
         # full 52-bit fractions from 1 to just below 2**40 in a whole block:
         # three levels, each extracting bits the others miss
         n = montecarlo._CHUNK
@@ -251,28 +259,24 @@ class TestExactSum:
         ones = np.full(n, 1.0 + 2.0 ** -7 - 3 * 2.0 ** -52)
         ones[0] = 2.0 ** 29 + 0.5
         for block in (values, ones):
-            acc = np.zeros((3, montecarlo._KEYS))
-            form = montecarlo._block(acc, block.copy(), writable=True)
-            assert form.count == n and not acc.any()
+            form = montecarlo._block(block.copy(), writable=True)
+            assert form.count == n and not bucketed
             assert form == form_reference(block)
             assert montecarlo._rounded(form) == math.fsum(block.tolist())
 
     @pytest.mark.parametrize("odd", [0.0, -1.0, 5e-324, 2.0 ** -1040, math.inf, -math.inf,
                                      math.nan])
-    def test_blocks_outside_extraction_go_to_the_buckets_whole(self, odd):
+    def test_blocks_outside_extraction_go_to_the_buckets_whole(self, bucketed, odd):
         # zeros, negatives, subnormals, -inf and nan: the whole block is
-        # bucketed, and only the buckets count its entries.  An inf is out of
-        # band like any entry at or above 2**(e_lo + 40): only it is bucketed
+        # bucketed.  An inf is out of band like any entry at or above
+        # 2**(e_lo + 40): only it is bucketed
         values = np.concatenate([np.linspace(1.0, 100.0, 1000), [odd]])
-        acc = np.zeros((3, montecarlo._KEYS))
-        form = montecarlo._block(acc, values)
-        assert form == (montecarlo._Form(total=form.total, count=1000) if odd == math.inf
-                        else montecarlo._Form())
-        assert acc[0].sum() == len(values) - form.count
-        assert form + montecarlo._flushed(acc) == form_reference(values)
+        form = montecarlo._block(values)
+        assert bucketed == [1 if odd == math.inf else len(values)]
+        assert form == form_reference(values)
 
     @pytest.mark.parametrize("top", [2.0 ** 17, 2.0 ** 60])
-    def test_bulk_with_caller_bounds(self, top):
+    def test_bulk_with_caller_bounds(self, bucketed, top):
         # a bulk block: the draws above the floor zeroed, bounded by the
         # least draw before zeroing and by the floor.  In band, extraction
         # takes all of it, zeros included; past the 40-binade band the
@@ -282,24 +286,22 @@ class TestExactSum:
         floor = float(np.sort(x)[-40])
         lo = float(x.min())
         x[x > floor] = 0.0
-        acc = np.zeros((3, montecarlo._KEYS))
-        form = montecarlo._block(acc, x.copy(), lo, floor, writable=True)
+        form = montecarlo._block(x.copy(), lo, floor, writable=True)
         out = int(np.count_nonzero(x >= 2.0 ** (math.frexp(lo)[1] - 1 + montecarlo._BAND)))
-        assert acc[0].sum() == out and (out > 0) == (top > 2.0 ** 40)
-        assert form + montecarlo._flushed(acc) == form_reference(x)
+        assert sum(bucketed) == out and (out > 0) == (top > 2.0 ** 40)
+        assert form == form_reference(x)
 
-    def test_negated_pool_slice(self):
+    def test_negated_pool_slice(self, bucketed):
         # a pool slice as held, negated, goes to the buckets whole; negated
         # in place, as a trim and a checkpoint sum it, it is extracted
         rng = np.random.default_rng(6)
         held = -(1.0 - rng.random(1000)) ** -2.0
-        acc = np.zeros((3, montecarlo._KEYS))
-        form = montecarlo._block(acc, held)
-        assert form == montecarlo._Form() and acc[0].sum() == len(held)
-        assert form + montecarlo._flushed(acc) == form_reference(held)
+        form = montecarlo._block(held)
+        assert bucketed == [len(held)]
+        assert form == form_reference(held)
         dead = -held
-        form = montecarlo._block(acc, np.negative(held, out=held), writable=True)
-        assert form.count == len(dead) and not acc.any()
+        form = montecarlo._block(np.negative(held, out=held), writable=True)
+        assert form.count == len(dead) and bucketed == [len(held)]
         assert form == form_reference(dead)
 
     def test_negated_form_is_the_sign_flipped_form(self):
@@ -316,15 +318,18 @@ class TestExactSum:
         assert montecarlo._held(negated) == montecarlo._exact(values)
         assert np.array_equal(negated.view(np.uint64), bits ^ np.uint64(1 << 63))
 
-    def test_kernel_flushes_exactly(self, monkeypatch):
-        # 2**26 offset halves below 2**27 each stay below 2**53, where float
-        # sums of integers are exact; a path flushes between whole blocks.
-        # These draws span more binades than a block's band, so both tiers
+    def test_buckets_exact_over_a_whole_block(self, bucketed):
+        # _CHUNK offset halves below 2**27 each stay below 2**53, where float
+        # sums of integers are exact: a whole block of one key with every
+        # fraction bit set, and one zero so that it is bucketed whole
+        assert montecarlo._CHUNK * 2 ** 27 <= 2 ** 53
+        values = np.full(montecarlo._CHUNK, np.nextafter(2.0, 1.0))
+        values[0] = 0.0
+        assert montecarlo._block(values) == form_reference(values)
+        assert bucketed == [montecarlo._CHUNK]
+        # these draws span more binades than a block's band, so both tiers
         # see entries of each full block
-        assert montecarlo._FLUSH * 2 ** 27 <= 2 ** 53
-        assert montecarlo._FLUSH % montecarlo._CHUNK == 0
         values = np.random.default_rng(3).pareto(0.5, 3 * montecarlo._CHUNK + 17)
-        monkeypatch.setattr(montecarlo, "_FLUSH", montecarlo._CHUNK)
         assert montecarlo._exact(values) == form_reference(values)
 
     def test_overflow_raises_like_fsum(self):
@@ -479,7 +484,6 @@ class TestRunReplication:
         rows = []
         for chunk in (1 << 12, 1 << 14, 1 << 16):
             monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
-            assert montecarlo._FLUSH % chunk == 0
             rows.append([list(trace_csv_rows(cfg, [run_replication(cfg, i)])) for i in (0, 1)])
         assert rows[0] == rows[1] == rows[2]
 
@@ -640,14 +644,6 @@ class TestAgainstPrefixOracle:
         assert all(r.count_ge > r.count_gt for r in run_replication(cfg, 0).rows)
         self.assert_same(cfg)
 
-    @pytest.mark.parametrize("law", ["pareto", "mixed_table"])
-    def test_flush_every_two_blocks(self, request, pareto_cfg, monkeypatch, law):
-        # ORACLE_GRID's last segment spans three blocks: one flush inside it
-        monkeypatch.setattr(montecarlo, "_FLUSH", 2 * montecarlo._CHUNK)
-        plan = (pareto_cfg.plan if law == "pareto"
-                else plan_default(request.getfixturevalue(law), 0.05))
-        self.assert_same(ExperimentConfig(plan, ORACLE_GRID, 2, 31))
-
     @pytest.mark.parametrize("chunk", [64, 257, 1024])
     @pytest.mark.parametrize("law", ["pareto", "logtail", "step", "jump_table"])
     def test_small_blocks(self, request, pareto_cfg, monkeypatch, chunk, law):
@@ -707,10 +703,10 @@ class TestAgainstPrefixOracle:
         assert run_replication(cfg, 0).rows[0].count_gt > 0
         block = montecarlo._block
 
-        def lossy(acc, values, lo=None, hi=None, writable=False):
+        def lossy(values, lo=None, hi=None, writable=False):
             if len(values) > 1 and values.min() > t:
                 values = values[1:]
-            return block(acc, values, lo, hi, writable)
+            return block(values, lo, hi, writable)
 
         monkeypatch.setattr(montecarlo, "_block", lossy)
         assert run_replication(cfg, 0) != run_replication_prefix(cfg, 0)
@@ -719,8 +715,8 @@ class TestAgainstPrefixOracle:
         cfg = ExperimentConfig(pareto_cfg.plan, (1000,), 1, pareto_cfg.seed)
         # the one block's bulk loses a draw (a zero or one the pool let go)
         block = montecarlo._block
-        monkeypatch.setattr(montecarlo, "_block", lambda acc, values, lo=None, hi=None,
-                            writable=False: block(acc, values[1:], lo, hi, writable))
+        monkeypatch.setattr(montecarlo, "_block", lambda values, lo=None, hi=None,
+                            writable=False: block(values[1:], lo, hi, writable))
         with pytest.raises(MonteCarloError, match="pool hold 999 draws at n = 1000"):
             run_replication(cfg, 0)
 
