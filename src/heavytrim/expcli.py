@@ -83,35 +83,50 @@ class ConfigError(ValueError):
     """Config file rejected; the message carries the offending key path."""
 
 
-def _path(where: str, key: str) -> str:
-    return f"{where}.{key}" if where else key
+class _Section:
+    """The config object at the key path ``where``, read one key at a time.
 
-
-def _need(section: dict, key: str, where: str):
-    if key not in section:
-        raise ConfigError(f"{_path(where, key)}: missing")
-    return section[key]
-
-
-def _section(value, where: str, allowed: tuple[str, ...],
-             variants: dict[str, tuple[str, ...]] | None = None) -> dict:
-    """``value`` as the config section ``where``: an object with no key
-    outside ``allowed``, so a misspelled key fails instead of falling back
+    A key outside ``allowed`` fails, so a misspelled key does not fall back
     on a default.  With ``variants``, the key ``allowed[0]`` names one of
-    them, and the keys it maps to are the only others allowed: a key of
-    another family or rule fails instead of being ignored."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where}: expected an object, got {value!r}")
-    if variants is not None:
-        tag = allowed[0]
-        name = _need(value, tag, where)
-        if not (isinstance(name, str) and name in variants):
-            raise ConfigError(f"{_path(where, tag)}: unknown {tag} {name!r}")
-        allowed = (tag,) + variants[name]
-    for key in value:
-        if key not in allowed:
-            raise ConfigError(f"{_path(where, key)}: unknown key; "
-                              f"expected one of {', '.join(allowed)}")
+    them, ``variant``, and the keys it maps to are the only others allowed:
+    a key of another family or rule fails instead of being ignored.
+    """
+
+    def __init__(self, value, where: str, allowed: tuple[str, ...],
+                 variants: dict[str, tuple[str, ...]] | None = None):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where}: expected an object, got {value!r}")
+        self.value, self.where = value, where
+        if variants is not None:
+            tag = allowed[0]
+            self.variant = self.get(tag, _as_is)
+            if not (isinstance(self.variant, str) and self.variant in variants):
+                raise ConfigError(f"{self.path(tag)}: unknown {tag} {self.variant!r}")
+            allowed = (tag,) + variants[self.variant]
+        for key in value:
+            if key not in allowed:
+                raise ConfigError(f"{self.path(key)}: unknown key; "
+                                  f"expected one of {', '.join(allowed)}")
+
+    def path(self, key: str) -> str:
+        return f"{self.where}.{key}" if self.where else key
+
+    def get(self, key: str, kind, default=None):
+        """The value at ``key``, or ``default`` unless that is ``None``, read
+        by ``kind(value, path)``."""
+        value = self.value.get(key, default)
+        if value is None and key not in self.value:
+            raise ConfigError(f"{self.path(key)}: missing")
+        return kind(value, self.path(key))
+
+    def section(self, key: str, allowed: tuple[str, ...],
+                variants: dict[str, tuple[str, ...]] | None = None, default=None) -> _Section:
+        """The object at ``key`` as a section of its own."""
+        return self.get(key, lambda value, where: _Section(value, where, allowed, variants),
+                        default)
+
+
+def _as_is(value, key: str):
     return value
 
 
@@ -124,10 +139,17 @@ def _integer(value, key: str) -> int:
     raise ConfigError(f"{key}: expected an integer, got {value!r}")
 
 
-def _integers(values, key: str) -> tuple[int, ...]:
+def _count(value, key: str) -> int:
+    """An integer that converts to a float, as sample counts on a grid must."""
+    count = _integer(value, key)
+    _number(count, key)
+    return count
+
+
+def _counts(values, key: str) -> tuple[int, ...]:
     if not isinstance(values, list):
         raise ConfigError(f"{key}: expected a list of integers, got {values!r}")
-    return tuple(_integer(v, key) for v in values)
+    return tuple(_count(v, key) for v in values)
 
 
 def _number(value, key: str) -> float:
@@ -148,27 +170,34 @@ def _string(value, key: str) -> str:
     raise ConfigError(f"{key}: expected a string, got {value!r}")
 
 
-def _build_distribution(value) -> Distribution:
-    section = _section(value, "distribution", ("family",), {
+def _rows(shape: str, *kinds):
+    """The kind of a list of rows ``shape``, each a list of one value per kind."""
+    def read(value, key: str) -> list[tuple]:
+        if not (isinstance(value, list) and all(
+                isinstance(row, list) and len(row) == len(kinds) for row in value)):
+            raise ConfigError(f"{key}: expected a list of {shape}, got {value!r}")
+        return [tuple(kind(v, key) for kind, v in zip(kinds, row)) for row in value]
+    return read
+
+
+def _build_distribution(config: _Section) -> Distribution:
+    section = config.section("distribution", ("family",), {
         "pareto": ("alpha", "scale"), "log-tail": ("threshold",), "square-step": ("max-index",),
         "atomic-step": ("atoms",), "tabulated": ("rows",)})
-    family = section["family"]
+    family = section.variant
     try:
         if family == "pareto":
-            return ParetoTail(
-                alpha=_number(_need(section, "alpha", "distribution"), "distribution.alpha"),
-                scale=_number(section.get("scale", 1.0), "distribution.scale"))
+            return ParetoTail(alpha=section.get("alpha", _number),
+                              scale=section.get("scale", _number, 1.0))
         if family == "log-tail":
-            return LogTail(threshold=_number(section.get("threshold", math.e),
-                                             "distribution.threshold"))
+            return LogTail(threshold=section.get("threshold", _number, math.e))
         if family == "square-step":
-            return SquareStep(_integer(section.get("max-index", 128), "distribution.max-index"))
+            return SquareStep(section.get("max-index", _integer, 128))
         if family == "atomic-step":
             # jump rows of the table law, each at the running exact sum of the
             # masses, clamped to 1
-            key = "distribution.atoms"
-            atoms = [(_number(x, key), _number(m, key))
-                     for x, m in _need(section, "atoms", "distribution")]
+            key = section.path("atoms")
+            atoms = section.get("atoms", _rows("[location, mass] pairs", _number, _number))
             if not atoms or not all(m > 0.0 for _, m in atoms):
                 raise ConfigError(f"{key}: expected a non-empty list of atoms of positive mass")
             levels = prefix_fsums([m for _, m in atoms])
@@ -178,61 +207,52 @@ def _build_distribution(value) -> Distribution:
                 return Tabulated([(x, min(f, 1.0), "jump") for (x, _), f in zip(atoms, levels)])
             except DistributionError as exc:
                 raise ConfigError(f"{key}: {exc}") from exc
-        key = "distribution.rows"  # the tabulated family
-        return Tabulated([(_number(x, key), _number(f, key), _string(kind, key))
-                          for x, f, kind in _need(section, "rows", "distribution")])
+        return Tabulated(section.get("rows", _rows("[x, F, kind] rows",  # the tabulated family
+                                                   _number, _number, _string)))
     except ConfigError:
         raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"distribution: {exc}") from exc
 
 
-def _build_threshold_rule(value):
-    section = _section(value, "plan.threshold", ("rule",), {
+def _build_threshold_rule(plan: _Section):
+    section = plan.section("threshold", ("rule",), {
         "power": ("exponent", "coefficient"), "square-step": (), "projected-power": ("exponent",)})
-    rule = section["rule"]
-    if rule == "power":
-        return PowerThreshold(
-            exponent=_number(_need(section, "exponent", "plan.threshold"),
-                             "plan.threshold.exponent"),
-            coefficient=_number(section.get("coefficient", 1.0), "plan.threshold.coefficient"))
-    if rule == "square-step":
+    if section.variant == "power":
+        return PowerThreshold(exponent=section.get("exponent", _number),
+                              coefficient=section.get("coefficient", _number, 1.0))
+    if section.variant == "square-step":
         return SquareStepThreshold()
-    return ProjectedPowerThreshold(_number(_need(section, "exponent", "plan.threshold"),
-                                           "plan.threshold.exponent"))
+    return ProjectedPowerThreshold(section.get("exponent", _number))
 
 
-def _build_summable(value, where: str) -> SummableFunction:
-    section = _section(value, where, ("family", "param"))
-    family = _need(section, "family", where)
-    param = _number(_need(section, "param", where), f"{where}.param")
+def _build_summable(plan: _Section, key: str) -> SummableFunction:
+    section = plan.section(key, ("family", "param"))
+    family, param = section.get("family", _as_is), section.get("param", _number)
     try:
         return SummableFunction(family, param)
     except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        raise ConfigError(f"{section.where}: {exc}") from exc
 
 
-def _build_plan(value, dist: Distribution) -> TrimmingPlan:
-    section = _section(value, "plan", ("rule",), {
+def _build_plan(config: _Section, dist: Distribution) -> TrimmingPlan:
+    section = config.section("plan", ("rule",), {
         "default": ("epsilon",), "standard": ("epsilon", "threshold"),
         "general": ("epsilon", "threshold", "trim", "summable", "summable-alt")})
-    rule = section["rule"]
     try:
-        epsilon = _number(_need(section, "epsilon", "plan"), "plan.epsilon")
+        epsilon = section.get("epsilon", _number)
         if not 0.0 < epsilon < 0.25:
             raise ConfigError(f"plan.epsilon: must lie in (0, 1/4), got {epsilon}")
-        if rule == "default":
+        if section.variant == "default":
             return plan_default(dist, epsilon)
-        t_rule = _build_threshold_rule(_need(section, "threshold", "plan"))
-        if rule == "standard":
+        t_rule = _build_threshold_rule(section)
+        if section.variant == "standard":
             return plan_standard(dist, t_rule, epsilon)
-        summable = _build_summable(_need(section, "summable", "plan"), "plan.summable")
-        summable_alt = _build_summable(_need(section, "summable-alt", "plan"),
-                                       "plan.summable-alt")
+        summable = _build_summable(section, "summable")
+        summable_alt = _build_summable(section, "summable-alt")
         trims = {"standard": StandardTrimRule(), "proof-variant": StandardTrimRule(log_floor=True),
                  "allowance": AllowanceTrimRule()}
-        trim = _section(_need(section, "trim", "plan"), "plan.trim", ("rule",),
-                        dict.fromkeys(trims, ()))["rule"]
+        trim = section.section("trim", ("rule",), dict.fromkeys(trims, ())).variant
         return TrimmingPlan(dist, epsilon, t_rule, trims[trim], summable, summable_alt)
     except ConfigError:
         raise
@@ -276,61 +296,54 @@ def parse_config(path: str | Path, *,
         raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    _section(raw, "", ("distribution", "plan", "experiment", "conditions", "budget",
-                       "output"))
+    root = _Section(raw, "", ("distribution", "plan", "experiment", "conditions", "budget",
+                              "output"))
 
-    exp = _section(_need(raw, "experiment", ""), "experiment",
-                   ("checkpoints", "replications", "seed", "max-samples"))
+    exp = root.section("experiment", ("checkpoints", "replications", "seed", "max-samples"))
     # the overrides are written into a copy of the experiment section, so
     # that ``raw`` is the config the run used, as the manifest hashes it
     overrides = {"seed": seed, "replications": replications}
     if n_max is not None:
-        overrides["checkpoints"] = [n for n in _integers(_need(exp, "checkpoints", "experiment"),
-                                                         "experiment.checkpoints") if n <= n_max]
+        overrides["checkpoints"] = [n for n in exp.get("checkpoints", _counts) if n <= n_max]
         if not overrides["checkpoints"]:
             raise ConfigError("experiment.checkpoints: all above the --nmax override")
-    exp = {**exp, **{key: value for key, value in overrides.items() if value is not None}}
-    raw = {**raw, "experiment": exp}
-    checkpoints = _integers(_need(exp, "checkpoints", "experiment"), "experiment.checkpoints")
-    replications = _integer(_need(exp, "replications", "experiment"), "experiment.replications")
-    if "seed" not in exp:
+    exp.value = {**exp.value, **{key: value for key, value in overrides.items()
+                                 if value is not None}}
+    raw = {**raw, "experiment": exp.value}
+    checkpoints = exp.get("checkpoints", _counts)
+    replications = exp.get("replications", _integer)
+    if "seed" not in exp.value:
         raise ConfigError("experiment.seed: missing; runs must be "
                           "reproducible, there is no implicit randomness")
-    seed = _integer(exp["seed"], "experiment.seed")
+    seed = exp.get("seed", _integer)
 
-    dist = _build_distribution(_need(raw, "distribution", ""))
+    dist = _build_distribution(root)
 
-    cond = _section(raw.get("conditions", {}), "conditions", ("grid", "tolerance"))
-    if "grid" in cond:
-        condition_grid = _integers(cond["grid"], "conditions.grid")
+    cond = root.section("conditions", ("grid", "tolerance"), default={})
+    if "grid" in cond.value:
+        condition_grid = cond.get("grid", _counts)
     else:
         top = max(20_000, checkpoints[-1] if checkpoints else 20_000)
         condition_grid = geometric_grid(16, top, 12)
-    tolerance = _number(cond.get("tolerance", 1e-2), "conditions.tolerance")
-    budget = _section(raw.get("budget", {}), "budget", ("eps",))
-    budget_eps = _number(budget.get("eps", 0.1), "budget.eps")
+    tolerance = cond.get("tolerance", _number, 1e-2)
+    budget_eps = root.section("budget", ("eps",), default={}).get("eps", _number, 0.1)
     for key, number in (("conditions.tolerance", tolerance), ("budget.eps", budget_eps)):
         if not number > 0.0:
             raise ConfigError(f"{key}: must be positive, got {number}")
 
-    plan = _build_plan(_need(raw, "plan", ""), dist)
+    plan = _build_plan(root, dist)
 
+    max_samples = exp.get("max-samples", _count, 10_000_000)
     try:
-        config = ExperimentConfig(
-            plan=plan,
-            checkpoints=checkpoints,
-            replications=replications,
-            seed=seed,
-            max_samples=_integer(exp.get("max-samples", 10_000_000),
-                                 "experiment.max-samples"),
-        )
+        config = ExperimentConfig(plan=plan, checkpoints=checkpoints, replications=replications,
+                                  seed=seed, max_samples=max_samples)
     except PlanError as exc:
         raise ConfigError(f"plan: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"experiment: {exc}") from exc
 
-    output = _section(raw.get("output", {}), "output", ("directory",))
-    directory = _string(output.get("directory", "heavytrim-out"), "output.directory")
+    directory = root.section("output", ("directory",), default={}).get(
+        "directory", _string, "heavytrim-out")
     out = Path(out_dir) if out_dir is not None else Path(directory)
     return RunSpec(config=config, condition_grid=condition_grid, condition_tolerance=tolerance,
                    budget_eps=budget_eps, output_dir=out, raw=raw)
@@ -348,77 +361,61 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-class _Frame:
-    """Maps data coordinates onto the fixed SVG viewport.
-
-    Non-finite values are not drawn: they neither size the frame nor
+def _chart(path: Path, title: str, y_label: str, xs, band, lines, marks) -> Path:
+    """Write to ``path`` one SVG chart against ``xs`` (log10 n): the ``(lo,
+    hi, color)`` band unless it is ``None``, each ``(ys, color, width,
+    dash)`` line, and the ``(xs, color)`` marks of values of inf on the top
+    edge.  Non-finite values are not drawn: they neither size the frame nor
     appear in a line or band.
     """
+    ys = [v for line in lines for v in line[0]] + ([] if band is None else band[0] + band[1])
+    ys = [v for v in ys if math.isfinite(v)] or [0.0]
+    pad = 0.05 * (max(ys) - min(ys) or 1.0)
+    x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys) - pad, max(ys) + pad
 
-    def __init__(self, xs, ys):
-        ys = [v for v in ys if math.isfinite(v)] or [0.0]
-        y_lo, y_hi = min(ys), max(ys)
-        pad = 0.05 * (y_hi - y_lo or 1.0)
-        self.x_lo, self.x_hi = min(xs), max(xs)
-        self.y_lo, self.y_hi = y_lo - pad, y_hi + pad
+    def x(v):
+        return _ML + (v - x_lo) / (x_hi - x_lo or 1.0) * (_W - _ML - _MR)
 
-    def x(self, v):
-        f = (v - self.x_lo) / (self.x_hi - self.x_lo or 1.0)
-        return _ML + f * (_W - _ML - _MR)
+    def y(v):
+        return _H - _MB - (v - y_lo) / (y_hi - y_lo or 1.0) * (_H - _MT - _MB)
 
-    def y(self, v):
-        f = (v - self.y_lo) / (self.y_hi - self.y_lo or 1.0)
-        return _H - _MB - f * (_H - _MT - _MB)
+    def points(xs, ys) -> list[str]:
+        return [f"{_fmt(x(a))},{_fmt(y(b))}" for a, b in zip(xs, ys) if math.isfinite(b)]
 
-    def points(self, xs, ys) -> list[str]:
-        return [f"{_fmt(self.x(a))},{_fmt(self.y(b))}"
-                for a, b in zip(xs, ys) if math.isfinite(b)]
-
-    def polyline(self, xs, ys, color, width=1.5, dash=""):
-        pts = " ".join(self.points(xs, ys))
-        extra = f' stroke-dasharray="{dash}"' if dash else ""
-        return (f'<polyline fill="none" stroke="{color}" '
-                f'stroke-width="{width}"{extra} points="{pts}"/>')
-
-    def off_scale(self, xs, color):
-        """Upward triangles on the frame's top edge at ``xs``: values of inf."""
-        marks = " ".join(f"M{_fmt(self.x(a))},{_MT} l-5,9 h10 z" for a in xs)
-        return f'<path fill="{color}" stroke="none" d="{marks}"><title>inf</title></path>'
-
-    def band(self, xs, lo, hi, color):
-        pts = self.points(xs, lo) + self.points(reversed(xs), reversed(hi))
-        return (f'<polygon fill="{color}" fill-opacity="0.25" stroke="none" '
-                f'points="{" ".join(pts)}"/>')
-
-
-def _svg_doc(title: str, frame: _Frame, body: list[str], x_label: str, y_label: str) -> str:
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
         f'<text x="{_W // 2}" y="18" text-anchor="middle" font-family="sans-serif" '
         f'font-size="13">{title}</text>',
+        f'<polyline fill="none" stroke="black" stroke-width="1" points="'
+        f'{_ML},{_MT} {_ML},{_H - _MB} {_W - _MR},{_H - _MB}"/>',
     ]
-    axis = (f'<polyline fill="none" stroke="black" stroke-width="1" points="'
-            f'{_ML},{_MT} {_ML},{_H - _MB} {_W - _MR},{_H - _MB}"/>')
-    parts.append(axis)
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        xv = frame.x_lo + frac * (frame.x_hi - frame.x_lo)
-        yv = frame.y_lo + frac * (frame.y_hi - frame.y_lo)
-        parts.append(f'<text x="{_fmt(frame.x(xv))}" y="{_H - _MB + 16}" '
-                     f'text-anchor="middle" font-family="sans-serif" font-size="10">'
-                     f'{_fmt(xv)}</text>')
-        parts.append(f'<text x="{_ML - 6}" y="{_fmt(frame.y(yv) + 3)}" '
-                     f'text-anchor="end" font-family="sans-serif" font-size="10">'
-                     f'{_fmt(yv)}</text>')
-    parts.append(f'<text x="{_W // 2}" y="{_H - 8}" text-anchor="middle" '
-                 f'font-family="sans-serif" font-size="11">{x_label}</text>')
-    parts.append(f'<text x="14" y="{_H // 2}" text-anchor="middle" '
-                 f'font-family="sans-serif" font-size="11" '
-                 f'transform="rotate(-90 14 {_H // 2})">{y_label}</text>')
-    parts.extend(body)
+        xv, yv = x_lo + frac * (x_hi - x_lo), y_lo + frac * (y_hi - y_lo)
+        parts += [f'<text x="{_fmt(x(xv))}" y="{_H - _MB + 16}" text-anchor="middle" '
+                  f'font-family="sans-serif" font-size="10">{_fmt(xv)}</text>',
+                  f'<text x="{_ML - 6}" y="{_fmt(y(yv) + 3)}" text-anchor="end" '
+                  f'font-family="sans-serif" font-size="10">{_fmt(yv)}</text>']
+    parts += [f'<text x="{_W // 2}" y="{_H - 8}" text-anchor="middle" '
+              f'font-family="sans-serif" font-size="11">log10 n</text>',
+              f'<text x="14" y="{_H // 2}" text-anchor="middle" font-family="sans-serif" '
+              f'font-size="11" transform="rotate(-90 14 {_H // 2})">{y_label}</text>']
+    if band is not None:
+        lo, hi, color = band
+        parts.append(f'<polygon fill="{color}" fill-opacity="0.25" stroke="none" '
+                     f'points="{" ".join(points(xs, lo) + points(xs[::-1], hi[::-1]))}"/>')
+    for ys, color, width, dash in lines:
+        extra = f' stroke-dasharray="{dash}"' if dash else ""
+        parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="{width}"{extra} '
+                     f'points="{" ".join(points(xs, ys))}"/>')
+    off, color = marks
+    if off:
+        d = " ".join(f"M{_fmt(x(a))},{_MT} l-5,9 h10 z" for a in off)
+        parts.append(f'<path fill="{color}" stroke="none" d="{d}"><title>inf</title></path>')
     parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    path.write_text("\n".join(parts) + "\n")
+    return path
 
 
 def _read_aggregate_csv(path: Path) -> dict[str, list[float]]:
@@ -463,44 +460,27 @@ def plot(aggregate_csv: str | Path, out_dir: str | Path) -> list[Path]:
     except KeyError as exc:
         raise ConfigError(f"{aggregate_csv}: missing column {exc}") from exc
     for lineno, n in enumerate(ns, start=2):
-        if not n > 0:  # plotted as log10 n
-            raise ConfigError(f"{aggregate_csv}: line {lineno}: n must be positive, got {n!r}")
+        if not 0 < n < math.inf:  # plotted as log10 n
+            raise ConfigError(f"{aggregate_csv}: line {lineno}: "
+                              f"n must be positive and finite, got {n!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     xs = [math.log10(n) for n in ns]
     single = reps <= 1
-
-    ys = tr_med + tc_med + [1.0] + ([] if single else tr_lo + tr_hi)
-    frame = _Frame(xs, ys)
-    body = []
-    if not single:
-        body.append(frame.band(xs, tr_lo, tr_hi, "#4878b0"))
-    body.append(frame.polyline(xs, [1.0] * len(xs), "#999999", 1.0, dash="4 3"))
-    body.append(frame.polyline(xs, tr_med, "#2f5597", 2.0))
-    body.append(frame.polyline(xs, tc_med, "#c04b4b", 1.5, dash="6 3"))
-    ratios_path = out_dir / "ratios.svg"
-    ratios_path.write_text(_svg_doc(
-        "trimmed (solid) and truncated (dashed) sum over scale",
-        frame, body, "log10 n", "ratio"))
-
+    ratios = _chart(out_dir / "ratios.svg",
+                    "trimmed (solid) and truncated (dashed) sum over scale", "ratio", xs,
+                    None if single else (tr_lo, tr_hi, "#4878b0"),
+                    [([1.0] * len(xs), "#999999", 1.0, "4 3"), (tr_med, "#2f5597", 2.0, ""),
+                     (tc_med, "#c04b4b", 1.5, "6 3")],
+                    ([], ""))
     safelog = lambda v: 0.0 if v <= 0 else math.log10(v)  # inf and nan stay non-finite
-    rm_med_l = [safelog(v) for v in rm_med]
-    rm_lo_l = [safelog(v) for v in rm_lo]
-    rm_hi_l = [safelog(v) for v in rm_hi]
-    ys2 = rm_med_l + ([] if single else rm_lo_l + rm_hi_l)
-    frame2 = _Frame(xs, ys2)
-    body2 = []
-    if not single:
-        body2.append(frame2.band(xs, rm_lo_l, rm_hi_l, "#8f6db0"))
-    body2.append(frame2.polyline(xs, rm_med_l, "#5e3d8f", 2.0))
-    off = [a for a, v in zip(xs, rm_med_l) if v == math.inf]
-    if off:  # a median of inf has no place on the axis: mark it above the frame's data
-        body2.append(frame2.off_scale(off, "#5e3d8f"))
-    runmax_path = out_dir / "dichotomy.svg"
-    runmax_path.write_text(_svg_doc(
-        "running max of raw sum over scale",
-        frame2, body2, "log10 n", "log10 running max"))
-    return [ratios_path, runmax_path]
+    rm_med, rm_lo, rm_hi = ([safelog(v) for v in col] for col in (rm_med, rm_lo, rm_hi))
+    # a median of inf has no place on the axis: it is marked above the frame's data
+    dichotomy = _chart(out_dir / "dichotomy.svg", "running max of raw sum over scale",
+                       "log10 running max", xs, None if single else (rm_lo, rm_hi, "#8f6db0"),
+                       [(rm_med, "#5e3d8f", 2.0, "")],
+                       ([a for a, v in zip(xs, rm_med) if v == math.inf], "#5e3d8f"))
+    return [ratios, dichotomy]
 
 
 # --------------------------------------------------------------------------
@@ -567,39 +547,31 @@ def run(spec: RunSpec) -> RunManifest:
         workers()
     except ValueError as exc:  # a MonteCarloError naming the variable
         raise ConfigError(str(exc)) from None
-    t0 = time.perf_counter()
+    stage_seconds = {}
+    last = time.perf_counter()
+
+    def lap(stage: str) -> None:  # the stages run back to back
+        nonlocal last
+        now = time.perf_counter()
+        stage_seconds[stage], last = now - last, now
+
     table, warnings, reports = _condition_reports(spec)
     out = spec.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    stage_seconds = {}
-
     (out / "conditions.txt").write_text(format_condition_report(reports))
     verdicts = {r.condition: r.verdict for r in reports}
-    stage_seconds["conditions"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    budget = borel_cantelli_budget(spec.budget_eps, table)
-    _write_csv(out / "budget.csv", budget.csv_rows())
-    stage_seconds["budget"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
+    lap("conditions")
+    _write_csv(out / "budget.csv", borel_cantelli_budget(spec.budget_eps, table).csv_rows())
+    lap("budget")
     traces = simulate(spec.config)
     _write_csv(out / "traces.csv", trace_csv_rows(spec.config, traces))
-    stage_seconds["traces"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    summary = aggregate(spec.config, traces)
-    _write_csv(out / "aggregate.csv", summary.csv_rows())
-    stage_seconds["aggregate"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    svgs = plot(out / "aggregate.csv", out)
-    stage_seconds["plots"] = time.perf_counter() - t0
-
-    files = {name: _sha256(out / name)
-             for name in ["conditions.txt", "budget.csv", "traces.csv", "aggregate.csv"]}
-    for p in svgs:
-        files[p.name] = _sha256(p)
+    lap("traces")
+    _write_csv(out / "aggregate.csv", aggregate(spec.config, traces).csv_rows())
+    lap("aggregate")
+    written = [out / name for name in ("conditions.txt", "budget.csv", "traces.csv",
+                                       "aggregate.csv")] + plot(out / "aggregate.csv", out)
+    lap("plots")
+    files = {p.name: _sha256(p) for p in written}
 
     cfg_bytes = json.dumps(spec.raw, sort_keys=True).encode()
     manifest = RunManifest(

@@ -308,9 +308,13 @@ class TestMain:
         ("conditions.tolerance", -1),
         ("conditions.tolerance", 0),
         ("distribution.alpha", math.nan),
+        ("experiment.checkpoints", [1000, 10 ** 400]),
+        ("experiment.max-samples", 10 ** 400),
+        ("conditions.grid", [1000, 3162, 10000, 31623, 100000, 316228, 1000000, 10 ** 400]),
     ], ids=["seed", "replications", "checkpoint", "tolerance", "eps-type",
             "eps-zero", "grid-points", "eps-infinite", "tolerance-nan",
-            "tolerance-negative", "tolerance-zero", "alpha-nan"])
+            "tolerance-negative", "tolerance-zero", "alpha-nan", "checkpoint-beyond-float",
+            "max-samples-beyond-float", "grid-beyond-float"])
     def test_malformed_value_exit_two(self, tmp_path, capsys, key, value):
         p = write_config(tmp_path, {key: value})
         assert main(["run", str(p)]) == 2
@@ -372,9 +376,17 @@ class TestMain:
         ("distribution.atoms", [["2", 0.5], [8.0, 0.5]]),
         ("distribution.rows", [[1.0, "0", "linear"], [4.0, 1.0, "linear"]]),
         ("distribution.rows", [[1.0, 0.0, "linear"], [4.0, 1.0, 5]]),
+        ("distribution.atoms", 5),
+        ("distribution.atoms", [[2.0]]),
+        ("distribution.atoms", {"a": 1}),
+        ("distribution.rows", 5),
+        ("distribution.rows", [[2.0]]),
+        ("distribution.rows", {"a": 1}),
+        ("distribution.rows", [[1.0, 0.0]]),
     ], ids=["epsilon", "exponent", "coefficient", "summable", "summable-alt", "directory",
             "alpha", "scale", "log-tail-threshold", "max-index-fraction", "max-index-bool",
-            "atom", "row", "row-kind"])
+            "atom", "row", "row-kind", "atoms-number", "atom-short", "atoms-object",
+            "rows-number", "row-short", "rows-object", "row-without-kind"])
     def test_wrong_type_exit_two(self, tmp_path, capsys, key, value):
         # a value of the wrong JSON type names its key; each family's section
         # holds only its own keys
@@ -418,6 +430,17 @@ class TestMain:
                 capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_checkpoint_beyond_float_range_exit_two(self, tmp_path, capsys):
+        # the default condition grid ends at the last checkpoint, so that
+        # checkpoint is read as a count before the grid is built
+        p = write_config(tmp_path, {"experiment.checkpoints": [1000, 10 ** 400]},
+                         drop=["conditions.grid"])
+        for command in ("check", "run"):
+            assert main([command, str(p)]) == 2
+            assert capsys.readouterr().err == (
+                "config error: experiment.checkpoints: integer beyond the float range\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("text", [b'{"a": "\xff"}', b'{"a": 1' + b"0" * 5000 + b"}",
                                       b"[" * 100_000 + b"]" * 100_000],
                              ids=["not-utf8", "digit-limit", "too-deep"])
@@ -428,8 +451,11 @@ class TestMain:
             assert main([command, str(bad)]) == 2
             assert f"config error: {bad}: " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", ["n,trimmed_q50\n1000,abc\n", "n,trimmed_q50\n1000,0.5\n"],
-                             ids=["not-a-number", "missing-column"])
+    @pytest.mark.parametrize("text", [
+        "n,trimmed_q50\n1000,abc\n", "n,trimmed_q50\n1000,0.5\n",
+        "n,replications,trimmed_q05,trimmed_q50,trimmed_q95,truncated_q50,untrimmed_runmax_q05,"
+        "untrimmed_runmax_q50,untrimmed_runmax_q95\n1000,4,1,1,1,1,1,1,1\ninf,4,1,1,1,1,1,1,1\n",
+    ], ids=["not-a-number", "missing-column", "n-infinite"])
     def test_malformed_csv_plot_exit_two(self, tmp_path, capsys, text):
         bad = tmp_path / "aggregate.csv"
         bad.write_text(text)
