@@ -17,8 +17,7 @@ from .trimming import (AllowanceTrimRule, ConditionReport, PlanError,
                        SquareStepThreshold, StandardTrimRule, SummableFunction,
                        TrimmingError, TrimmingPlan, check_condition,
                        fluctuation_allowance, format_condition_report,
-                       geometric_grid, plan_default, plan_standard,
-                       rebase_summable)
+                       geometric_grid, plan_default, plan_standard)
 from .bounds import (BoundsError, ProbabilityBound, bernstein_relative,
                      borel_cantelli_budget)
 from .montecarlo import (ConvergenceTrace, ExperimentConfig, MonteCarloError,

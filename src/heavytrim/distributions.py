@@ -172,7 +172,7 @@ class Distribution(Value):
     # true when atoms sit arbitrarily high, so the law is never eventually
     # continuous
     atoms_persist = False
-    _logs: tuple[float, ...] = ()  # a table law's stored logs of its locations xs
+    _logs: tuple[float, ...] = ()  # a law's stored atom logs: math.log of its locations xs
 
     def survival_at_log(self, log_x: float) -> float:
         """P(X > exp(log_x)), computed without cancellation where a closed form exists."""
@@ -342,7 +342,9 @@ class LogTail(Distribution):
         if threshold < math.e:
             raise DistributionError(
                 f"threshold must be at least e = {math.e:.6f}, got {threshold}")
-        self.__dict__["threshold"] = threshold
+        # its one atom, which float_at_log returns rather than exp(log threshold)
+        self.__dict__.update(threshold=threshold, _logs=(math.log(threshold),),
+                             xs=(threshold,))
 
     @property
     def _atom_mass(self) -> float:

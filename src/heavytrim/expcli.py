@@ -67,7 +67,6 @@ experiment:
   checkpoints: strictly increasing integers
   replications: positive integer
   seed: unsigned 64-bit integer (required; no implicit randomness)
-  max-samples: optional ceiling, default 10000000
 conditions (optional):
   grid: strictly increasing integers, 8+ points spanning 3+ decades
         (default: geometric up to n_max)
@@ -139,17 +138,14 @@ def _integer(value, key: str) -> int:
     raise ConfigError(f"{key}: expected an integer, got {value!r}")
 
 
-def _count(value, key: str) -> int:
-    """An integer that converts to a float, as sample counts on a grid must."""
-    count = _integer(value, key)
-    _number(count, key)
-    return count
-
-
 def _counts(values, key: str) -> tuple[int, ...]:
+    """Integers that convert to floats, as sample counts on a grid must."""
     if not isinstance(values, list):
         raise ConfigError(f"{key}: expected a list of integers, got {values!r}")
-    return tuple(_count(v, key) for v in values)
+    counts = tuple(_integer(v, key) for v in values)
+    for count in counts:
+        _number(count, key)
+    return counts
 
 
 def _number(value, key: str) -> float:
@@ -299,7 +295,7 @@ def parse_config(path: str | Path, *,
     root = _Section(raw, "", ("distribution", "plan", "experiment", "conditions", "budget",
                               "output"))
 
-    exp = root.section("experiment", ("checkpoints", "replications", "seed", "max-samples"))
+    exp = root.section("experiment", ("checkpoints", "replications", "seed"))
     # the overrides are written into a copy of the experiment section, so
     # that ``raw`` is the config the run used, as the manifest hashes it
     overrides = {"seed": seed, "replications": replications}
@@ -333,10 +329,9 @@ def parse_config(path: str | Path, *,
 
     plan = _build_plan(root, dist)
 
-    max_samples = exp.get("max-samples", _count, 10_000_000)
     try:
         config = ExperimentConfig(plan=plan, checkpoints=checkpoints, replications=replications,
-                                  seed=seed, max_samples=max_samples)
+                                  seed=seed)
     except PlanError as exc:
         raise ConfigError(f"plan: {exc}") from exc
     except ValueError as exc:
@@ -507,11 +502,8 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_csv(path: Path, rows) -> None:
-    with path.open("w", newline="") as fh:
-        for row in rows:
-            fh.write(",".join(str(c) for c in row))
-            fh.write("\n")
+def _csv(rows) -> str:
+    return "".join(",".join(str(c) for c in row) + "\n" for row in rows)
 
 
 def _condition_reports(spec: RunSpec) -> tuple[tuple[PlanPoint, ...], tuple[str, ...],
@@ -538,9 +530,10 @@ def run(spec: RunSpec) -> RunManifest:
     """Execute all stages and write artifacts plus the manifest.
 
     Order: condition reports, budget table, traces, aggregate, plots.
-    ``HEAVYTRIM_WORKERS`` is parsed, and the plan table on the condition grid
+    ``HEAVYTRIM_WORKERS`` is parsed, the plan table on the condition grid
     built once and checked (it serves the condition reports and the budget),
-    before the output directory is made: a bad value or plan writes nothing.
+    and every CSV and text artifact computed before the output directory is
+    made, so a run that fails before the plots writes nothing.
     ``manifest.failed`` is set when a pointwise hypothesis is violated.
     """
     try:
@@ -556,20 +549,21 @@ def run(spec: RunSpec) -> RunManifest:
         stage_seconds[stage], last = now - last, now
 
     table, warnings, reports = _condition_reports(spec)
-    out = spec.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "conditions.txt").write_text(format_condition_report(reports))
+    texts = {"conditions.txt": format_condition_report(reports)}
     verdicts = {r.condition: r.verdict for r in reports}
     lap("conditions")
-    _write_csv(out / "budget.csv", borel_cantelli_budget(spec.budget_eps, table).csv_rows())
+    texts["budget.csv"] = _csv(borel_cantelli_budget(spec.budget_eps, table).csv_rows())
     lap("budget")
     traces = simulate(spec.config)
-    _write_csv(out / "traces.csv", trace_csv_rows(spec.config, traces))
+    texts["traces.csv"] = _csv(trace_csv_rows(spec.config, traces))
     lap("traces")
-    _write_csv(out / "aggregate.csv", aggregate(spec.config, traces).csv_rows())
+    texts["aggregate.csv"] = _csv(aggregate(spec.config, traces).csv_rows())
     lap("aggregate")
-    written = [out / name for name in ("conditions.txt", "budget.csv", "traces.csv",
-                                       "aggregate.csv")] + plot(out / "aggregate.csv", out)
+    out = spec.output_dir
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        (out / name).write_text(text, newline="")
+    written = [out / name for name in texts] + plot(out / "aggregate.csv", out)
     lap("plots")
     files = {p.name: _sha256(p) for p in written}
 

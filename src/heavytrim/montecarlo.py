@@ -12,9 +12,10 @@ threshold.  Sums are exact: the bulk, every draw at or below the floor,
 is summed at once and a pool draw when it leaves the pool, by error-free
 extraction or as integers per float exponent, into one integer rounded
 once, so every sum equals ``math.fsum`` of the same entries bit for bit
-wherever fsum returns.  At a checkpoint, S_n adds the pool's form, and
-the truncated and the trimmed sum leave out two of its slices.  At n =
-1e6 a replication peaks at 0.6-6 MB (tracemalloc) across the built-in laws.
+wherever fsum returns, and a finite sum past the float range reads
++-inf.  At a checkpoint, S_n adds the pool's form, and the truncated and
+the trimmed sum leave out two of its slices.  At n = 1e6 a replication
+peaks at 0.6-6 MB (tracemalloc) across the built-in laws.
 
 Plan values (``t(n)``, ``d(n)``, ``b(n)``, the expected exceedances and
 their allowance) depend on n alone, so they live once per experiment in
@@ -196,10 +197,10 @@ def _rounded(form: _Form) -> float:
     Non-finite entries decide first: any nan gives nan, inf + -inf raises
     ValueError, and an inf gives that inf whatever the finite entries sum
     to.  Otherwise the finite entries are summed exactly and rounded once,
-    which raises OverflowError beyond the float range.  Wherever
-    ``math.fsum`` returns, this equals it bit for bit; fsum can also raise
-    on an overflow of its partial sums (finite entries between two infs in
-    its input order, or mixed signs) that the exact sum never meets.
+    to +-inf beyond the float range as IEEE rounding does.  Wherever
+    ``math.fsum`` returns, this equals it bit for bit; fsum raises
+    OverflowError where the exact sum rounds to +-inf, and also on an
+    overflow of its partial sums that the exact sum never meets.
     """
     if form.nan:
         return math.nan
@@ -207,9 +208,10 @@ def _rounded(form: _Form) -> float:
         raise ValueError("-inf + inf in exact sum")
     if form.pinf or form.ninf:
         return math.inf if form.pinf else -math.inf
-    # int true division is correctly rounded and raises OverflowError
-    # when the quotient rounds beyond the float range
-    return form.total / (1 << 1074)
+    try:  # int true division is correctly rounded; it raises where IEEE gives +-inf
+        return form.total / (1 << 1074)
+    except OverflowError:
+        return math.inf if form.total > 0 else -math.inf
 
 
 def _largest(values: np.ndarray, k: int) -> np.ndarray:
@@ -256,10 +258,10 @@ class ExperimentConfig(Value):
     judged by :func:`check_plan`, with ``d(n) > 0`` at each so ratios exist.
     """
 
-    _fields = ("plan", "checkpoints", "replications", "seed", "max_samples")
+    _fields = ("plan", "checkpoints", "replications", "seed")
 
     def __init__(self, plan: TrimmingPlan, checkpoints: Sequence[int], replications: int,
-                 seed: int, max_samples: int = 10_000_000):
+                 seed: int):
         checkpoints = tuple(int(n) for n in checkpoints)
         if not checkpoints:
             raise MonteCarloError("checkpoint grid is empty")
@@ -267,10 +269,6 @@ class ExperimentConfig(Value):
             raise MonteCarloError("checkpoints must be at least 3")
         if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
             raise MonteCarloError("checkpoints must be strictly increasing")
-        if checkpoints[-1] > max_samples:
-            raise MonteCarloError(
-                f"largest checkpoint {checkpoints[-1]} exceeds the "
-                f"sample ceiling {max_samples}")
         if replications < 1:
             raise MonteCarloError("need at least one replication")
         if not 0 <= seed < 2 ** 64:
@@ -281,7 +279,7 @@ class ExperimentConfig(Value):
             if p.log_scale == -math.inf:
                 raise PlanError(f"d(n) vanishes at n = {p.n}; no mass at or below t(n)")
         self.__dict__.update(plan=plan, checkpoints=checkpoints, replications=replications,
-                             seed=seed, max_samples=max_samples, points=points)
+                             seed=seed, points=points)
 
     @property
     def distribution(self) -> Distribution:

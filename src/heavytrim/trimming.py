@@ -30,8 +30,6 @@ _LN2 = math.log(2.0)
 
 __all__ = [
     "SummableFunction",
-    "RebasedSummable",
-    "rebase_summable",
     "fluctuation_allowance",
     "PowerThreshold",
     "SquareStepThreshold",
@@ -107,45 +105,6 @@ class SummableFunction(Value):
         if self.family == "polylog":
             return math.log(n) + self.param * math.log(math.log(n + 1.0))
         return float(n) * math.log(self.param)
-
-
-class RebasedSummable(Value):
-    """Minimum of a summable function over a shifted, rescaled index window.
-
-    ``rebased(n) = min over j in 0..span of base(floor(n * log_a(b)) + j)``
-    with ``span = ceil(log_a(b))``.  The construction guarantees
-    ``rebased(floor(log_b(m))) <= base(floor(log_a(m)))`` for every m with
-    ``floor(log_b m) >= 1``, and keeps the reciprocal sum convergent.
-    Indices below 1 are clamped to 1.  Like the base, it is evaluated in log
-    space only; log is monotone, so the minimum commutes with it and the
-    inequality holds exactly between the logs.
-    """
-
-    _fields = ("base", "log_ratio", "span")
-
-    def __init__(self, base: SummableFunction, log_ratio: float, span: int):
-        # log_ratio is log_a(b)
-        self.__dict__.update(base=base, log_ratio=log_ratio, span=span)
-
-    def log_value(self, n: int | float) -> float:
-        """log rebased(n)."""
-        if n < 1:
-            raise TrimmingError(f"argument must be at least 1, got {n}")
-        anchor = math.floor(n * self.log_ratio)
-        return min(self.base.log_value(max(1, anchor + j)) for j in range(self.span + 1))
-
-
-def rebase_summable(base: SummableFunction, a: float, b: float) -> RebasedSummable:
-    """Carry a summable function from base-``a`` to base-``b`` logarithmic indexing.
-
-    Returns w with ``w(floor(log_b m)) <= base(floor(log_a m))`` for all
-    integers m with ``floor(log_b m) >= 1``, itself with a summable
-    reciprocal.
-    """
-    if not a > 1.0 or not b > 1.0:
-        raise TrimmingError(f"both log bases must exceed 1, got a={a}, b={b}")
-    ratio = math.log(b) / math.log(a)
-    return RebasedSummable(base, ratio, math.ceil(ratio))
 
 
 # --------------------------------------------------------------------------

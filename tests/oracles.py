@@ -16,6 +16,9 @@ dominate truth.
 ``sample_array`` vectorizes.
 ``bernstein_max_tail`` is Bernstein's maximal inequality in its general
 form, of which ``bounds.bernstein_relative`` is the bounded nonnegative case.
+``rebase_summable`` is the rebasing lemma: it carries a weight with a
+summable reciprocal from base-a to base-b logarithmic indexing, as
+acceptance criterion 4 checks; no plan or run calls it.
 """
 
 import bisect
@@ -27,9 +30,10 @@ import numpy as np
 
 from heavytrim.bounds import BoundsError, ProbabilityBound
 from heavytrim.distributions import (LOG_FLOAT_MAX, Distribution, LogTail,
-                                     ParetoTail, SquareStep)
+                                     ParetoTail, SquareStep, Value)
 from heavytrim.montecarlo import (ConvergenceTrace, ExperimentConfig, TraceRow,
                                   _Form, _largest, _rounded, stream)
+from heavytrim.trimming import SummableFunction, TrimmingError
 
 _KEYS = 4096
 _LOW26 = np.uint64((1 << 26) - 1)
@@ -185,3 +189,42 @@ def bernstein_max_tail(deviation: float, variance: float,
         raise BoundsError(f"amplitude must be positive, got {amplitude}")
     denom = 2.0 * variance + (2.0 / 3.0) * amplitude * deviation
     return ProbabilityBound(math.log(2.0) - deviation * deviation / denom)
+
+
+class RebasedSummable(Value):
+    """Minimum of a summable function over a shifted, rescaled index window.
+
+    ``rebased(n) = min over j in 0..span of base(floor(n * log_a(b)) + j)``
+    with ``span = ceil(log_a(b))``.  The construction guarantees
+    ``rebased(floor(log_b(m))) <= base(floor(log_a(m)))`` for every m with
+    ``floor(log_b m) >= 1``, and keeps the reciprocal sum convergent.
+    Indices below 1 are clamped to 1.  Like the base, it is evaluated in log
+    space only; log is monotone, so the minimum commutes with it and the
+    inequality holds exactly between the logs.
+    """
+
+    _fields = ("base", "log_ratio", "span")
+
+    def __init__(self, base: SummableFunction, log_ratio: float, span: int):
+        # log_ratio is log_a(b)
+        self.__dict__.update(base=base, log_ratio=log_ratio, span=span)
+
+    def log_value(self, n: int | float) -> float:
+        """log rebased(n)."""
+        if n < 1:
+            raise TrimmingError(f"argument must be at least 1, got {n}")
+        anchor = math.floor(n * self.log_ratio)
+        return min(self.base.log_value(max(1, anchor + j)) for j in range(self.span + 1))
+
+
+def rebase_summable(base: SummableFunction, a: float, b: float) -> RebasedSummable:
+    """Carry a summable function from base-``a`` to base-``b`` logarithmic indexing.
+
+    Returns w with ``w(floor(log_b m)) <= base(floor(log_a m))`` for all
+    integers m with ``floor(log_b m) >= 1``, itself with a summable
+    reciprocal.
+    """
+    if not a > 1.0 or not b > 1.0:
+        raise TrimmingError(f"both log bases must exceed 1, got a={a}, b={b}")
+    ratio = math.log(b) / math.log(a)
+    return RebasedSummable(base, ratio, math.ceil(ratio))

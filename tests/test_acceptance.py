@@ -22,8 +22,8 @@ from heavytrim.expcli import parse_config, run
 from heavytrim.montecarlo import ExperimentConfig, aggregate, simulate, trimmed_sum
 from heavytrim.trimming import (PowerThreshold, SquareStepThreshold,
                                 SummableFunction, check_condition, check_plan,
-                                geometric_grid, plan_standard, rebase_summable)
-from oracles import bernstein_max_tail, max_deviation_tail_exact
+                                geometric_grid, plan_standard)
+from oracles import bernstein_max_tail, max_deviation_tail_exact, rebase_summable
 
 CHECKPOINTS = (1000, 3162, 10000, 31623, 100000, 316228, 1000000)
 SEED = 20260810

@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 import math
 import os
@@ -309,12 +310,11 @@ class TestMain:
         ("conditions.tolerance", 0),
         ("distribution.alpha", math.nan),
         ("experiment.checkpoints", [1000, 10 ** 400]),
-        ("experiment.max-samples", 10 ** 400),
         ("conditions.grid", [1000, 3162, 10000, 31623, 100000, 316228, 1000000, 10 ** 400]),
     ], ids=["seed", "replications", "checkpoint", "tolerance", "eps-type",
             "eps-zero", "grid-points", "eps-infinite", "tolerance-nan",
             "tolerance-negative", "tolerance-zero", "alpha-nan", "checkpoint-beyond-float",
-            "max-samples-beyond-float", "grid-beyond-float"])
+            "grid-beyond-float"])
     def test_malformed_value_exit_two(self, tmp_path, capsys, key, value):
         p = write_config(tmp_path, {key: value})
         assert main(["run", str(p)]) == 2
@@ -328,12 +328,15 @@ class TestMain:
         ("conditions.tolerence", 0.01),
         ("distribution.scal", 2.0),
         ("experiment.max_samples", 1000000),
+        ("experiment.max-samples", 10 ** 400),
         ("budgett", {"eps": 0.1}),
         ("plan.validate", False),
     ], ids=["experiment-number", "conditions-list", "threshold-number", "tolerance-typo",
-            "scale-typo", "max-samples-typo", "budget-typo", "validate"])
+            "scale-typo", "max-samples-typo", "max-samples-beyond-float", "budget-typo",
+            "validate"])
     def test_config_shape_exit_two(self, tmp_path, capsys, key, value):
-        # a section that is not an object, or a key no section knows
+        # a section that is not an object, or a key no section knows; the
+        # sample ceiling experiment.max-samples is no key
         p = write_config(tmp_path, {key: value})
         for command in ("check", "run"):
             assert main([command, str(p)]) == 2
@@ -470,6 +473,45 @@ class TestMain:
         assert main(["run", str(write_config(tmp_path))]) == 3
         assert capsys.readouterr().err == (
             "internal error: OverflowError: integer division result too large for a float\n")
+
+    @pytest.mark.parametrize("stage", ["simulate", "aggregate"])
+    def test_internal_error_writes_nothing(self, tmp_path, capsys, monkeypatch, stage):
+        # every CSV and text artifact is computed before the output directory
+        # is made; conditions.txt and budget.csv were once left behind
+        def crash(*args):
+            raise RuntimeError("crash")
+        monkeypatch.setattr(expcli, stage, crash)
+        assert main(["run", str(write_config(tmp_path))]) == 3
+        assert capsys.readouterr().err == "internal error: RuntimeError: crash\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("distribution", [
+        {"family": "log-tail", "threshold": 1e308},
+        {"family": "atomic-step", "atoms": [[1e308, 0.5], [1.7e308, 0.5]]},
+    ], ids=["log-tail", "atomic-step"])
+    def test_finite_sum_past_the_float_range_reads_inf(self, tmp_path, distribution):
+        # every draw is finite, but 1000 of them sum past the float range; the
+        # exact sum rounds to inf, as IEEE rounding does, where it once raised
+        # OverflowError (exit 3)
+        p = write_config(tmp_path, {"distribution": distribution,
+                                    "plan": {"rule": "default", "epsilon": 0.05},
+                                    "experiment": {"checkpoints": [1000, 3162],
+                                                   "replications": 2, "seed": 1}},
+                         drop=["conditions.grid"])
+        assert main(["run", str(p)]) == 0
+        with open(tmp_path / "out" / "traces.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4
+        assert all(r["S_n"] == "inf" for r in rows)
+
+    def test_check_has_no_sample_ceiling(self, tmp_path, capsys):
+        # check draws nothing; a checkpoint at 1e9 was once refused by a
+        # ceiling of 1e7 samples, which streaming paths made moot
+        p = write_config(tmp_path, {"experiment.checkpoints": [1000, 1_000_000_000]},
+                         drop=["conditions.grid"])
+        assert parse_config(p).config.n_max == 10 ** 9
+        assert main(["check", str(p)]) == 0
+        assert "config error" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["two", "", "2.0"])
     def test_malformed_workers_exit_two(self, tmp_path, capsys, monkeypatch, value):

@@ -20,7 +20,7 @@ from heavytrim.montecarlo import (ConvergenceTrace, ExperimentConfig, MonteCarlo
                                   aggregate, exceedance_counts, run_replication,
                                   simulate, trace_csv_rows, trimmed_sum,
                                   truncated_sum)
-from heavytrim.distributions import Tabulated
+from heavytrim.distributions import LogTail, Tabulated
 from heavytrim.trimming import (PlanError, PowerThreshold, ProjectedPowerThreshold,
                                 SquareStepThreshold, StandardTrimRule,
                                 SummableFunction, TrimmingPlan,
@@ -224,12 +224,10 @@ class TestExactSum:
         try:
             expected = math.fsum(values.tolist())
         except OverflowError:  # fsum's partial sums overflow; the exact sum may too
+            # IEEE rounding gives inf from the midpoint of the largest float
+            # and 2**1024 on (a tie rounds to the even 2**1024)
             exact = sum(map(Fraction, values.tolist()), Fraction(0))
-            with pytest.raises(OverflowError):
-                float(exact)
-            with pytest.raises(OverflowError):
-                montecarlo._rounded(form)
-            return
+            expected = math.inf if exact >= 2 ** 1024 - 2 ** 970 else float(exact)
         assert montecarlo._rounded(form).hex() == expected.hex()
 
     def test_band_edge(self, bucketed):
@@ -332,14 +330,19 @@ class TestExactSum:
         values = np.random.default_rng(3).pareto(0.5, 3 * montecarlo._CHUNK + 17)
         assert montecarlo._exact(values) == form_reference(values)
 
-    def test_overflow_raises_like_fsum(self):
-        values = [1.7976931348623157e308] * 2
+    def test_overflow_rounds_to_inf(self):
+        # where the exact sum passes the float range fsum raises; IEEE
+        # rounding gives +-inf, and so does each sum
+        big = 1.7976931348623157e308
         with pytest.raises(OverflowError):
-            math.fsum(values)
-        with pytest.raises(OverflowError):
-            trimmed_sum(np.array(values), 0)
-        with pytest.raises(OverflowError):
-            truncated_sum(np.array(values), math.inf)
+            math.fsum([big, big])
+        assert trimmed_sum(np.array([big, big]), 0) == math.inf
+        assert truncated_sum(np.array([big, big]), math.inf) == math.inf
+        assert trimmed_sum(np.array([-big, -big]), 0) == -math.inf
+        # big is 2**1024 - 2**971: adding half its ulp ties, and rounds to
+        # the even 2**1024, so to inf; anything less rounds back to big
+        assert trimmed_sum(np.array([big, 2.0 ** 970]), 0) == math.inf
+        assert trimmed_sum(np.array([big, np.nextafter(2.0 ** 970, 0.0)]), 0) == big
 
     def test_inf_decides_before_finite_overflow(self):
         # the finite part alone overflows; an inf still gives inf, as fsum
@@ -515,10 +518,16 @@ class TestRunReplication:
             ExperimentConfig(plan, (100, 1000), 0, 1)
         with pytest.raises(MonteCarloError):
             ExperimentConfig(plan, (100, 1000), 2, -5)
-        with pytest.raises(MonteCarloError):
-            ExperimentConfig(plan, (100, 1000), 2, 1, max_samples=500)
         with pytest.raises(PlanError, match="threshold decreases between n = 100 and"):
             ExperimentConfig(_plan_with(pareto, _Falling()), (100, 1000), 2, 1)
+
+    def test_no_sample_ceiling(self, pareto):
+        # a path streams in chunks and is never held whole, so no checkpoint
+        # is too large to configure; a ceiling of 1e7 once refused this grid
+        plan = plan_standard(pareto, PowerThreshold(0.8), 0.05)
+        cfg = ExperimentConfig(plan, (1000, 10 ** 9), 2, 1)
+        assert cfg.n_max == 10 ** 9
+        assert cfg.points == plan.table((1000, 10 ** 9))
 
     def test_points_are_the_plan_table(self, pareto_cfg):
         assert pareto_cfg.points == pareto_cfg.plan.table(pareto_cfg.checkpoints)
@@ -565,6 +574,7 @@ class TestThresholdOnAnAtom:
         assert point.threshold == atom and on_atom > 0
         assert row.count_ge - row.count_gt == on_atom
         assert row.count_gt == int(np.count_nonzero(x > atom))
+        assert row.truncated == math.fsum(x[x <= atom].tolist())  # the atom's draws included
         return row
 
     def test_step_law_at_1e4(self, step):
@@ -586,6 +596,16 @@ class TestThresholdOnAnAtom:
                            (65.0, 0.95, "linear"), (1e9, 1.0, "linear")])
         plan = _plan_with(table, ProjectedPowerThreshold(0.3))
         self.assert_counts_the_atom(ExperimentConfig(plan, (2000,), 1, 1), 8.0)
+
+    @pytest.mark.parametrize("atom, n, counts", [(5.0, 20, (10, 20, 50.0)),
+                                                 (10.0, 100, (37, 100, 630.0))])
+    def test_log_tail_threshold(self, atom, n, counts):
+        # LogTail(atom) puts mass 1 - 1/log(atom) on the atom, which t(n)
+        # reaches at once; exp(log 5) is 4.999999999999999, exp(log 10) is
+        # 10.000000000000002
+        plan = plan_default(LogTail(atom), 0.05)
+        row = self.assert_counts_the_atom(ExperimentConfig(plan, (n,), 1, 1), atom)
+        assert (row.count_gt, row.count_ge, row.truncated) == counts
 
 
 class TestStepBeyondFloatRange:

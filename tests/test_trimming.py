@@ -13,8 +13,8 @@ from heavytrim.trimming import (PlanError, PowerThreshold, ProjectedPowerThresho
                                 TrimmingError, TrimmingPlan,
                                 check_condition, check_plan, conditions_for_plan,
                                 fluctuation_allowance, format_condition_report,
-                                geometric_grid, plan_default, plan_standard,
-                                rebase_summable)
+                                geometric_grid, plan_default, plan_standard)
+from oracles import rebase_summable
 
 LN2 = math.log(2.0)
 GRID_1E7 = geometric_grid(1000, 10_000_000, 9)
