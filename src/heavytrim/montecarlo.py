@@ -12,10 +12,12 @@ threshold.  Sums are exact: the bulk, every draw at or below the floor,
 is summed at once and a pool draw when it leaves the pool, by error-free
 extraction or as integers per float exponent, into one integer rounded
 once, so every sum equals ``math.fsum`` of the same entries bit for bit
-wherever fsum returns, and a finite sum past the float range reads
-+-inf.  At a checkpoint, S_n adds the pool's form, and the truncated and
-the trimmed sum leave out two of its slices.  At n = 1e6 a replication
-peaks at 0.6-6 MB (tracemalloc) across the built-in laws.
+wherever fsum returns.  At a checkpoint one evaluator adds the pool's
+form to S_n and leaves two of its slices out of the truncated and the
+trimmed sum; ``trimmed_sum`` and ``truncated_sum`` pass an array through
+it as a pool, so a nan, which sorts last, is neither trimmed nor above a
+cutoff and makes either sum nan.  At n = 1e6 a replication peaks at
+0.6-6 MB (tracemalloc) across the built-in laws.
 
 Plan values (``t(n)``, ``d(n)``, ``b(n)``, the expected exceedances and
 their allowance) depend on n alone, so they live once per experiment in
@@ -24,10 +26,10 @@ and the consumers that pair its rows with that table take the run's one
 config.  Aggregation keeps what the artifacts show: per-checkpoint
 quantiles of the two ratios and of the raw sum's running max over its scale.
 
-Samples whose true value exceeds the float range surface as ``inf``;
-S_n is then ``inf`` however large its finite part, and any sufficient
-trim or truncation drops them again, so only the raw sum column is
-affected on such paths.
+A draw past the float range surfaces as ``inf``, and S_n with it, which
+any sufficient trim or truncation drops again.  A finite sum past the
+float range reads +-inf too, but its ratio to d(n) is taken from the log
+of its exact total, so it stays finite.
 """
 
 from __future__ import annotations
@@ -214,32 +216,22 @@ def _rounded(form: _Form) -> float:
         return math.inf if form.total > 0 else -math.inf
 
 
-def _largest(values: np.ndarray, k: int) -> np.ndarray:
-    """The ``k`` largest entries in no particular order; ties broken arbitrarily."""
-    n = len(values)
-    return np.partition(values, n - k)[n - k:] if k else values[:0]
-
-
 def trimmed_sum(values: np.ndarray, trim: int) -> float:
-    """Sum of all entries except the ``trim`` largest.
-
-    Ties at the trim boundary are broken arbitrarily; the value is
-    tie-invariant because only the kept multiset matters.  Selection runs
-    through a partial partition, not a full sort.
-    """
+    """Sum of all entries except the ``trim`` largest, as a checkpoint sums
+    it: tie-invariant, since only the kept multiset matters.  A nan ranks
+    below every number: the sum is nan unless the trim takes every entry."""
     values = np.asarray(values, dtype=np.float64)
-    n = len(values)
-    if not 0 <= trim <= n:
-        raise MonteCarloError(f"trim count {trim} outside [0, {n}]")
-    return _rounded(_exact(values) - _exact(_largest(values, trim)))
+    if not 0 <= trim <= len(values):
+        raise MonteCarloError(f"trim count {trim} outside [0, {len(values)}]")
+    return _rounded(_evaluate(_Form(), -values, math.inf, trim)[1])
 
 
 def truncated_sum(values: np.ndarray, cutoff: float) -> float:
-    """Sum of entries at most ``cutoff`` (non-strict)."""
-    if cutoff < 0.0:
+    """Sum of entries at most ``cutoff`` (non-strict), as a checkpoint sums
+    it.  A nan is never above the cutoff, so it makes the sum nan."""
+    if not cutoff >= 0.0:
         raise MonteCarloError(f"cutoff must be nonnegative, got {cutoff}")
-    values = np.asarray(values, dtype=np.float64)
-    return _rounded(_exact(values[values <= cutoff]))
+    return _rounded(_evaluate(_Form(), -np.asarray(values, dtype=np.float64), cutoff, 0)[2])
 
 
 def exceedance_counts(values: np.ndarray, cutoff: float) -> tuple[int, int]:
@@ -310,18 +302,6 @@ class ConvergenceTrace(NamedTuple):
     rows: tuple[TraceRow, ...]
 
 
-def _trim(top: np.ndarray, used: int, keep: int, floor: float) -> tuple[float, int, _Form]:
-    """Partition the negated pool ``top[:used]`` in place so that ``top[:keep]``
-    holds its ``keep`` largest draws; return the largest draw left out, which
-    a later draw must exceed to join them, the new pool size and the form of
-    the draws left out, which are negated back in place to be summed."""
-    if used <= keep:
-        return floor, used, _Form()
-    top[:used].partition(keep)
-    dead = np.negative(top[keep:used], out=top[keep:used])
-    return float(dead[0]), keep, _exact(dead, writable=True)
-
-
 def _held(top: np.ndarray) -> _Form:
     """The form of the draws a slice of the pool holds negated; the slice is
     negated in place for extraction, and back."""
@@ -330,12 +310,38 @@ def _held(top: np.ndarray) -> _Form:
     return form
 
 
+def _evaluate(path: _Form, top: np.ndarray, t: float,
+              trim: int) -> tuple[_Form, _Form, _Form, int]:
+    """The forms of S_n, of the trimmed and of the truncated sum, and N_gt, of
+    the draws of form ``path`` and those held negated in ``top``.  ``top`` is
+    partitioned in place: its head holds the min and the next slice the max
+    of the N_gt draws above ``t`` and the ``trim`` largest, which the two
+    sums drop.  A nan sorts last: never above ``t``, trimmed only with all."""
+    count_gt = int(np.count_nonzero(top < -t))
+    lo, hi = sorted((count_gt, trim))
+    if hi < len(top):
+        top.partition(hi)
+    if 0 < lo < hi:
+        top[:hi].partition(lo)
+    both = path + _held(top[hi:])
+    cut = both + _held(top[lo:hi])
+    return cut + _held(top[:lo]), *((both, cut) if count_gt <= trim else (cut, both)), count_gt
+
+
 def _per_scale(total: float, p: PlanPoint) -> float:
     """total / d(n); divided in log space when d(n) overflows, so a finite
     sum gives a finite ratio rather than 0.0 (a sum of 0 still gives 0.0)."""
     if p.scale < math.inf:
         return total / p.scale
     return math.exp(math.log(total) - p.log_scale) if total else 0.0
+
+
+def _ratio(form: _Form, p: PlanPoint) -> float:
+    """total / d(n), in log space from the exact total of a finite sum past the float range."""
+    total = _rounded(form)
+    if total == math.inf and not form.pinf:
+        return math.exp(math.log(form.total) - 1074 * math.log(2.0) - p.log_scale)
+    return _per_scale(total, p)
 
 
 def stream(seed: int, replication: int) -> np.random.Generator:
@@ -378,9 +384,12 @@ def run_replication(config: ExperimentConfig, replication: int) -> ConvergenceTr
             # the block's form counts the zeros; they are taken off
             path += _block(x, lo, hi, writable=True) - _Form(count=len(high))
             if used + len(high) > len(top):  # trim to `keep` or the draws above t, else grow
-                floor, used, dead = _trim(top, used,
-                                          max(keep, int(np.count_nonzero(top[:used] < -t))), floor)
-                path += dead
+                stay = max(keep, int(np.count_nonzero(top[:used] < -t)))
+                if stay < used:  # the draws left out are negated back and summed; a
+                    # later draw must exceed the largest of them to join the pool
+                    top[:used].partition(stay)
+                    dead = np.negative(top[stay:used], out=top[stay:used])
+                    floor, used, path = float(dead[0]), stay, path + _exact(dead, writable=True)
                 if used + len(high) > len(top):
                     top = np.concatenate((top[:used], np.empty((used + 3 * len(high)) // 2)))
             np.negative(high, out=top[used:used + len(high)])
@@ -389,19 +398,9 @@ def run_replication(config: ExperimentConfig, replication: int) -> ConvergenceTr
         if path.count + used != p.n:
             raise MonteCarloError(f"the path form and the pool hold {path.count + used} "
                                   f"draws at n = {p.n}; this is a bug, not randomness")
-        # top[:lo] and top[:hi] get the min and the max of the count_gt and
-        # the b(n) largest draws: the truncated and the trimmed sum drop those
-        count_gt = int(np.count_nonzero(top[:used] < -t))
-        lo, hi = sorted((count_gt, p.trim))
-        if hi < used:
-            top[:used].partition(hi)
-        if 0 < lo < hi:
-            top[:hi].partition(lo)
-        both = path + _held(top[hi:used])
-        cut = both + _held(top[lo:hi])
-        trimmed, truncated = map(_rounded, (both, cut) if count_gt <= p.trim else (cut, both))
-        rows.append(TraceRow(p.n, _rounded(cut + _held(top[:lo])), trimmed, truncated, count_gt,
-                             count_gt + ties, _per_scale(trimmed, p), _per_scale(truncated, p)))
+        total, trimmed, truncated, count_gt = _evaluate(path, top[:used], t, p.trim)
+        rows.append(TraceRow(p.n, *map(_rounded, (total, trimmed, truncated)), count_gt,
+                             count_gt + ties, _ratio(trimmed, p), _ratio(truncated, p)))
     return ConvergenceTrace(replication, tuple(rows))
 
 

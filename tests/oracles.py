@@ -6,9 +6,11 @@ float before summing it.  ``form_reference`` reads its buckets as the
 exact-sum form that ``montecarlo._exact`` computes in two tiers.
 ``run_replication_prefix`` is the prefix engine that ``run_replication``
 streams: it holds the whole path and rescans each prefix at every
-checkpoint.  It sums with ``form_reference`` and binds ``stream`` and the
-other primitives at import, so a test may patch them in
-``heavytrim.montecarlo`` without touching the oracle.
+checkpoint, taking the trimmed draws with ``_largest``, a partial
+partition of the prefix, where the engine partitions its pool.  It sums
+with ``form_reference`` and binds ``stream`` and the other primitives at
+import, so a test may patch them in ``heavytrim.montecarlo`` without
+touching the oracle.
 ``max_deviation_tail_exact`` gives maximal-deviation probabilities of small
 lattice laws in exact rational arithmetic, for checking that the bounds
 dominate truth.
@@ -32,7 +34,7 @@ from heavytrim.bounds import BoundsError, ProbabilityBound
 from heavytrim.distributions import (LOG_FLOAT_MAX, Distribution, LogTail,
                                      ParetoTail, SquareStep, Value)
 from heavytrim.montecarlo import (ConvergenceTrace, ExperimentConfig, TraceRow,
-                                  _Form, _largest, _rounded, stream)
+                                  _Form, _rounded, stream)
 from heavytrim.trimming import SummableFunction, TrimmingError
 
 _KEYS = 4096
@@ -72,6 +74,12 @@ def form_reference(values: np.ndarray) -> _Form:
             fraction = (fraction + (n << 52)) << (exponent - 1)
         total += -fraction if sign else fraction
     return _Form(total, *infs, nan, int(count.sum()))
+
+
+def _largest(values: np.ndarray, k: int) -> np.ndarray:
+    """The ``k`` largest entries in no particular order; ties broken arbitrarily."""
+    n = len(values)
+    return np.partition(values, n - k)[n - k:] if k else values[:0]
 
 
 def run_replication_prefix(config: ExperimentConfig, replication: int) -> ConvergenceTrace:

@@ -83,6 +83,12 @@ class TestRelativeBound:
         b = bernstein_relative(kappa=1.5, mean_total=1.0, upper=1.0)
         assert b.log_value == pytest.approx(math.log(2.0) - 0.75, rel=1e-12)
 
+    def test_input_domain(self):
+        with pytest.raises(BoundsError, match="mean_total"):
+            bernstein_relative(kappa=1.0, mean_total=0.0, upper=1.0)
+        with pytest.raises(BoundsError, match="upper"):
+            bernstein_relative(kappa=1.0, mean_total=1.0, upper=0.0)
+
     def test_vacuous_as_mean_vanishes(self):
         b = bernstein_relative(kappa=1.0, mean_total=1e-12, upper=1.0)
         assert b.raw == pytest.approx(2.0, rel=1e-9)

@@ -211,6 +211,10 @@ class TestTruncatedMoments:
             tail, _ = integrate.quad(lambda x: 1.0 / math.log(x) ** 2, threshold, 50.0)
             assert _moment(d, 50.0) == pytest.approx(base + tail, rel=1e-9)
 
+    def test_logtail_moment_past_the_float_range_refused(self):
+        with pytest.raises(DistributionError, match="beyond float range"):
+            LogTail().log_truncated_moment(800.0)
+
     def test_ei_matches_mpmath(self):
         # both branches of the series and the switch at 50, up to the
         # largest log(x) a float x can have
@@ -286,6 +290,10 @@ class TestTabulated:
             Tabulated([(1.0, 0.5, "jump"), (2.0, 0.4, "jump")])
         with pytest.raises(DistributionError):
             Tabulated([(1.0, 0.5, "wiggly")])
+        with pytest.raises(DistributionError, match="breakpoints must be positive"):
+            Tabulated([(-1.0, 0.5, "jump"), (2.0, 1.0, "jump")])
+        with pytest.raises(DistributionError, match=r"F values must lie in \[0,1\]"):
+            Tabulated([(1.0, 0.5, "jump"), (2.0, 1.5, "jump")])
 
     def test_point_mass(self, pm):
         assert pm.survival_at_log(0.0) == 0.0

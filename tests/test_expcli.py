@@ -331,12 +331,13 @@ class TestMain:
         ("experiment.max-samples", 10 ** 400),
         ("budgett", {"eps": 0.1}),
         ("plan.validate", False),
+        ("experiment.checkpoints", 5),
     ], ids=["experiment-number", "conditions-list", "threshold-number", "tolerance-typo",
             "scale-typo", "max-samples-typo", "max-samples-beyond-float", "budget-typo",
-            "validate"])
+            "validate", "checkpoints-number"])
     def test_config_shape_exit_two(self, tmp_path, capsys, key, value):
-        # a section that is not an object, or a key no section knows; the
-        # sample ceiling experiment.max-samples is no key
+        # a section that is not an object, a key no section knows, or a list
+        # that is a number; the sample ceiling experiment.max-samples is no key
         p = write_config(tmp_path, {key: value})
         for command in ("check", "run"):
             assert main([command, str(p)]) == 2
@@ -445,8 +446,8 @@ class TestMain:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text", [b'{"a": "\xff"}', b'{"a": 1' + b"0" * 5000 + b"}",
-                                      b"[" * 100_000 + b"]" * 100_000],
-                             ids=["not-utf8", "digit-limit", "too-deep"])
+                                      b"[" * 100_000 + b"]" * 100_000, b"[1, 2]"],
+                             ids=["not-utf8", "digit-limit", "too-deep", "top-level-list"])
     def test_unreadable_config_exit_two(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
         bad.write_bytes(text)
@@ -492,7 +493,8 @@ class TestMain:
     def test_finite_sum_past_the_float_range_reads_inf(self, tmp_path, distribution):
         # every draw is finite, but 1000 of them sum past the float range; the
         # exact sum rounds to inf, as IEEE rounding does, where it once raised
-        # OverflowError (exit 3)
+        # OverflowError (exit 3).  Both ratios come from the log of the exact
+        # total, so they stay finite
         p = write_config(tmp_path, {"distribution": distribution,
                                     "plan": {"rule": "default", "epsilon": 0.05},
                                     "experiment": {"checkpoints": [1000, 3162],
@@ -503,6 +505,8 @@ class TestMain:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4
         assert all(r["S_n"] == "inf" for r in rows)
+        assert all(0.0 < float(r[c]) < math.inf
+                   for r in rows for c in ("ratio_trimmed", "ratio_truncated")), rows
 
     def test_check_has_no_sample_ceiling(self, tmp_path, capsys):
         # check draws nothing; a checkpoint at 1e9 was once refused by a
@@ -575,6 +579,46 @@ class TestMain:
         assert main([command, str(p)]) == 2
         assert capsys.readouterr().err.startswith("config error: " + message)
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    @pytest.mark.parametrize("overrides, drop, flags, message", [
+        ({"distribution.alpha": 1.5}, [], [], "distribution: alpha must lie in (0,1)"),
+        ({}, ["distribution.alpha"], [], "distribution.alpha: missing"),
+        ({"plan": {**FLOOR_VIOLATION["plan"], "summable": {"family": "power", "param": 0.5}}},
+         [], [], "plan.summable: power family needs an exponent > 1"),
+        ({"plan.threshold.exponent": -1}, [], [], "plan: exponent must be positive"),
+        ({"experiment.checkpoints": [2, 1000]}, ["conditions.grid"], [],
+         "experiment: checkpoints must be at least 3"),
+        ({}, [], ["--nmax", "10"], "experiment.checkpoints: all above the --nmax override"),
+        # the checkpoints 256 and 4096 meet the atoms 4 and 8; the default
+        # condition grid's n = 31 asks for 31**0.25, between two atoms
+        ({"distribution": {"family": "atomic-step",
+                           "atoms": [[2.0 ** k, 2.0 ** -k] for k in range(1, 6)]},
+          "plan.threshold.exponent": 0.25, "experiment.checkpoints": [256, 4096]},
+         ["conditions.grid"], [], "plan: threshold at n = 31 is not a quantile fixed point"),
+    ], ids=["alpha-above-one", "alpha-missing", "summable-power-below-one",
+            "exponent-negative", "checkpoint-below-three", "nmax-below-every-checkpoint",
+            "default-grid-off-the-atoms"])
+    def test_refused_config_exit_two(self, tmp_path, capsys, command, overrides, drop, flags,
+                                     message):
+        p = write_config(tmp_path, copy.deepcopy(overrides), drop)
+        assert main([command, str(p), *flags]) == 2
+        assert capsys.readouterr().err.startswith("config error: " + message)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("overrides", [
+        {"experiment.checkpoints": [1e3, 1e4]},
+        {"plan.threshold": {"rule": "projected-power", "exponent": 0.8}},
+    ], ids=["integral-float-checkpoints", "standard-projected-power"])
+    def test_check_accepts_exit_zero(self, tmp_path, capsys, overrides):
+        assert main(["check", str(write_config(tmp_path, overrides, ["conditions.grid"]))]) == 0
+        assert "config error" not in capsys.readouterr().err
+
+    def test_out_dir_under_a_file_exit_two(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+        assert main(["run", str(write_config(tmp_path)), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("io error during run: ")
 
     @pytest.mark.parametrize("command", ["run", "check"])
     def test_floor_violation_exit_one(self, tmp_path, capsys, command):

@@ -109,6 +109,8 @@ class TestTrimmedSum:
         x = np.array([1.0, math.inf, 2.0])
         assert trimmed_sum(x, 1) == 3.0
         assert trimmed_sum(x, 0) == math.inf
+        with pytest.raises(ValueError, match="-inf \\+ inf"):
+            trimmed_sum(np.array([math.inf, -math.inf]), 0)
 
 
 class TestTruncatedSum:
@@ -125,6 +127,8 @@ class TestTruncatedSum:
     def test_negative_cutoff_rejected(self):
         with pytest.raises(MonteCarloError):
             truncated_sum(np.array([1.0]), -1.0)
+        with pytest.raises(MonteCarloError):  # no entry compares with a nan cutoff
+            truncated_sum(np.array([1.0]), math.nan)
 
 
 # entries for the exact-sum properties: subnormals and tiny values, values
@@ -181,7 +185,16 @@ class TestExactSum:
             assert trimmed_sum(x, 0).hex() == math.fsum(values).hex()
             assert truncated_sum(x, 1e308).hex() == \
                 math.fsum(v for v in values if v <= 1e308).hex()
-        assert math.isnan(trimmed_sum(np.array([1.0, math.nan]), 0))
+        # a nan sorts below every number in the pool a sum runs through: it
+        # is never among the trimmed largest nor above a cutoff, so the sum
+        # is nan as fsum's is (a trim of every entry leaves the empty sum)
+        for values in ([1.0, math.nan], [math.nan, 3.0, 1.0]):
+            x = np.array(values)
+            for trim in range(len(values)):
+                assert math.isnan(trimmed_sum(x, trim)), (values, trim)
+            assert trimmed_sum(x, len(values)) == 0.0
+            for cutoff in (0.0, 1.0, 2.0, 5.0, math.inf):
+                assert math.isnan(truncated_sum(x, cutoff)), (values, cutoff)
 
     def test_longer_than_one_chunk(self):
         rng = np.random.default_rng(77)
@@ -206,15 +219,14 @@ class TestExactSum:
         assert montecarlo._exact(values) == form_reference(values)
         assert np.array_equal(values.view(np.uint64), bits)  # input left unchanged
 
-    @pytest.mark.parametrize("length", [0, 1, montecarlo._CHUNK - 1, montecarlo._CHUNK,
-                                        3 * montecarlo._CHUNK + 17])
-    @pytest.mark.parametrize("binades", [1, 30, 60, 2000])
-    def test_extraction_matches_reference_and_fsum(self, length, binades):
-        # random positive finite bit patterns whose exponents span `binades`
-        # binades from a random base: within one band, across its edge, and
-        # over the whole range, where blocks leave the normal range for sigma
+    @staticmethod
+    def assert_extraction(length, binades, base=None) -> bool:
+        """Random positive finite bit patterns whose exponents span `binades`
+        binades from `base` (default: random) against the reference and
+        fsum; whether fsum overflowed, so that the Fraction branch ran."""
         rng = np.random.default_rng(length + binades)
-        base = int(rng.integers(1, 2046 - min(binades, 2045)))
+        if base is None:
+            base = int(rng.integers(1, 2046 - min(binades, 2045)))
         exponents = base + rng.integers(0, min(binades, 2046 - base), length, dtype=np.uint64)
         bits = (exponents << np.uint64(52)) | rng.integers(0, 2 ** 52, length, np.uint64)
         values = bits.view(np.float64)
@@ -222,13 +234,31 @@ class TestExactSum:
         assert form == form_reference(values)
         assert np.array_equal(values.view(np.uint64), bits)  # input left unchanged
         try:
-            expected = math.fsum(values.tolist())
+            expected, overflow = math.fsum(values.tolist()), False
         except OverflowError:  # fsum's partial sums overflow; the exact sum may too
             # IEEE rounding gives inf from the midpoint of the largest float
             # and 2**1024 on (a tie rounds to the even 2**1024)
             exact = sum(map(Fraction, values.tolist()), Fraction(0))
             expected = math.inf if exact >= 2 ** 1024 - 2 ** 970 else float(exact)
+            overflow = True
         assert montecarlo._rounded(form).hex() == expected.hex()
+        return overflow
+
+    @pytest.mark.parametrize("length", [0, 1, montecarlo._CHUNK - 1, montecarlo._CHUNK,
+                                        3 * montecarlo._CHUNK + 17])
+    @pytest.mark.parametrize("binades", [1, 30, 60, 2000])
+    def test_extraction_matches_reference_and_fsum(self, length, binades):
+        # within one band, across its edge, and over the whole range, where
+        # blocks leave the normal range for sigma
+        self.assert_extraction(length, binades)
+
+    @pytest.mark.parametrize("length", [montecarlo._CHUNK, 3 * montecarlo._CHUNK + 17])
+    @pytest.mark.parametrize("binades", [1, 30, 60, 2000])
+    def test_extraction_past_the_float_range(self, length, binades):
+        # exponent fields that end at 2045, the highest the generator draws:
+        # the random bases above never reach it, and none of their sums
+        # overflows fsum, so only these cases run its Fraction branch
+        assert self.assert_extraction(length, binades, base=2046 - binades)
 
     def test_band_edge(self, bucketed):
         # 2**(e_lo + 40) is out of band and goes to the buckets; the float
@@ -362,6 +392,10 @@ class TestExceedanceCounts:
 
     def test_cutoff_above_everything(self):
         assert exceedance_counts(np.array([2.0, 2.0, 5.0]), 9.0) == (0, 0)
+
+    def test_negative_cutoff_rejected(self):
+        with pytest.raises(MonteCarloError):
+            exceedance_counts(np.array([1.0]), -1.0)
 
     def test_continuous_sample_has_no_boundary_ties(self, pareto):
         u = montecarlo.stream(3, 3).random(5000)
@@ -692,9 +726,10 @@ class TestAgainstPrefixOracle:
         cfg = ExperimentConfig(plan_default(pareto_table, 0.05),
                                (1000, 10000, 100000, 200000), 2, 31)
         assert max(p.trim for p in cfg.points) > montecarlo._CHUNK
-        trims, trim = [], montecarlo._trim
-        monkeypatch.setattr(montecarlo, "_trim", lambda top, used, keep, floor:
-                            trims.append(used > keep) or trim(top, used, keep, floor))
+        # a trim alone sums the pool's dead slice in place
+        trims, exact = [], montecarlo._exact
+        monkeypatch.setattr(montecarlo, "_exact", lambda values, writable=False:
+                            trims.append(writable) or exact(values, writable))
         self.assert_same(cfg)
         # two replications trim at most once per checkpoint each; the rest
         # fall within segments
@@ -860,6 +895,8 @@ class TestSimulateAndAggregate:
             aggregate(pareto_cfg, list(pareto_traces) + list(other))
         with pytest.raises(MonteCarloError, match="replication 0: rows do not follow"):
             list(trace_csv_rows(pareto_cfg, other))
+        with pytest.raises(MonteCarloError, match="no traces given"):
+            aggregate(pareto_cfg, ())
 
     def test_csv_schema(self, pareto_cfg, pareto_traces):
         rows = list(trace_csv_rows(pareto_cfg, pareto_traces[:1]))

@@ -45,6 +45,8 @@ class TestSummableFunction:
                 SummableFunction(family, bad)
         with pytest.raises(TrimmingError):
             SummableFunction("zeta", 2.0)
+        with pytest.raises(TrimmingError, match="at least 1"):
+            SummableFunction("power", 2.0).log_value(0)
 
     def test_reciprocal_sums_flatten(self):
         # the defining property, checked as a Cauchy-style heuristic: the
@@ -418,6 +420,13 @@ class TestPlanGeneral:
     def test_epsilon_domain(self, pareto):
         with pytest.raises(PlanError):
             plan_standard(pareto, PowerThreshold(0.8), 0.3)
+
+    def test_rule_and_sample_size_domains(self, pareto):
+        for build in (lambda: PowerThreshold(0.0), lambda: PowerThreshold(1.0, 0.0),
+                      lambda: ProjectedPowerThreshold(0.0),
+                      lambda: plan_standard(pareto, PowerThreshold(0.8), 0.05).checkpoint(2)):
+            with pytest.raises(TrimmingError, match="positive|at least 3"):
+                build()
 
 
 def _mp_standard_limit_pareto(n, beta, eps):
