@@ -28,16 +28,15 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from . import __version__
-from .bounds import borel_cantelli_budget
 from .distributions import (Distribution, DistributionError, LogTail, ParetoTail,
                             SquareStep, Tabulated, prefix_fsums)
 from .montecarlo import ExperimentConfig, aggregate, simulate, trace_csv_rows, workers
 from .trimming import (AllowanceTrimRule, ConditionReport, PlanError, PlanPoint,
                        PowerThreshold, ProjectedPowerThreshold, SquareStepThreshold,
                        StandardTrimRule, SummableFunction, TrimmingError, TrimmingPlan,
-                       check_condition, check_condition_grid, check_plan,
-                       conditions_for_plan, format_condition_report, geometric_grid,
-                       plan_default, plan_standard)
+                       borel_cantelli_budget, check_condition, check_condition_grid,
+                       check_plan, conditions_for_plan, format_condition_report,
+                       geometric_grid, plan_default, plan_standard)
 
 __all__ = ["parse_config", "run", "plot", "main", "RunManifest", "ConfigError",
            "CONFIG_GRAMMAR"]

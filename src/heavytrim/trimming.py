@@ -8,6 +8,9 @@ it evaluates nothing.  :func:`check_plan` judges its structural hypotheses
 (quantile fixed points, monotone thresholds) on every plan table, the
 checkpoints' included; the pointwise trim floors and the asymptotic
 hypotheses are turned into grid verdicts by :func:`check_condition`.
+:func:`borel_cantelli_budget` reports on the same table the Bernstein
+exponent of each truncated-sum deviation and the running sum along n of
+the summands ``exp(-exponent)``.
 
 Thresholds are handled in log space throughout: the built-in step law
 produces thresholds like ``2**1369`` that no float can hold, while every
@@ -49,6 +52,9 @@ __all__ = [
     "TrimmingError",
     "PlanError",
     "CONDITIONS",
+    "BudgetRow",
+    "BudgetTable",
+    "borel_cantelli_budget",
 ]
 
 
@@ -332,11 +338,11 @@ def check_plan(plan: TrimmingPlan, table: Sequence[PlanPoint]) -> tuple[str, ...
             raise PlanError(
                 f"threshold at n = {p.n} is not a quantile fixed point of the law; "
                 f"rule {plan.threshold_rule!r} is inadmissible there")
+        if p.expect_gt > p.expect_ge:
+            raise PlanError(f"exceedance expectations out of order at n = {p.n}")
     for p, q in zip(table, table[1:]):
         if q.log_threshold < p.log_threshold:
             raise PlanError(f"threshold decreases between n = {p.n} and n = {q.n}")
-        if q.expect_gt > q.expect_ge:
-            raise PlanError(f"exceedance expectations out of order at n = {q.n}")
     # divergence heuristics are advisory: slow rules plateau on any desk grid;
     # each point is compared with the first one at least a decade on
     warnings: list[str] = []
@@ -581,3 +587,60 @@ def format_condition_report(reports: Sequence[ConditionReport]) -> str:
             lines.append(f"  {n} {v:.6e}")
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
+
+
+# --------------------------------------------------------------------------
+# summable deviation budget along a plan
+# --------------------------------------------------------------------------
+
+_LN10 = math.log(10.0)
+
+
+def _relative_rate(kappa: float) -> float:
+    """``3 kappa**2 / (6 + 2 kappa)``: the Bernstein exponent per unit of
+    d(n) / t(n) at relative deviation kappa."""
+    if not kappa > 0.0:
+        raise TrimmingError(f"relative deviation must be positive, got {kappa}")
+    return 3.0 * kappa * kappa / (6.0 + 2.0 * kappa)
+
+
+class BudgetRow(NamedTuple):
+    n: int
+    exponent_arg: float       # (3 eps^2 / (6 + 2 eps)) * scale(n) / threshold(n)
+    log10_summand: float
+    partial_sum: float
+
+
+class BudgetTable(NamedTuple):
+    epsilon: float
+    rows: tuple[BudgetRow, ...]
+
+    def csv_rows(self):
+        yield ("n", "exponent_arg", "log10_summand", "partial_sum")
+        for r in self.rows:
+            yield (r.n, repr(r.exponent_arg), repr(r.log10_summand), repr(r.partial_sum))
+
+
+def borel_cantelli_budget(eps: float, table: Sequence[PlanPoint]) -> BudgetTable:
+    """Deviation budget making truncated-sum deviations summable.
+
+    For each point of ``table`` (a plan's ``table(grid)``) tabulates the
+    exponent argument ``(3 eps^2/(6+2 eps)) * d(n)/t(n)`` in log space, the
+    log10 of the summand ``exp(-arg)`` and the running partial sum.  Twice
+    the summand is Bernstein's maximal bound on a truncated-sum deviation of
+    ``eps * d(n)``, with variance total ``t(n) d(n)`` and amplitude ``t(n)``.
+    """
+    coef = _relative_rate(eps)
+    rows = []
+    running = 0.0
+    for p in table:
+        arg = coef * math.exp(min(p.log_scale - p.log_threshold, 700.0))
+        summand = math.exp(-arg) if arg < 745.0 else 0.0
+        running += summand
+        rows.append(BudgetRow(
+            n=p.n,
+            exponent_arg=arg,
+            log10_summand=-arg / _LN10,
+            partial_sum=running,
+        ))
+    return BudgetTable(epsilon=eps, rows=tuple(rows))

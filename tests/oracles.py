@@ -12,12 +12,13 @@ with ``form_reference`` and binds ``stream`` and the other primitives at
 import, so a test may patch them in ``heavytrim.montecarlo`` without
 touching the oracle.
 ``max_deviation_tail_exact`` gives maximal-deviation probabilities of small
-lattice laws in exact rational arithmetic, for checking that the bounds
-dominate truth.
+lattice laws in exact rational arithmetic, for checking that the
+Bernstein bounds dominate truth.
 ``reference_quantile`` is the scalar generalized inverse that each law's
 ``sample_array`` vectorizes.
 ``bernstein_max_tail`` is Bernstein's maximal inequality in its general
-form, of which ``bounds.bernstein_relative`` is the bounded nonnegative case.
+form, and ``bernstein_relative`` its bounded nonnegative case, whose
+exponent ``trimming.borel_cantelli_budget`` tabulates along a plan.
 ``rebase_summable`` is the rebasing lemma: it carries a weight with a
 summable reciprocal from base-a to base-b logarithmic indexing, as
 acceptance criterion 4 checks; no plan or run calls it.
@@ -30,12 +31,11 @@ from typing import Sequence
 
 import numpy as np
 
-from heavytrim.bounds import BoundsError, ProbabilityBound
 from heavytrim.distributions import (LOG_FLOAT_MAX, Distribution, LogTail,
                                      ParetoTail, SquareStep, Value)
 from heavytrim.montecarlo import (ConvergenceTrace, ExperimentConfig, TraceRow,
                                   _Form, _rounded, stream)
-from heavytrim.trimming import SummableFunction, TrimmingError
+from heavytrim.trimming import PlanPoint, SummableFunction, TrimmingError
 
 _KEYS = 4096
 _LOW26 = np.uint64((1 << 26) - 1)
@@ -90,19 +90,32 @@ def run_replication_prefix(config: ExperimentConfig, replication: int) -> Conver
         prefix = x[: p.n]
         over_mask = prefix > p.threshold
         path = form_reference(prefix)
-        truncated = _rounded(form_reference(prefix[~over_mask]))
-        trimmed = _rounded(path - form_reference(_largest(prefix, p.trim)))
+        truncated = form_reference(prefix[~over_mask])
+        trimmed = path - form_reference(_largest(prefix, p.trim))
         rows.append(TraceRow(
             n=p.n,
             untrimmed=_rounded(path),
-            trimmed=trimmed,
-            truncated=truncated,
+            trimmed=_rounded(trimmed),
+            truncated=_rounded(truncated),
             count_gt=int(np.count_nonzero(over_mask)),
             count_ge=int(np.count_nonzero(prefix >= p.threshold)),
-            ratio_trimmed=trimmed / p.scale,
-            ratio_truncated=truncated / p.scale,
+            ratio_trimmed=_ratio_reference(trimmed, p),
+            ratio_truncated=_ratio_reference(truncated, p),
         ))
     return ConvergenceTrace(replication=replication, rows=tuple(rows))
+
+
+def _ratio_reference(form: _Form, p: PlanPoint) -> float:
+    """A sum over d(n) by the README's rule: a finite sum rounded to inf is
+    read from the log of its exact total, and a d(n) of inf divides in log space."""
+    total = _rounded(form)
+    if total == math.inf and not form.pinf:
+        log_total = math.log(form.total) - 1074 * math.log(2.0)
+    elif p.scale == math.inf and total:
+        log_total = math.log(total)
+    else:
+        return total / p.scale
+    return math.exp(log_total - p.log_scale)
 
 
 def _as_fractions(support: Sequence, probs: Sequence) -> tuple[list[Fraction], list[Fraction]]:
@@ -179,6 +192,49 @@ def reference_quantile(dist: Distribution, u: float) -> float:
     if dist.kinds[i] == "jump":
         return xs[i]
     return xs[i - 1] + (u - fs[i - 1]) * (xs[i] - xs[i - 1]) / (fs[i] - fs[i - 1])
+
+
+class BoundsError(ValueError):
+    """Arguments outside the domain of a bound."""
+
+
+class ProbabilityBound(Value):
+    """A probability bound stored as the natural log of its raw value.
+
+    ``raw`` may exceed 1 (a vacuous bound); ``log10`` stays finite far
+    below the smallest positive float.
+    """
+
+    _fields = ("log_value",)
+
+    def __init__(self, log_value: float):
+        self.__dict__["log_value"] = log_value
+
+    @property
+    def raw(self) -> float:
+        return math.exp(self.log_value)
+
+    @property
+    def log10(self) -> float:
+        return self.log_value / math.log(10.0)
+
+
+def bernstein_relative(kappa: float, mean_total: float, upper: float) -> ProbabilityBound:
+    """Bound on P(max over prefixes of |sum - mean| >= kappa * mean_total)
+    for i.i.d. nonnegative summands bounded by ``upper``.
+
+    Evaluates ``2 exp(-(3 kappa**2 / (6 + 2 kappa)) * mean_total / upper)``:
+    ``bernstein_max_tail`` at deviation ``t = kappa * mean_total``, variance
+    total ``V = upper * mean_total`` and amplitude ``M = upper``.
+    """
+    if not kappa > 0.0:
+        raise BoundsError(f"relative deviation must be positive, got {kappa}")
+    if not mean_total > 0.0:
+        raise BoundsError(f"mean_total must be positive, got {mean_total}")
+    if not upper > 0.0:
+        raise BoundsError(f"upper must be positive, got {upper}")
+    rate = 3.0 * kappa * kappa / (6.0 + 2.0 * kappa)
+    return ProbabilityBound(math.log(2.0) - rate * mean_total / upper)
 
 
 def bernstein_max_tail(deviation: float, variance: float,

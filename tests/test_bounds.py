@@ -1,17 +1,22 @@
 import math
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 from typing import Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heavytrim.bounds import (BoundsError, ProbabilityBound, bernstein_relative,
-                              borel_cantelli_budget)
-from heavytrim.distributions import ParetoTail
-from heavytrim.trimming import (PowerThreshold, SummableFunction,
+from heavytrim.expcli import parse_config
+from heavytrim.trimming import (PowerThreshold, TrimmingError, borel_cantelli_budget,
                                 geometric_grid, plan_standard)
-from oracles import _as_fractions, bernstein_max_tail, max_deviation_tail_exact
+from oracles import (BoundsError, _as_fractions, bernstein_max_tail, bernstein_relative,
+                     max_deviation_tail_exact)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import workloads  # noqa: E402
 
 
 def max_deviation_tail_enumerate(support: Sequence, probs: Sequence, n: int,
@@ -202,5 +207,19 @@ class TestBudget:
 
     def test_eps_domain(self, pareto):
         plan = plan_standard(pareto, PowerThreshold(0.8), 0.05)
-        with pytest.raises(BoundsError):
+        with pytest.raises(TrimmingError):
             borel_cantelli_budget(0.0, plan.table(geometric_grid(1000, 10 ** 6, 8)))
+
+    @pytest.mark.parametrize("workload", ["pareto-demo", "tabulated-table"])
+    def test_exponent_is_the_relative_bernstein_bound(self, tmp_path, workload):
+        # the budget's exponent and the oracle's are computed apart: on the
+        # table each benchmark workload budgets, twice the summand is the bound
+        config = workloads.write_config(workload, 1, tmp_path, tmp_path / "config.json")
+        spec = parse_config(config)
+        table = spec.config.plan.table(spec.condition_grid)
+        assert all(p.scale < math.inf and p.threshold < math.inf for p in table)
+        for eps in (spec.budget_eps, 0.5, 2.0):
+            for p, row in zip(table, borel_cantelli_budget(eps, table).rows):
+                bound = bernstein_relative(eps, p.scale, p.threshold)
+                assert row.exponent_arg == pytest.approx(math.log(2.0) - bound.log_value,
+                                                         rel=1e-12)

@@ -446,14 +446,19 @@ class TestMain:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text", [b'{"a": "\xff"}', b'{"a": 1' + b"0" * 5000 + b"}",
-                                      b"[" * 100_000 + b"]" * 100_000, b"[1, 2]"],
-                             ids=["not-utf8", "digit-limit", "too-deep", "top-level-list"])
+                                      b"[" * 100_000 + b"]" * 100_000, b"[1, 2]", None],
+                             ids=["not-utf8", "digit-limit", "too-deep", "top-level-list",
+                                  "missing-config"])
     def test_unreadable_config_exit_two(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
-        bad.write_bytes(text)
+        if text is not None:  # a missing config is never written
+            bad.write_bytes(text)
         for command in ("check", "run"):
-            assert main([command, str(bad)]) == 2
-            assert f"config error: {bad}: " in capsys.readouterr().err
+            assert main([command, str(bad), "--out-dir", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert f"config error: {bad}: " in err
+            assert text is not None or "[Errno 2] No such file or directory" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text", [
         "n,trimmed_q50\n1000,abc\n", "n,trimmed_q50\n1000,0.5\n",

@@ -10,6 +10,7 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -718,6 +719,42 @@ class TestAgainstPrefixOracle:
             plan = (pareto_cfg.plan if law == "pareto"
                     else plan_default(request.getfixturevalue(law), 0.05))
         self.assert_same(ExperimentConfig(plan, (1000, 3162, 10007, 40000), 2, 31))
+
+    @pytest.mark.parametrize("law", [
+        Tabulated([(1e308, 0.5, "jump"), (1.7e308, 1.0, "jump")]), LogTail(1e308)],
+        ids=["atoms", "log-tail"])
+    def test_sums_past_the_float_range(self, law):
+        # d(n), S_n and the trimmed and truncated sums all round to inf, and
+        # each ratio is read in log space from the exact total; both engines
+        # against that total over d(n) in mpmath, from Fraction sums
+        cfg = ExperimentConfig(plan_default(law, 0.05), (1000, 3162), 2, 1)
+        self.assert_same(cfg)
+        for i in (0, 1):
+            x = law.sample_array(montecarlo.stream(cfg.seed, i).random(cfg.n_max))
+            for p, row in zip(cfg.points, run_replication(cfg, i).rows):
+                assert p.scale == row.trimmed == row.truncated == math.inf
+                prefix = np.sort(x[:p.n])
+                for kept, ratio in ((prefix[:p.n - p.trim], row.ratio_trimmed),
+                                    (prefix[prefix <= p.threshold], row.ratio_truncated)):
+                    total = sum(map(Fraction, kept.tolist()))
+                    with mp.workdps(30):
+                        exact = mp.mpf(total.numerator) / total.denominator / mp.exp(p.log_scale)
+                    assert 0.0 < ratio == pytest.approx(float(exact), rel=1e-12)
+
+    def test_scale_past_the_float_range(self, step):
+        # the step law's threshold reaches the atom at 2**1024 by n = 5e6,
+        # where d(n) overflows while both sums stay finite: each ratio
+        # divides in log space
+        cfg = ExperimentConfig(plan_standard(step, SquareStepThreshold(), 0.05),
+                               (1000, 1000000, 5000000), 1, 20260810)
+        self.assert_same(cfg)
+        p, row = cfg.points[-1], run_replication(cfg, 0).rows[-1]
+        assert p.scale == math.inf
+        for total, ratio in ((row.trimmed, row.ratio_trimmed),
+                             (row.truncated, row.ratio_truncated)):
+            with mp.workdps(30):
+                exact = mp.mpf(total) / mp.exp(p.log_scale)
+            assert 0.0 < ratio == pytest.approx(float(exact), rel=1e-12)
 
     def test_pool_larger_than_a_block(self, pareto_table, monkeypatch):
         # b(2e5) exceeds a block: whole blocks enter the top-b pool while it

@@ -405,6 +405,19 @@ class TestPlanGeneral:
         with pytest.raises(PlanError, match="not a quantile fixed point"):
             check_plan(off_atoms, off_atoms.table(grid))
 
+    def test_exceedance_expectations_out_of_order(self):
+        # a law whose P(X >= t) falls below P(X > t), on a grid and on a
+        # one-point table, whose point was once never compared
+        class Inverted(ParetoTail):
+            def survival_left_at_log(self, log_x):
+                return self.survival_at_log(log_x) / 2
+
+        plan = plan_standard(Inverted(0.5), PowerThreshold(0.8), 0.05)
+        for grid in (GRID_1E7, (1000,)):
+            with pytest.raises(PlanError, match="exceedance expectations out of order "
+                                                "at n = 1000$"):
+                check_plan(plan, plan.table(grid))
+
     def test_empty_grid_skips_validation(self, pareto, step):
         class Meager:
             def raw_count(self, plan, n, expect_gt):

@@ -19,8 +19,7 @@ import pytest
 
 from heavytrim import (AllowanceTrimRule, ExperimentConfig, ParetoTail, PlanError,
                        PowerThreshold, SquareStepThreshold, StandardTrimRule, Tabulated,
-                       bounds, distributions, expcli, montecarlo, plan_standard,
-                       trimming)
+                       distributions, expcli, montecarlo, plan_standard, trimming)
 from heavytrim.expcli import parse_config
 from heavytrim.trimming import check_plan
 
@@ -31,7 +30,7 @@ import workloads  # noqa: E402
 
 
 def test_no_class_is_a_dataclass():
-    for module in (distributions, trimming, bounds, montecarlo, expcli):
+    for module in (distributions, trimming, montecarlo, expcli):
         for name, obj in vars(module).items():
             if isinstance(obj, type):
                 assert not hasattr(obj, "__dataclass_fields__"), f"{module.__name__}.{name}"
