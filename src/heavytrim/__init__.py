@@ -15,11 +15,10 @@ from .trimming import (AllowanceTrimRule, ConditionReport, PlanError,
                        PowerThreshold, ProjectedPowerThreshold,
                        SquareStepThreshold, StandardTrimRule, SummableFunction,
                        TrimmingError, TrimmingPlan, borel_cantelli_budget,
-                       check_condition, fluctuation_allowance,
-                       format_condition_report, geometric_grid, plan_default,
-                       plan_standard)
-from .montecarlo import (ConvergenceTrace, ExperimentConfig, MonteCarloError,
-                         aggregate, exceedance_counts, run_replication, simulate,
-                         trimmed_sum, truncated_sum)
+                       check_condition, fluctuation_allowance, geometric_grid,
+                       plan_default, plan_standard)
+from .montecarlo import (RATIO_QUANTILES, ConvergenceTrace, ExperimentConfig,
+                         MonteCarloError, aggregate, exceedance_counts,
+                         run_replication, simulate, trimmed_sum, truncated_sum)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

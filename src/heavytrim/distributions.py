@@ -91,15 +91,25 @@ def _logsumexp(terms: Sequence[float]) -> float:
     return top + math.log(math.fsum(math.exp(v - top) for v in terms))
 
 
+def units_to_float(total: int) -> float:
+    """``total * 2**-1074`` rounded once, to +-inf beyond the float range as
+    IEEE rounding does: int true division is correctly rounded, as
+    ``math.fsum`` is, but raises OverflowError there."""
+    try:
+        return total / (1 << 1074)
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
+
+
 def prefix_fsums(values: Sequence[float]) -> list[float]:
-    """``math.fsum(values[:i + 1])`` for every i, bit for bit, in linear time:
-    a running exact integer in units of 2**-1074, rounded once per prefix
-    by int true division, which is correctly rounded as fsum is."""
+    """``math.fsum(values[:i + 1])`` for every i, bit for bit wherever fsum
+    returns, in linear time: a running exact integer in units of 2**-1074,
+    rounded once per prefix; a prefix past the float range reads +-inf."""
     total, out = 0, []
     for v in values:
         num, den = float(v).as_integer_ratio()  # den is a power of two
         total += num << (1075 - den.bit_length())
-        out.append(total / (1 << 1074))
+        out.append(units_to_float(total))
     return out
 
 

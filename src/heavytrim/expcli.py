@@ -2,9 +2,10 @@
 
 A run executes condition reports, the deviation budget, the seeded
 simulation, aggregation and SVG plots, writes everything under the output
-directory and records a manifest with a checksum per artifact.  Outputs
-are a pure function of (config, seed): rerunning reproduces every
-checksum.
+directory and records a manifest with a checksum per artifact.  Every
+byte of every artifact is made here: ``trimming`` and ``montecarlo``
+return values.  Outputs are a pure function of (config, seed): rerunning
+reproduces every checksum.
 
 Config files are JSON (see ``CONFIG_GRAMMAR`` or the README for the full
 key reference).  ``heavytrim run`` and ``heavytrim check`` exit 1 when a
@@ -25,18 +26,19 @@ import math
 import sys
 import time
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import __version__
 from .distributions import (Distribution, DistributionError, LogTail, ParetoTail,
                             SquareStep, Tabulated, prefix_fsums)
-from .montecarlo import ExperimentConfig, aggregate, simulate, trace_csv_rows, workers
-from .trimming import (AllowanceTrimRule, ConditionReport, PlanError, PlanPoint,
-                       PowerThreshold, ProjectedPowerThreshold, SquareStepThreshold,
+from .montecarlo import (RATIO_QUANTILES, AggregateSummary, ConvergenceTrace, ExperimentConfig,
+                         _on_grid, aggregate, simulate, workers)
+from .trimming import (CONDITIONS, AllowanceTrimRule, BudgetRow, ConditionReport, PlanError,
+                       PlanPoint, PowerThreshold, ProjectedPowerThreshold, SquareStepThreshold,
                        StandardTrimRule, SummableFunction, TrimmingError, TrimmingPlan,
                        borel_cantelli_budget, check_condition, check_condition_grid,
-                       check_plan, conditions_for_plan, format_condition_report,
-                       geometric_grid, plan_default, plan_standard)
+                       check_plan, conditions_for_plan, geometric_grid, plan_default,
+                       plan_standard)
 
 __all__ = ["parse_config", "run", "plot", "main", "RunManifest", "ConfigError",
            "CONFIG_GRAMMAR"]
@@ -344,8 +346,67 @@ def parse_config(path: str | Path, *,
 
 
 # --------------------------------------------------------------------------
-# deterministic SVG plots
+# artifact formats and deterministic SVG plots
 # --------------------------------------------------------------------------
+
+def format_condition_report(reports: Sequence[ConditionReport]) -> str:
+    """``conditions.txt``: one block per condition, with its grid table."""
+    blocks = []
+    for r in reports:
+        blocks.append("\n".join([
+            f"condition {r.condition}",
+            f"  kind: {r.kind}",
+            f"  quantity: {CONDITIONS[r.condition][2]}",
+            f"  verdict: {r.verdict}",
+            f"  tolerance: {r.tolerance:.3e}",
+            f"  final value: {r.final_value:.6e} at n = {r.grid[-1]}",
+            f"  trend slope over last half: {r.trend:.4f}",
+            *(f"  note: {note}" for note in r.notes),
+            "  n value",
+            *(f"  {n} {v:.6e}" for n, v in zip(r.grid, r.values)),
+        ]))
+    return "\n\n".join(blocks) + "\n"
+
+
+def budget_csv_rows(budget: Sequence[BudgetRow]) -> Iterable[tuple]:
+    """``budget.csv`` rows; floats as shortest repr."""
+    yield ("n", "exponent_arg", "log10_summand", "partial_sum")
+    for r in budget:
+        yield (r.n, repr(r.exponent_arg), repr(r.log10_summand), repr(r.partial_sum))
+
+
+def trace_csv_rows(config: ExperimentConfig,
+                   traces: Sequence[ConvergenceTrace]) -> Iterable[tuple]:
+    """``traces.csv`` rows, plan values from the caller's config; floats as shortest repr."""
+    yield ("replication", "n", "S_n", "S_trimmed", "T_truncated", "N_gt", "N_ge", "b_n", "t_n",
+           "d_n", "ratio_trimmed", "ratio_truncated")
+    for t in _on_grid(config, traces):
+        for r, p in zip(t.rows, config.points):
+            yield (t.replication, r.n, repr(r.untrimmed), repr(r.trimmed),
+                   repr(r.truncated), r.count_gt, r.count_ge, p.trim,
+                   repr(p.threshold), repr(p.scale),
+                   repr(r.ratio_trimmed), repr(r.ratio_truncated))
+
+
+def _quantile_column(statistic: str, level: float) -> str:
+    """The ``aggregate.csv`` column of one statistic's quantile at ``level``."""
+    return f"{statistic}_q{round(100 * level):02d}"
+
+
+def aggregate_csv_rows(config: ExperimentConfig, summary: AggregateSummary,
+                       replications: int) -> Iterable[tuple]:
+    """``aggregate.csv`` rows: per checkpoint, the quantiles of the trimmed
+    and truncated ratios and of the raw running max at each level of
+    ``RATIO_QUANTILES``, the exceedance violations and the replication count."""
+    statistics = {"trimmed": summary.trimmed_quantiles,
+                  "truncated": summary.truncated_quantiles,
+                  "untrimmed_runmax": summary.untrimmed_runmax_quantiles}
+    yield ("n", *(_quantile_column(s, q) for s in statistics for q in RATIO_QUANTILES),
+           "exceedance_violations", "replications")
+    for j, n in enumerate(config.checkpoints):
+        yield (n, *(repr(float(v)) for block in statistics.values() for v in block[:, j]),
+               summary.exceedance_violations[j], replications)
+
 
 _W, _H = 720, 440
 _ML, _MR, _MT, _MB = 64, 16, 28, 44
@@ -444,13 +505,11 @@ def plot(aggregate_csv: str | Path, out_dir: str | Path) -> list[Path]:
     aggregate_csv = Path(aggregate_csv)
     cols = _read_aggregate_csv(aggregate_csv)
     try:
-        ns = cols["n"]
-        reps = cols["replications"][0]
-        tr_med = cols["trimmed_q50"]
-        tr_lo, tr_hi = cols["trimmed_q05"], cols["trimmed_q95"]
-        tc_med = cols["truncated_q50"]
-        rm_med = cols["untrimmed_runmax_q50"]
-        rm_lo, rm_hi = cols["untrimmed_runmax_q05"], cols["untrimmed_runmax_q95"]
+        ns, reps = cols["n"], cols["replications"][0]
+        tr_med, tr_lo, tr_hi = (cols[_quantile_column("trimmed", q)] for q in (0.5, 0.05, 0.95))
+        tc_med = cols[_quantile_column("truncated", 0.5)]
+        rm_med, rm_lo, rm_hi = (cols[_quantile_column("untrimmed_runmax", q)]
+                                for q in (0.5, 0.05, 0.95))
     except KeyError as exc:
         raise ConfigError(f"{aggregate_csv}: missing column {exc}") from exc
     for lineno, n in enumerate(ns, start=2):
@@ -551,12 +610,13 @@ def run(spec: RunSpec) -> RunManifest:
     texts = {"conditions.txt": format_condition_report(reports)}
     verdicts = {r.condition: r.verdict for r in reports}
     lap("conditions")
-    texts["budget.csv"] = _csv(borel_cantelli_budget(spec.budget_eps, table).csv_rows())
+    texts["budget.csv"] = _csv(budget_csv_rows(borel_cantelli_budget(spec.budget_eps, table)))
     lap("budget")
     traces = simulate(spec.config)
     texts["traces.csv"] = _csv(trace_csv_rows(spec.config, traces))
     lap("traces")
-    texts["aggregate.csv"] = _csv(aggregate(spec.config, traces).csv_rows())
+    summary = aggregate(spec.config, traces)
+    texts["aggregate.csv"] = _csv(aggregate_csv_rows(spec.config, summary, len(traces)))
     lap("aggregate")
     out = spec.output_dir
     out.mkdir(parents=True, exist_ok=True)

@@ -24,7 +24,8 @@ their allowance) depend on n alone, so they live once per experiment in
 ``ExperimentConfig.points``; a trace holds only what its path produced,
 and the consumers that pair its rows with that table take the run's one
 config.  Aggregation keeps what the artifacts show: per-checkpoint
-quantiles of the two ratios and of the raw sum's running max over its scale.
+quantiles of the two ratios and of the raw sum's running max over its scale;
+``expcli`` formats them, as it formats every artifact.
 
 A draw past the float range surfaces as ``inf``, and S_n with it, which
 any sufficient trim or truncation drops again.  A finite sum past the
@@ -38,11 +39,11 @@ import math
 import operator
 import os
 from functools import partial
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .distributions import Distribution, Value
+from .distributions import Distribution, Value, units_to_float
 from .trimming import PlanError, PlanPoint, TrimmingPlan, check_plan
 
 __all__ = [
@@ -58,7 +59,7 @@ __all__ = [
     "workers",
     "aggregate",
     "AggregateSummary",
-    "trace_csv_rows",
+    "RATIO_QUANTILES",
     "MonteCarloError",
 ]
 
@@ -210,10 +211,7 @@ def _rounded(form: _Form) -> float:
         raise ValueError("-inf + inf in exact sum")
     if form.pinf or form.ninf:
         return math.inf if form.pinf else -math.inf
-    try:  # int true division is correctly rounded; it raises where IEEE gives +-inf
-        return form.total / (1 << 1074)
-    except OverflowError:
-        return math.inf if form.total > 0 else -math.inf
+    return units_to_float(form.total)
 
 
 def trimmed_sum(values: np.ndarray, trim: int) -> float:
@@ -429,31 +427,14 @@ def simulate(config: ExperimentConfig) -> tuple[ConvergenceTrace, ...]:
 # --------------------------------------------------------------------------
 
 class AggregateSummary(NamedTuple):
-    """Per-checkpoint quantiles over replications and exceedance violation counts."""
+    """Per-checkpoint quantiles over replications, one row per level of
+    ``RATIO_QUANTILES`` and one column per checkpoint, and per-checkpoint
+    exceedance violation counts."""
 
-    checkpoints: tuple[int, ...]
-    replications: int
-    quantile_levels: tuple[float, ...]
-    trimmed_quantiles: np.ndarray       # (levels, checkpoints)
+    trimmed_quantiles: np.ndarray
     truncated_quantiles: np.ndarray
     untrimmed_runmax_quantiles: np.ndarray
-    exceedance_violations: tuple[int, ...]   # per checkpoint
-
-    def csv_rows(self) -> Iterable[tuple]:
-        header = ["n"]
-        for tag in ("trimmed", "truncated", "untrimmed_runmax"):
-            for q in self.quantile_levels:
-                header.append(f"{tag}_q{int(round(q * 100)):02d}")
-        header += ["exceedance_violations", "replications"]
-        yield tuple(header)
-        for j, n in enumerate(self.checkpoints):
-            row = [n]
-            for block in (self.trimmed_quantiles, self.truncated_quantiles,
-                          self.untrimmed_runmax_quantiles):
-                row.extend(repr(float(v)) for v in block[:, j])
-            row.append(self.exceedance_violations[j])
-            row.append(self.replications)
-            yield tuple(row)
+    exceedance_violations: tuple[int, ...]
 
 
 def _on_grid(config: ExperimentConfig,
@@ -514,32 +495,8 @@ def aggregate(config: ExperimentConfig, traces: Sequence[ConvergenceTrace]) -> A
     violations = np.count_nonzero(
         np.abs(expect_gt - _matrix(traces, "count_gt")) >= allowance_gt, axis=0)
     return AggregateSummary(
-        checkpoints=config.checkpoints,
-        replications=len(traces),
-        quantile_levels=RATIO_QUANTILES,
         trimmed_quantiles=_quantiles(_matrix(traces, "ratio_trimmed")),
         truncated_quantiles=_quantiles(_matrix(traces, "ratio_truncated")),
         untrimmed_runmax_quantiles=_quantiles(runmax),
         exceedance_violations=tuple(violations.tolist()),
     )
-
-
-# --------------------------------------------------------------------------
-# CSV emission
-# --------------------------------------------------------------------------
-
-TRACE_COLUMNS = ("replication", "n", "S_n", "S_trimmed", "T_truncated",
-                 "N_gt", "N_ge", "b_n", "t_n", "d_n",
-                 "ratio_trimmed", "ratio_truncated")
-
-
-def trace_csv_rows(config: ExperimentConfig,
-                   traces: Sequence[ConvergenceTrace]) -> Iterable[tuple]:
-    """Traces CSV rows, plan values from the caller's config; floats as shortest repr."""
-    yield TRACE_COLUMNS
-    for t in _on_grid(config, traces):
-        for r, p in zip(t.rows, config.points):
-            yield (t.replication, r.n, repr(r.untrimmed), repr(r.trimmed),
-                   repr(r.truncated), r.count_gt, r.count_ge, p.trim,
-                   repr(p.threshold), repr(p.scale),
-                   repr(r.ratio_trimmed), repr(r.ratio_truncated))

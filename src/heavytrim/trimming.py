@@ -47,13 +47,11 @@ __all__ = [
     "check_condition",
     "check_condition_grid",
     "ConditionReport",
-    "format_condition_report",
     "geometric_grid",
     "TrimmingError",
     "PlanError",
     "CONDITIONS",
     "BudgetRow",
-    "BudgetTable",
     "borel_cantelli_budget",
 ]
 
@@ -567,28 +565,6 @@ def conditions_for_plan(plan: TrimmingPlan) -> tuple[str, ...]:
     return base
 
 
-def format_condition_report(reports: Sequence[ConditionReport]) -> str:
-    """Structured text report, one condition per block."""
-    blocks = []
-    for r in reports:
-        lines = [
-            f"condition {r.condition}",
-            f"  kind: {r.kind}",
-            f"  quantity: {CONDITIONS[r.condition][2]}",
-            f"  verdict: {r.verdict}",
-            f"  tolerance: {r.tolerance:.3e}",
-            f"  final value: {r.final_value:.6e} at n = {r.grid[-1]}",
-            f"  trend slope over last half: {r.trend:.4f}",
-        ]
-        for note in r.notes:
-            lines.append(f"  note: {note}")
-        lines.append("  n value")
-        for n, v in zip(r.grid, r.values):
-            lines.append(f"  {n} {v:.6e}")
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n"
-
-
 # --------------------------------------------------------------------------
 # summable deviation budget along a plan
 # --------------------------------------------------------------------------
@@ -611,17 +587,7 @@ class BudgetRow(NamedTuple):
     partial_sum: float
 
 
-class BudgetTable(NamedTuple):
-    epsilon: float
-    rows: tuple[BudgetRow, ...]
-
-    def csv_rows(self):
-        yield ("n", "exponent_arg", "log10_summand", "partial_sum")
-        for r in self.rows:
-            yield (r.n, repr(r.exponent_arg), repr(r.log10_summand), repr(r.partial_sum))
-
-
-def borel_cantelli_budget(eps: float, table: Sequence[PlanPoint]) -> BudgetTable:
+def borel_cantelli_budget(eps: float, table: Sequence[PlanPoint]) -> tuple[BudgetRow, ...]:
     """Deviation budget making truncated-sum deviations summable.
 
     For each point of ``table`` (a plan's ``table(grid)``) tabulates the
@@ -631,16 +597,9 @@ def borel_cantelli_budget(eps: float, table: Sequence[PlanPoint]) -> BudgetTable
     ``eps * d(n)``, with variance total ``t(n) d(n)`` and amplitude ``t(n)``.
     """
     coef = _relative_rate(eps)
-    rows = []
-    running = 0.0
+    rows, running = [], 0.0
     for p in table:
         arg = coef * math.exp(min(p.log_scale - p.log_threshold, 700.0))
-        summand = math.exp(-arg) if arg < 745.0 else 0.0
-        running += summand
-        rows.append(BudgetRow(
-            n=p.n,
-            exponent_arg=arg,
-            log10_summand=-arg / _LN10,
-            partial_sum=running,
-        ))
-    return BudgetTable(epsilon=eps, rows=tuple(rows))
+        running += math.exp(-arg) if arg < 745.0 else 0.0
+        rows.append(BudgetRow(p.n, arg, -arg / _LN10, running))
+    return tuple(rows)

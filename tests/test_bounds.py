@@ -8,7 +8,7 @@ from typing import Sequence
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heavytrim.expcli import parse_config
+from heavytrim.expcli import budget_csv_rows, parse_config
 from heavytrim.trimming import (PowerThreshold, TrimmingError, borel_cantelli_budget,
                                 geometric_grid, plan_standard)
 from oracles import (BoundsError, _as_fractions, bernstein_max_tail, bernstein_relative,
@@ -172,12 +172,12 @@ class TestBudget:
         grid = geometric_grid(1000, 10 ** 6, 8)
         table = borel_cantelli_budget(0.5, plan.table(grid))
         coef = 3.0 * 0.25 / 7.0
-        for row in table.rows:
+        for row in table:
             n = row.n
             hand = coef * n * (n ** 0.4 - 1.0) / n ** 0.8
             assert row.exponent_arg == pytest.approx(hand, rel=1e-9)
             assert row.log10_summand == pytest.approx(-hand / math.log(10.0), rel=1e-9)
-        sums = [r.partial_sum for r in table.rows]
+        sums = [r.partial_sum for r in table]
         assert all(b >= a for a, b in zip(sums, sums[1:]))
 
     def test_doubling_eps_shrinks_every_summand(self, pareto):
@@ -185,7 +185,7 @@ class TestBudget:
         grid = geometric_grid(1000, 10 ** 6, 8)
         small = borel_cantelli_budget(0.1, plan.table(grid))
         big = borel_cantelli_budget(0.2, plan.table(grid))
-        for a, b in zip(small.rows, big.rows):
+        for a, b in zip(small, big):
             assert b.exponent_arg > a.exponent_arg
 
     def test_tail_beats_squared_weight(self, pareto):
@@ -193,15 +193,15 @@ class TestBudget:
         plan = plan_standard(pareto, PowerThreshold(0.8), 0.05)
         grid = geometric_grid(1000, 10 ** 6, 8)
         table = borel_cantelli_budget(0.5, plan.table(grid))
-        for row in table.rows[-4:]:
+        for row in table[-4:]:
             assert row.exponent_arg >= 2.0 * math.log(row.n)
         # the last two summands are below 1 / summable(n)
-        assert all(r.exponent_arg >= plan.summable.log_value(r.n) for r in table.rows[-2:])
+        assert all(r.exponent_arg >= plan.summable.log_value(r.n) for r in table[-2:])
 
     def test_csv_schema(self, pareto):
         plan = plan_standard(pareto, PowerThreshold(0.8), 0.05)
         table = plan.table(geometric_grid(1000, 10 ** 6, 8))
-        rows = list(borel_cantelli_budget(0.1, table).csv_rows())
+        rows = list(budget_csv_rows(borel_cantelli_budget(0.1, table)))
         assert rows[0] == ("n", "exponent_arg", "log10_summand", "partial_sum")
         assert len(rows[1]) == 4
 
@@ -219,7 +219,7 @@ class TestBudget:
         table = spec.config.plan.table(spec.condition_grid)
         assert all(p.scale < math.inf and p.threshold < math.inf for p in table)
         for eps in (spec.budget_eps, 0.5, 2.0):
-            for p, row in zip(table, borel_cantelli_budget(eps, table).rows):
+            for p, row in zip(table, borel_cantelli_budget(eps, table)):
                 bound = bernstein_relative(eps, p.scale, p.threshold)
                 assert row.exponent_arg == pytest.approx(math.log(2.0) - bound.log_value,
                                                          rel=1e-12)

@@ -323,6 +323,13 @@ class TestPrefixFsums:
         assert [v.hex() for v in got] == [math.fsum(masses[: i + 1]).hex()
                                           for i in range(len(masses))]
 
+    def test_prefix_past_the_float_range_reads_inf(self):
+        # where fsum raises, a prefix rounds to +-inf as montecarlo's sums do,
+        # and the running integer stays exact
+        assert distributions.prefix_fsums([1.7e308, 1.7e308, -1.7e308]) == [1.7e308, math.inf,
+                                                                              1.7e308]
+        assert distributions.prefix_fsums([-1e308, -1e308]) == [-1e308, -math.inf]
+
     def test_random_tables_over_many_binades(self):
         rng = np.random.default_rng(20260810)
         for _ in range(300):

@@ -601,9 +601,15 @@ class TestMain:
                            "atoms": [[2.0 ** k, 2.0 ** -k] for k in range(1, 6)]},
           "plan.threshold.exponent": 0.25, "experiment.checkpoints": [256, 4096]},
          ["conditions.grid"], [], "plan: threshold at n = 31 is not a quantile fixed point"),
+        # masses whose sum passes the float range: the level reads inf, which
+        # the mass check refuses (an OverflowError, exit 3, once)
+        ({"distribution": {"family": "atomic-step", "atoms": [[2.0, 1e308], [4.0, 1e308]]},
+          "plan": {"rule": "default", "epsilon": 0.05},
+          "experiment": {"checkpoints": [1000, 10000], "replications": 1, "seed": 1}},
+         ["conditions"], [], "distribution.atoms: atom masses sum to inf > 1"),
     ], ids=["alpha-above-one", "alpha-missing", "summable-power-below-one",
             "exponent-negative", "checkpoint-below-three", "nmax-below-every-checkpoint",
-            "default-grid-off-the-atoms"])
+            "default-grid-off-the-atoms", "atom-masses-past-the-float-range"])
     def test_refused_config_exit_two(self, tmp_path, capsys, command, overrides, drop, flags,
                                      message):
         p = write_config(tmp_path, copy.deepcopy(overrides), drop)

@@ -16,11 +16,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heavytrim import montecarlo
-from heavytrim.expcli import main, parse_config, run
+from heavytrim.expcli import main, parse_config, run, trace_csv_rows
 from heavytrim.montecarlo import (ConvergenceTrace, ExperimentConfig, MonteCarloError,
                                   aggregate, exceedance_counts, run_replication,
-                                  simulate, trace_csv_rows, trimmed_sum,
-                                  truncated_sum)
+                                  simulate, trimmed_sum, truncated_sum)
 from heavytrim.distributions import LogTail, Tabulated
 from heavytrim.trimming import (PlanError, PowerThreshold, ProjectedPowerThreshold,
                                 SquareStepThreshold, StandardTrimRule,

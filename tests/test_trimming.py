@@ -8,12 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from heavytrim import trimming
 from heavytrim.distributions import ParetoTail
+from heavytrim.expcli import format_condition_report
 from heavytrim.trimming import (PlanError, PowerThreshold, ProjectedPowerThreshold,
                                 SquareStepThreshold, StandardTrimRule, SummableFunction,
                                 TrimmingError, TrimmingPlan,
                                 check_condition, check_plan, conditions_for_plan,
-                                fluctuation_allowance, format_condition_report,
-                                geometric_grid, plan_default, plan_standard)
+                                fluctuation_allowance, geometric_grid, plan_default,
+                                plan_standard)
 from oracles import rebase_summable
 
 LN2 = math.log(2.0)
