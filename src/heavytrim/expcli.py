@@ -1,11 +1,11 @@
 """Batch front end: parse experiment configs, run all stages, emit artifacts.
 
 A run executes condition reports, the deviation budget, the seeded
-simulation, aggregation and SVG plots, writes everything under the output
-directory and records a manifest with a checksum per artifact.  Every
-byte of every artifact is made here: ``trimming`` and ``montecarlo``
-return values.  Outputs are a pure function of (config, seed): rerunning
-reproduces every checksum.
+simulation, aggregation and SVG plots, then writes everything under the
+output directory and records a manifest with a checksum per artifact.
+Every byte of every artifact is made here, before the output directory
+is: ``trimming`` and ``montecarlo`` return values.  Outputs are a pure
+function of (config, seed): rerunning reproduces every checksum.
 
 Config files are JSON (see ``CONFIG_GRAMMAR`` or the README for the full
 key reference).  ``heavytrim run`` and ``heavytrim check`` exit 1 when a
@@ -416,12 +416,12 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _chart(path: Path, title: str, y_label: str, xs, band, lines, marks) -> Path:
-    """Write to ``path`` one SVG chart against ``xs`` (log10 n): the ``(lo,
-    hi, color)`` band unless it is ``None``, each ``(ys, color, width,
-    dash)`` line, and the ``(xs, color)`` marks of values of inf on the top
-    edge.  Non-finite values are not drawn: they neither size the frame nor
-    appear in a line or band.
+def _chart(title: str, y_label: str, xs, band, lines, marks) -> str:
+    """One SVG chart against ``xs`` (log10 n): the ``(lo, hi, color)``
+    band unless it is ``None``, each ``(ys, color, width, dash)`` line, and
+    the ``(xs, color)`` marks of values of inf on the top edge.  Non-finite
+    values are not drawn: they neither size the frame nor appear in a line
+    or band.
     """
     ys = [v for line in lines for v in line[0]] + ([] if band is None else band[0] + band[1])
     ys = [v for v in ys if math.isfinite(v)] or [0.0]
@@ -469,40 +469,35 @@ def _chart(path: Path, title: str, y_label: str, xs, band, lines, marks) -> Path
         d = " ".join(f"M{_fmt(x(a))},{_MT} l-5,9 h10 z" for a in off)
         parts.append(f'<path fill="{color}" stroke="none" d="{d}"><title>inf</title></path>')
     parts.append("</svg>")
-    path.write_text("\n".join(parts) + "\n")
-    return path
+    return "\n".join(parts) + "\n"
 
 
-def _read_aggregate_csv(path: Path) -> dict[str, list[float]]:
-    try:
-        lines = path.read_text().splitlines()
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+def _read_aggregate_csv(text: str) -> dict[str, list[float]]:
+    lines = text.splitlines()
     if len(lines) < 2:
-        raise ConfigError(f"{path}: aggregate CSV has no data rows")
+        raise ConfigError("aggregate CSV has no data rows")
     header = lines[0].split(",")
     cols: dict[str, list[float]] = {h: [] for h in header}
     for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
         if len(cells) != len(header):
-            raise ConfigError(f"{path}: line {lineno}: malformed CSV row: {line!r}")
+            raise ConfigError(f"line {lineno}: malformed CSV row: {line!r}")
         for h, c in zip(header, cells):
             try:
                 cols[h].append(float(c))
             except ValueError:
-                raise ConfigError(f"{path}: line {lineno}: {h} is not a number: {c!r}") from None
+                raise ConfigError(f"line {lineno}: {h} is not a number: {c!r}") from None
     return cols
 
 
-def plot(aggregate_csv: str | Path, out_dir: str | Path) -> list[Path]:
-    """Render the ratio-band and raw-running-max plots from an aggregate CSV.
+def plot(aggregate_csv: str) -> dict[str, str]:
+    """Render the ratio-band and raw-running-max plots from aggregate CSV text.
 
-    A pure function of the CSV bytes: identical input produces identical
-    SVG output.  Single-replication aggregates collapse the band into the
-    median line and only the line is drawn.  The CSV is read and checked
-    before ``out_dir`` is made, so a malformed one leaves nothing behind.
+    A pure function of the CSV text: it returns ``{"ratios.svg": ...,
+    "dichotomy.svg": ...}`` and writes nothing.  Single-replication
+    aggregates collapse the band into the median line and only the line is
+    drawn.  A malformed CSV is a ``ConfigError``.
     """
-    aggregate_csv = Path(aggregate_csv)
     cols = _read_aggregate_csv(aggregate_csv)
     try:
         ns, reps = cols["n"], cols["replications"][0]
@@ -511,17 +506,13 @@ def plot(aggregate_csv: str | Path, out_dir: str | Path) -> list[Path]:
         rm_med, rm_lo, rm_hi = (cols[_quantile_column("untrimmed_runmax", q)]
                                 for q in (0.5, 0.05, 0.95))
     except KeyError as exc:
-        raise ConfigError(f"{aggregate_csv}: missing column {exc}") from exc
+        raise ConfigError(f"missing column {exc}") from exc
     for lineno, n in enumerate(ns, start=2):
         if not 0 < n < math.inf:  # plotted as log10 n
-            raise ConfigError(f"{aggregate_csv}: line {lineno}: "
-                              f"n must be positive and finite, got {n!r}")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+            raise ConfigError(f"line {lineno}: n must be positive and finite, got {n!r}")
     xs = [math.log10(n) for n in ns]
     single = reps <= 1
-    ratios = _chart(out_dir / "ratios.svg",
-                    "trimmed (solid) and truncated (dashed) sum over scale", "ratio", xs,
+    ratios = _chart("trimmed (solid) and truncated (dashed) sum over scale", "ratio", xs,
                     None if single else (tr_lo, tr_hi, "#4878b0"),
                     [([1.0] * len(xs), "#999999", 1.0, "4 3"), (tr_med, "#2f5597", 2.0, ""),
                      (tc_med, "#c04b4b", 1.5, "6 3")],
@@ -529,11 +520,11 @@ def plot(aggregate_csv: str | Path, out_dir: str | Path) -> list[Path]:
     safelog = lambda v: 0.0 if v <= 0 else math.log10(v)  # inf and nan stay non-finite
     rm_med, rm_lo, rm_hi = ([safelog(v) for v in col] for col in (rm_med, rm_lo, rm_hi))
     # a median of inf has no place on the axis: it is marked above the frame's data
-    dichotomy = _chart(out_dir / "dichotomy.svg", "running max of raw sum over scale",
+    dichotomy = _chart("running max of raw sum over scale",
                        "log10 running max", xs, None if single else (rm_lo, rm_hi, "#8f6db0"),
                        [(rm_med, "#5e3d8f", 2.0, "")],
                        ([a for a, v in zip(xs, rm_med) if v == math.inf], "#5e3d8f"))
-    return [ratios, dichotomy]
+    return {"ratios.svg": ratios, "dichotomy.svg": dichotomy}
 
 
 # --------------------------------------------------------------------------
@@ -554,10 +545,6 @@ class RunManifest(NamedTuple):
 
     def to_json(self) -> str:
         return json.dumps(self._asdict(), indent=2, sort_keys=True) + "\n"
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _csv(rows) -> str:
@@ -590,8 +577,9 @@ def run(spec: RunSpec) -> RunManifest:
     Order: condition reports, budget table, traces, aggregate, plots.
     ``HEAVYTRIM_WORKERS`` is parsed, the plan table on the condition grid
     built once and checked (it serves the condition reports and the budget),
-    and every CSV and text artifact computed before the output directory is
-    made, so a run that fails before the plots writes nothing.
+    and every artifact, the two SVGs included, encoded before the output
+    directory is made, so a run that fails in any stage writes nothing.
+    The bytes written are the bytes hashed; the manifest is written last.
     ``manifest.failed`` is set when a pointwise hypothesis is violated.
     """
     try:
@@ -618,13 +606,14 @@ def run(spec: RunSpec) -> RunManifest:
     summary = aggregate(spec.config, traces)
     texts["aggregate.csv"] = _csv(aggregate_csv_rows(spec.config, summary, len(traces)))
     lap("aggregate")
+    texts.update(plot(texts["aggregate.csv"]))
+    lap("plots")
+    data = {name: text.encode() for name, text in texts.items()}
     out = spec.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    for name, text in texts.items():
-        (out / name).write_text(text, newline="")
-    written = [out / name for name in texts] + plot(out / "aggregate.csv", out)
-    lap("plots")
-    files = {p.name: _sha256(p) for p in written}
+    for name, b in data.items():
+        (out / name).write_bytes(b)
+    files = {name: hashlib.sha256(b).hexdigest() for name, b in data.items()}
 
     cfg_bytes = json.dumps(spec.raw, sort_keys=True).encode()
     manifest = RunManifest(
@@ -661,9 +650,17 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    paths = plot(args.csv, args.out_dir or ".")
-    for p in paths:
-        print(p)
+    try:
+        svgs = plot(args.csv.read_text())
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{args.csv}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    except ConfigError as exc:
+        raise ConfigError(f"{args.csv}: {exc}") from None
+    out = Path(args.out_dir or ".")
+    out.mkdir(parents=True, exist_ok=True)
+    for name, svg in svgs.items():
+        (out / name).write_text(svg)
+        print(out / name)
     return 0
 
 

@@ -19,6 +19,9 @@ Bernstein bounds dominate truth.
 ``bernstein_max_tail`` is Bernstein's maximal inequality in its general
 form, and ``bernstein_relative`` its bounded nonnegative case, whose
 exponent ``trimming.borel_cantelli_budget`` tabulates along a plan.
+``pareto_half_trimmed_mean`` is the exact mean of the trimmed sum of unit
+Pareto draws with exponent one half, which calibrates the demo's headline
+ratio.
 ``rebase_summable`` is the rebasing lemma: it carries a weight with a
 summable reciprocal from base-a to base-b logarithmic indexing, as
 acceptance criterion 4 checks; no plan or run calls it.
@@ -160,6 +163,18 @@ def max_deviation_tail_exact(support: Sequence, probs: Sequence, n: int,
         alive = nxt
     return absorbed
 
+
+def pareto_half_trimmed_mean(n: int, b: int) -> Fraction:
+    """E[S_trimmed] for n unit Pareto draws with exponent 1/2, the b largest
+    removed: ``n (n-1)/(b-1) - n``, infinite for b < 2.
+
+    The k-th largest draw is ``U**-2`` with ``U ~ Beta(k, n+1-k)``, whose
+    mean is ``n (n-1) / ((k-1)(k-2))`` for k >= 3; the sum over k > b
+    telescopes.
+    """
+    if not 2 <= b <= n:
+        raise ValueError(f"need 2 <= b <= n, got b = {b}, n = {n}")
+    return Fraction(n * (n - 1), b - 1) - n
 
 
 def reference_quantile(dist: Distribution, u: float) -> float:

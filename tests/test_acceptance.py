@@ -23,7 +23,8 @@ from heavytrim.montecarlo import ExperimentConfig, aggregate, simulate, trimmed_
 from heavytrim.trimming import (PowerThreshold, SquareStepThreshold,
                                 SummableFunction, check_condition, check_plan,
                                 geometric_grid, plan_standard)
-from oracles import bernstein_max_tail, max_deviation_tail_exact, rebase_summable
+from oracles import (bernstein_max_tail, max_deviation_tail_exact, pareto_half_trimmed_mean,
+                     rebase_summable)
 
 CHECKPOINTS = (1000, 3162, 10000, 31623, 100000, 316228, 1000000)
 SEED = 20260810
@@ -220,3 +221,42 @@ def test_criterion_10_byte_identical_reruns(tmp_path):
                          "conditions.txt", "ratios.svg", "dichotomy.svg")})
     report(10, digests[0] == digests[1],
            "two runs of the demo config emit byte-identical artifacts")
+
+
+def test_pareto_half_trimmed_mean_is_the_order_statistic_sum():
+    for n in range(3, 25):
+        for b in range(2, n + 1):
+            exact = sum(Fraction(n * (n - 1), (k - 1) * (k - 2)) for k in range(b + 1, n + 1))
+            assert pareto_half_trimmed_mean(n, b) == exact
+
+
+def _controlled_mean(config, traces, j: int) -> tuple[float, float, float]:
+    """The trimmed ratio's mean at checkpoint j, controlled by the two trace
+    statistics of known mean (``ratio_truncated`` has mean 1 and ``N_gt``
+    has mean ``expect_gt``): the intercept of the least-squares fit, its SE
+    and the variance cut against the plain mean."""
+    p = config.points[j]
+    rows = [t.rows[j] for t in traces]
+    y = np.array([r.ratio_trimmed for r in rows])
+    x = np.column_stack([np.ones(len(rows)), [r.ratio_truncated - 1.0 for r in rows],
+                         [r.count_gt - p.expect_gt for r in rows]])
+    coef, rss, *_ = np.linalg.lstsq(x, y, rcond=None)
+    s2 = rss[0] / (len(y) - x.shape[1])
+    var = s2 * np.linalg.inv(x.T @ x)[0, 0]
+    return coef[0], math.sqrt(var), np.var(y, ddof=1) / len(y) / var
+
+
+def test_criterion_11_trimmed_ratio_mean_calibrated(demo_run):
+    config, traces, _, _ = demo_run
+    zs, cuts = [], []
+    for j, p in enumerate(config.points):
+        mean, se, cut = _controlled_mean(config, traces, j)
+        exact = float(pareto_half_trimmed_mean(p.n, p.trim))
+        zs.append((mean - exact / p.scale) / se)
+        cuts.append(cut)
+    # power: a d(n) 0.2 % high in the oracle must show at 1e6
+    z_off = (mean - exact / (1.002 * p.scale)) / se
+    report(11, all(abs(z) < 4 for z in zs) and abs(z_off) > 4,
+           f"controlled z of the mean trimmed ratio against its exact mean: "
+           f"{', '.join(f'{z:+.2f}' for z in zs)}; variance cut {cuts[0]:.1f}x at 1e3 "
+           f"and {cuts[-1]:.0f}x at 1e6; z = {z_off:+.2f} with d(n) 0.2 % high")

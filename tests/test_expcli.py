@@ -210,11 +210,11 @@ class TestPlot:
     def test_plot_is_pure_function_of_csv(self, tmp_path):
         spec = parse_config(write_config(tmp_path))
         run(spec)
-        csv = spec.output_dir / "aggregate.csv"
-        a = plot(csv, tmp_path / "p1")
-        b = plot(csv, tmp_path / "p2")
-        for pa, pb in zip(a, b):
-            assert pa.read_bytes() == pb.read_bytes()
+        csv = (spec.output_dir / "aggregate.csv").read_text()
+        a, b = plot(csv), plot(csv)
+        assert list(a) == ["ratios.svg", "dichotomy.svg"]
+        assert a == b
+        assert a == {name: (spec.output_dir / name).read_text() for name in a}
 
     def test_infinite_running_max_is_not_drawn(self, tmp_path):
         # log-tail draws pass the float range, so S_n is inf on most paths
@@ -235,40 +235,38 @@ class TestPlot:
             for attr in re.findall(r'\b(?:points|x|y)="([^"]*)"', svg):
                 assert all(math.isfinite(float(v)) for v in re.split(r"[ ,]", attr) if v)
 
-    def test_infinite_running_max_is_marked_off_scale(self, tmp_path):
+    def test_infinite_running_max_is_marked_off_scale(self):
         # a median running max of inf gets a marker on the frame's top edge
         # at its checkpoint; the finite median keeps its line
-        csv = tmp_path / "aggregate.csv"
-        csv.write_text("n,replications,trimmed_q05,trimmed_q50,trimmed_q95,truncated_q50,"
-                       "untrimmed_runmax_q05,untrimmed_runmax_q50,untrimmed_runmax_q95\n"
-                       "1000,3,1,1,1,1,2,5,inf\n10000,3,1,1,1,1,3,inf,inf\n"
-                       "100000,3,1,1,1,1,inf,inf,inf\n")
-        svg = plot(csv, tmp_path / "plots")[1].read_text()
+        svg = plot("n,replications,trimmed_q05,trimmed_q50,trimmed_q95,truncated_q50,"
+                   "untrimmed_runmax_q05,untrimmed_runmax_q50,untrimmed_runmax_q95\n"
+                   "1000,3,1,1,1,1,2,5,inf\n10000,3,1,1,1,1,3,inf,inf\n"
+                   "100000,3,1,1,1,1,inf,inf,inf\n")["dichotomy.svg"]
         marks = re.findall(r'd="([^"]*)"><title>inf</title>', svg)
         assert marks == ["M384,28 l-5,9 h10 z M704,28 l-5,9 h10 z"]  # log10 n = 4 and 5
 
-    def test_malformed_csv_rejected(self, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("n\n")
+    def test_malformed_csv_rejected(self, tmp_path, capsys):
         with pytest.raises(ConfigError):
-            plot(bad, tmp_path)
-        bad.write_text("n,trimmed_q50\n10,0.5,99\n")
+            plot("n\n")
         with pytest.raises(ConfigError):
-            plot(bad, tmp_path)
-        # checked before the output directory is made
+            plot("n,trimmed_q50\n10,0.5,99\n")
+        # the CLI checks the CSV before the output directory is made
+        bad, plots = tmp_path / "bad.csv", tmp_path / "plots"
         full = ("n,replications,trimmed_q05,trimmed_q50,trimmed_q95,truncated_q50,"
                 "untrimmed_runmax_q05,untrimmed_runmax_q50,untrimmed_runmax_q95\n")
         for text, match in [("n,trimmed_q50\n1000,0.5\n1000,abc\n", "line 3: trimmed_q50"),
                             ("n,trimmed_q50\n1000,0.5\n", "missing column"),
                             (full + "0,4,1,1,1,1,1,1,1\n", "line 2: n must be positive")]:
-            bad.write_text(text)
             with pytest.raises(ConfigError, match=match):
-                plot(bad, tmp_path / "plots")
-            assert not (tmp_path / "plots").exists()
+                plot(text)
+            bad.write_text(text)
+            assert main(["plot", str(bad), "--out-dir", str(plots)]) == 2
+            assert f"config error: {bad}: {match}" in capsys.readouterr().err
+            assert not plots.exists()
         bad.write_bytes(b"n\n\xff\n")
-        with pytest.raises(ConfigError, match="not UTF-8"):
-            plot(bad, tmp_path / "plots")
-        assert not (tmp_path / "plots").exists()
+        assert main(["plot", str(bad), "--out-dir", str(plots)]) == 2
+        assert f"config error: {bad}: not UTF-8" in capsys.readouterr().err
+        assert not plots.exists()
 
 
 class TestMain:
@@ -480,10 +478,11 @@ class TestMain:
         assert capsys.readouterr().err == (
             "internal error: OverflowError: integer division result too large for a float\n")
 
-    @pytest.mark.parametrize("stage", ["simulate", "aggregate"])
+    @pytest.mark.parametrize("stage", ["simulate", "aggregate", "plot"])
     def test_internal_error_writes_nothing(self, tmp_path, capsys, monkeypatch, stage):
-        # every CSV and text artifact is computed before the output directory
-        # is made; conditions.txt and budget.csv were once left behind
+        # every artifact, the SVGs included, is computed before the output
+        # directory is made; conditions.txt and budget.csv, and later all four
+        # text artifacts when the plots failed, were once left behind
         def crash(*args):
             raise RuntimeError("crash")
         monkeypatch.setattr(expcli, stage, crash)
